@@ -4,9 +4,8 @@ coded distributed computing schemes."""
 from __future__ import annotations
 
 from .analysis import (AnalysisDomainError, CSV_HEADER, InequalityCheck,
-                       LoadComparison, Sandwich, StepChecks, SweepRow,
-                       ads_load, compare_ours_vs_jiang, is_prime_power,
-                       jiang_load, jiang_load_alt, li_load,
+                       Sandwich, StepChecks, SweepRow, ads_load,
+                       is_prime_power, jiang_load, li_load,
                        li_lower_bound_inequality, li_lower_bound_steps,
                        li_sandwich, ours_sd_load, sweep, sweep_csv,
                        symmetric_design_families)
@@ -17,16 +16,15 @@ from .designs import (AdsReport, AlmostDifferenceSet, DesignParameterError,
                       import_design, projective_plane, require_symmetric_design,
                       ruzsa_ads, smallest_primitive_root,
                       verify_symmetric_design)
-from .gf import (BinaryField, FieldError, PrimeField, SingularMatrixError,
-                 VandermondeSystem, field_add, field_inv, field_mul, is_prime,
-                 solve_linear, solve_power_sums, vandermonde_solve)
+from .gf import (BinaryField, FieldError, SingularMatrixError, is_prime,
+                 solve_linear, solve_power_sums)
 from .scheme import (IncompleteRecoveryError, IVTable, NodeView, Scheme,
                      SchemeParameterError, build_scheme_ads, build_scheme_sd,
                      centralized_outputs, choose_T, generate_ivs, node_view,
                      reduce_outputs, scheme_params, scheme_to_json)
-from .shuffle import (Message, MissingMessageError, Transcript, decode_ads,
-                      decode_sd, join_bits, measure_load, shuffle_ads_golomb,
-                      shuffle_ads_pos, shuffle_sd, split_bits,
-                      transcript_from_jsonl, transcript_to_jsonl)
+from .shuffle import (Message, MissingMessageError, RunResult, Transcript,
+                      decode_ads, decode_sd, join_bits, measure_load, run,
+                      shuffle_ads_golomb, shuffle_ads_pos, shuffle_sd,
+                      split_bits, transcript_from_jsonl, transcript_to_jsonl)
 
 __version__ = "0.1.0"

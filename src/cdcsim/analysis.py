@@ -62,13 +62,6 @@ def jiang_load(v: int, t: int) -> Fraction:
     return Fraction(v - t, v - 1)
 
 
-def jiang_load_alt(v: int, t: int) -> Fraction:
-    """Alternate form of the baseline load: t(v-t)/((t-1)v)."""
-    if v <= 1 or t <= 1:
-        raise AnalysisDomainError(f"need v >= 2 and t >= 2, got v={v}, t={t}")
-    return Fraction(t * (v - t), (t - 1) * v)
-
-
 def ads_load(n: int, k: int, lam: int) -> Fraction:
     """Load of the ADS scheme: (n-1)/(2n), or with the lam = 0 fallback
     (2(n-1) - k(k-1))/(2n)."""
@@ -166,29 +159,6 @@ def li_sandwich(p: int) -> Sandwich:
     upper = Fraction(p - 1, 2 * p - 3)
     return Sandwich(lower=lower, value=value, upper=upper,
                     holds=lower < value < upper)
-
-
-@dataclass(frozen=True)
-class LoadComparison:
-    """Exact gap between the baseline load and ours on one design."""
-
-    l_ours: Fraction
-    l_jiang: Fraction
-    gap: Fraction
-    strictly_better: bool
-
-
-def compare_ours_vs_jiang(v: int, t: int) -> LoadComparison:
-    """Compare the two loads on a (v, t, .) design; ours must win."""
-    l_ours = ours_sd_load(v, t)
-    l_jiang = jiang_load(v, t)
-    gap = l_jiang - l_ours
-    if gap <= 0:
-        raise AssertionError(
-            f"load comparison failed at (v={v}, t={t}): "
-            f"{l_ours} vs {l_jiang}")
-    return LoadComparison(l_ours=l_ours, l_jiang=l_jiang, gap=gap,
-                          strictly_better=True)
 
 
 def is_prime_power(x: int) -> bool:

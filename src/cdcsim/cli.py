@@ -14,8 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from .analysis import (AnalysisDomainError, ads_load, li_lower_bound_inequality,
                        li_lower_bound_steps, li_sandwich, ours_sd_load, sweep,
@@ -26,10 +25,8 @@ from .designs import (AdsReport, AlmostDifferenceSet, DesignParameterError,
                       import_design, projective_plane, ruzsa_ads)
 from .gf import FieldError
 from .scheme import (SchemeParameterError, build_scheme_ads, build_scheme_sd,
-                     centralized_outputs, choose_T, generate_ivs, node_view,
-                     reduce_outputs, scheme_to_json)
-from .shuffle import (decode_ads, decode_sd, measure_load, shuffle_ads_golomb,
-                      shuffle_ads_pos, shuffle_sd, transcript_to_jsonl)
+                     choose_T, scheme_to_json)
+from .shuffle import run, transcript_to_jsonl
 
 EX_OK = 0
 EX_VERIFY = 2
@@ -73,6 +70,35 @@ def _canonical_json(doc) -> str:
     return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
 
 
+_DOCUMENT_KINDS = {"sd": "a symmetric design", "ads": "an ADS"}
+
+
+def _load_document(
+        path: str, scheme: Optional[str] = None,
+) -> Union[SymmetricDesign, AlmostDifferenceSet]:
+    """Read and verify a design or ADS document, told apart by its keys.
+
+    With scheme given, a document of the other kind is a usage error,
+    reported before the (possibly long) verification runs.
+    """
+    raw = _read_file(path)
+    try:
+        data = json.loads(raw)
+    except json.JSONDecodeError as e:
+        raise DesignVerificationError(f"{path} is not JSON: {e}")
+    if isinstance(data, dict) and "blocks" in data:
+        kind = "sd"
+    elif isinstance(data, dict) and "D" in data:
+        kind = "ads"
+    else:
+        raise DesignVerificationError(
+            f"{path} is neither a design nor an ADS document")
+    if scheme is not None and scheme != kind:
+        raise _UsageError(f"{path} holds {_DOCUMENT_KINDS[kind]}, "
+                          f"got --scheme {scheme}")
+    return import_design(raw) if kind == "sd" else import_ads(raw)
+
+
 def cmd_design(args) -> int:
     if args.ads is not None and args.n is None:
         raise _UsageError("--ads requires --n")
@@ -89,21 +115,9 @@ def cmd_design(args) -> int:
             return EX_VERIFY
         text = export_ads(result)
     else:
-        raw = _read_file(args.verify)
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as e:
-            print(f"verification failed: {args.verify} is not JSON: {e}",
-                  file=sys.stderr)
-            return EX_VERIFY
-        if isinstance(data, dict) and "blocks" in data:
-            text = export_design(import_design(raw))
-        elif isinstance(data, dict) and "D" in data:
-            text = export_ads(import_ads(raw))
-        else:
-            print(f"verification failed: {args.verify} is neither a design "
-                  f"nor an ADS document", file=sys.stderr)
-            return EX_VERIFY
+        doc = _load_document(args.verify)
+        text = (export_design(doc) if isinstance(doc, SymmetricDesign)
+                else export_ads(doc))
     _write_out(text, args.out)
     return EX_OK
 
@@ -127,22 +141,7 @@ def _simulation_source(args):
         if isinstance(result, AdsReport):
             raise DesignVerificationError(result)
         return result
-    raw = _read_file(args.design)
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise DesignVerificationError(f"{args.design} is not JSON: {e}")
-    if isinstance(data, dict) and "blocks" in data:
-        if args.scheme != "sd":
-            raise _UsageError(f"{args.design} holds a symmetric design, "
-                              f"got --scheme ads")
-        return import_design(raw)
-    if isinstance(data, dict) and "D" in data:
-        if args.scheme != "ads":
-            raise _UsageError(f"{args.design} holds an ADS, got --scheme sd")
-        return import_ads(raw)
-    raise DesignVerificationError(
-        f"{args.design} is neither a design nor an ADS document")
+    return _load_document(args.design, args.scheme)
 
 
 def cmd_simulate(args) -> int:
@@ -155,45 +154,19 @@ def cmd_simulate(args) -> int:
         s = build_scheme_ads(develop(source))
         formula = ads_load(source.n, source.k, source.lam)
     T = choose_T(s, args.scale)
-    ivs = generate_ivs(s, args.seed, T)
-    if s.kind == "sd":
-        transcript = shuffle_sd(s, ivs)
-        decode = decode_sd
-    elif s.design.source.lam >= 1:
-        transcript = shuffle_ads_pos(s, ivs)
-        decode = decode_ads
-    else:
-        transcript = shuffle_ads_golomb(s, ivs)
-        decode = decode_ads
-
-    decode_ok = True
-    recovered = {}
-    for node in range(s.K):
-        got = decode(s, node, transcript, ivs)
-        needed = node_view(s, node).needed
-        if set(got) != set(needed) or any(
-                value != ivs.values[key] for key, value in got.items()):
-            decode_ok = False
-        recovered[node] = got
-    outputs = reduce_outputs(s, ivs, recovered)
-    oracle = centralized_outputs(s, ivs)
-    for node, per_node in outputs.items():
-        for q, value in per_node.items():
-            if value != oracle[q]:
-                decode_ok = False
-
-    measured = measure_load(s, transcript, T)
+    result = run(s, args.seed, T)
     report = {
-        "r": s.r, "s": s.s, "T": T, "total_bits": transcript.total_bits,
-        "L_measured": str(measured), "L_formula": str(formula),
-        "match": measured == formula, "decode_ok": decode_ok,
+        "r": s.r, "s": s.s, "T": T,
+        "total_bits": result.transcript.total_bits,
+        "L_measured": str(result.load), "L_formula": str(formula),
+        "match": result.load == formula, "decode_ok": result.decode_ok,
     }
     if args.transcript is not None:
-        _write_out(transcript_to_jsonl(transcript), args.transcript)
+        _write_out(transcript_to_jsonl(result.transcript), args.transcript)
     if args.dump_scheme is not None:
         _write_out(scheme_to_json(s), args.dump_scheme)
     _write_out(_canonical_json(report), args.out)
-    return EX_OK if report["match"] and decode_ok else EX_VERIFY
+    return EX_OK if report["match"] and result.decode_ok else EX_VERIFY
 
 
 def cmd_compare(args) -> int:
@@ -205,10 +178,6 @@ def cmd_compare(args) -> int:
               f"[{args.min}, {args.max}]", file=sys.stderr)
     _write_out(sweep_csv(rows, decimal=args.decimal), args.out)
     return EX_OK
-
-
-def _fraction_doc(x: Fraction) -> str:
-    return str(x)
 
 
 def cmd_check_appendix(args) -> int:
@@ -236,9 +205,9 @@ def cmd_check_appendix(args) -> int:
                      "holds": steps.tail_bound.holds},
             "ratios_increasing": steps.ratios_increasing,
             "final_ratio_below_half": steps.last_ratio_below_half,
-            "sandwich": {"lower": _fraction_doc(sandwich.lower),
-                         "value": _fraction_doc(sandwich.value),
-                         "upper": _fraction_doc(sandwich.upper),
+            "sandwich": {"lower": str(sandwich.lower),
+                         "value": str(sandwich.value),
+                         "upper": str(sandwich.upper),
                          "holds": sandwich.holds},
             "holds": holds,
         })

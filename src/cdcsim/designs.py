@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Union
 
-from .gf import PrimeField, is_prime
+from .gf import is_prime
 
 
 class DesignParameterError(ValueError):
@@ -246,7 +246,8 @@ def classify_ads(D: Sequence[int], n: int) -> Union[AlmostDifferenceSet, AdsRepo
 
 def smallest_primitive_root(p: int) -> int:
     """Smallest positive primitive root modulo the prime p."""
-    field = PrimeField(p)
+    if not is_prime(p):
+        raise DesignParameterError(f"{p} is not prime")
     rest = p - 1
     factors = []
     f = 2
@@ -260,7 +261,7 @@ def smallest_primitive_root(p: int) -> int:
     if rest > 1:
         factors.append(rest)
     for g in range(2, p):
-        if all(field.pow(g, (p - 1) // q) != 1 for q in factors):
+        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
             return g
     raise AssertionError(f"no primitive root modulo {p}")
 
@@ -275,7 +276,6 @@ def ruzsa_ads(p: int) -> AlmostDifferenceSet:
     """
     if not is_prime(p) or p < 3:
         raise DesignParameterError(f"need a prime p >= 3, got {p}")
-    field = PrimeField(p)
     g = smallest_primitive_root(p)
     n = p * (p - 1)
     inv_p = pow(p, -1, p - 1)
@@ -283,7 +283,7 @@ def ruzsa_ads(p: int) -> AlmostDifferenceSet:
     D = []
     for i in range(1, p):
         a = i % (p - 1)
-        b = field.pow(g, i)
+        b = pow(g, i, p)
         D.append((a * p * inv_p + b * (p - 1) * inv_q) % n)
     ads = classify_ads(D, n)
     expected = (n, p - 1, 0, 2 * p - 3)
@@ -357,13 +357,28 @@ def export_design(design: SymmetricDesign) -> str:
     return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_list(x, what: str) -> List[int]:
+    """x itself when it is a JSON list of integers; otherwise raise."""
+    if not isinstance(x, list) or not all(_is_int(e) for e in x):
+        raise DesignVerificationError(f"{what} must be a list of integers")
+    return x
+
+
 def import_design(text: str) -> SymmetricDesign:
     """Parse and verify a symmetric-design JSON document."""
     data = json.loads(text)
     if not isinstance(data, dict) or "v" not in data or "blocks" not in data:
         raise DesignParameterError("design document needs keys 'v' and 'blocks'")
+    if not _is_int(data["v"]):
+        raise DesignVerificationError("'v' must be an integer")
+    if not isinstance(data["blocks"], list):
+        raise DesignVerificationError("'blocks' must be a list")
     return require_symmetric_design(
-        int(data["v"]), [tuple(int(x) for x in b) for b in data["blocks"]])
+        data["v"], [tuple(_int_list(b, "each block")) for b in data["blocks"]])
 
 
 def export_ads(a: AlmostDifferenceSet) -> str:
@@ -377,7 +392,9 @@ def import_ads(text: str) -> AlmostDifferenceSet:
     data = json.loads(text)
     if not isinstance(data, dict) or "n" not in data or "D" not in data:
         raise DesignParameterError("ADS document needs keys 'n' and 'D'")
-    result = classify_ads([int(x) for x in data["D"]], int(data["n"]))
+    if not _is_int(data["n"]):
+        raise DesignVerificationError("'n' must be an integer")
+    result = classify_ads(_int_list(data["D"], "'D'"), data["n"])
     if isinstance(result, AdsReport):
         raise DesignVerificationError(result)
     return result

@@ -1,15 +1,15 @@
-"""Exact arithmetic over small finite fields.
+"""Exact arithmetic over the binary fields GF(2^m).
 
-GF(2^m) elements are ints in [0, 2^m): addition is XOR, multiplication is
+Elements are ints in [0, 2^m): addition is XOR, multiplication is
 carry-less polynomial multiplication reduced by a fixed irreducible
-modulus.  GF(p) elements are ints in [0, p).  No floats anywhere, no
-hidden randomness; every operation is exact and deterministic.
+modulus.  No floats anywhere, no hidden randomness; every operation is
+exact and deterministic.  The module also holds is_prime, the primality
+test of the design and analysis code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple, Union
+from typing import Dict, List, Sequence, Set
 
 
 class FieldError(ValueError):
@@ -161,21 +161,6 @@ class BinaryField:
         return range(self.order)
 
 
-def field_add(f: BinaryField, a: int, b: int) -> int:
-    """XOR of representations."""
-    return f.add(a, b)
-
-
-def field_mul(f: BinaryField, a: int, b: int) -> int:
-    """Polynomial product reduced by the field modulus."""
-    return f.mul(a, b)
-
-
-def field_inv(f: BinaryField, a: int) -> int:
-    """Multiplicative inverse of a nonzero element."""
-    return f.inv(a)
-
-
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -203,60 +188,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
-    """GF(p) for prime p, elements as ints in [0, p)."""
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise FieldError(f"{p} is not prime")
-        self.p = p
-        self.order = p
-
-    def __repr__(self) -> str:
-        return f"PrimeField(p={self.p})"
-
-    def _check(self, *elements: int) -> None:
-        for a in elements:
-            if not 0 <= a < self.p:
-                raise FieldError(f"element {a} outside [0, {self.p})")
-
-    def add(self, a: int, b: int) -> int:
-        self._check(a, b)
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        self._check(a, b)
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        self._check(a, b)
-        return a * b % self.p
-
-    def pow(self, a: int, e: int) -> int:
-        self._check(a)
-        if e < 0:
-            raise FieldError("negative exponents are not defined here")
-        return pow(a, e, self.p)
-
-    def inv(self, a: int) -> int:
-        self._check(a)
-        if a == 0:
-            raise FieldError("zero is not invertible")
-        return pow(a, self.p - 2, self.p)
-
-    def elements(self) -> range:
-        return range(self.p)
-
-
-AnyField = Union[BinaryField, PrimeField]
-
-
-def solve_linear(field: AnyField, matrix: Sequence[Sequence[int]],
+def solve_linear(field: BinaryField, matrix: Sequence[Sequence[int]],
                  rhs: Sequence[int]) -> List[int]:
     """Solve the square system matrix*u = rhs by Gaussian elimination.
 
-    Exact over either field class; raises SingularMatrixError when the
-    matrix is not invertible.
+    Exact; raises SingularMatrixError when the matrix is not invertible.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
@@ -275,49 +211,6 @@ def solve_linear(field: AnyField, matrix: Sequence[Sequence[int]],
                 aug[row] = [field.sub(x, field.mul(factor, y))
                             for x, y in zip(aug[row], aug[col])]
     return [aug[i][n] for i in range(n)]
-
-
-@dataclass(frozen=True)
-class VandermondeSystem:
-    """Square system rhs_i = sum_j alphas[i]^j * u_j over a binary field."""
-
-    field: BinaryField
-    alphas: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(set(self.alphas)) != len(self.alphas):
-            raise SingularMatrixError("evaluation points must be distinct")
-        self.field._check(*self.alphas)
-
-    @property
-    def rows(self) -> int:
-        return len(self.alphas)
-
-    def encode(self, coeffs: Sequence[int]) -> List[int]:
-        """Evaluate the polynomial with the given coefficients at every alpha."""
-        if len(coeffs) != self.rows:
-            raise ValueError(f"expected {self.rows} coefficients, got {len(coeffs)}")
-        f = self.field
-        out = []
-        for a in self.alphas:
-            acc = 0
-            for c in reversed(coeffs):
-                acc = f.add(f.mul(acc, a), c)
-            out.append(acc)
-        return out
-
-    def solve(self, rhs: Sequence[int]) -> List[int]:
-        """Recover the coefficients from their evaluations."""
-        if len(rhs) != self.rows:
-            raise ValueError(f"expected {self.rows} values, got {len(rhs)}")
-        f = self.field
-        matrix = [[f.pow(a, j) for j in range(self.rows)] for a in self.alphas]
-        return solve_linear(f, matrix, rhs)
-
-
-def vandermonde_solve(sys_: VandermondeSystem, rhs: Sequence[int]) -> List[int]:
-    """Solve rhs_i = sum_j alphas[i]^j * u_j for the u_j."""
-    return sys_.solve(rhs)
 
 
 def solve_power_sums(field: BinaryField, points: Sequence[int],

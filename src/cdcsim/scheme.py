@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Tuple, Union
 
 from .designs import Development, SymmetricDesign
@@ -50,6 +51,28 @@ class Scheme:
     placement: Tuple[Tuple[int, ...], ...]
     assignment: Tuple[Tuple[int, ...], ...]
     design: Union[SymmetricDesign, Development]
+
+    @cached_property
+    def point_blocks(self) -> Dict[int, Tuple[int, ...]]:
+        """Blocks (nodes) storing each file, in ascending block order."""
+        through: Dict[int, list] = {}
+        for u, block in enumerate(self.placement):
+            for x in block:
+                through.setdefault(x, []).append(u)
+        return {x: tuple(us) for x, us in through.items()}
+
+    @cached_property
+    def pair_blocks(self) -> Dict[Tuple[int, int], Tuple[int, ...]]:
+        """Blocks storing both files of each pair x < y, ascending.
+
+        Pairs that share no block are absent.
+        """
+        pairs: Dict[Tuple[int, int], list] = {}
+        for u, block in enumerate(self.placement):
+            for i, x in enumerate(block):
+                for y in block[i + 1:]:
+                    pairs.setdefault((x, y), []).append(u)
+        return {pair: tuple(us) for pair, us in pairs.items()}
 
 
 @dataclass(frozen=True)

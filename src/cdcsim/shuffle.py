@@ -7,8 +7,8 @@ Bit conventions used throughout:
   join_bits reassembles in the same order.
 * Whenever a value is segmented across the blocks containing a point (or a
   pair of points), segment indices follow the ascending block-id order of
-  that block list.  Senders and receivers recompute the same lists from
-  the design, so no index metadata travels on the wire.
+  that block list.  Senders and receivers read the same lists from the
+  scheme's incidence maps, so no index metadata travels on the wire.
 
 Symmetric-design scheme: node u holds block B_u = (x_0 < ... < x_{t-1}).
 Each v_{x,x} splits into t segments over the blocks through x; node u
@@ -30,12 +30,14 @@ each orientation, one per block through the file.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 
 from .gf import BinaryField, solve_power_sums
-from .scheme import IVTable, Scheme, SchemeParameterError, node_view
+from .scheme import (IVTable, Scheme, SchemeParameterError,
+                     centralized_outputs, generate_ivs, node_view,
+                     reduce_outputs)
 
 
 class MissingMessageError(RuntimeError):
@@ -47,7 +49,7 @@ class MissingMessageError(RuntimeError):
         self.key = key
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """One multicast: sender node, routing tag and meta, payload of bits bits."""
 
@@ -60,10 +62,25 @@ class Message:
 
 @dataclass(frozen=True)
 class Transcript:
-    """All shuffle messages of one run, canonically ordered."""
+    """All shuffle messages of one run, canonically ordered.
+
+    No two messages share a (sender, tag, meta) key; by_key maps each key
+    to its message.
+    """
 
     messages: Tuple[Message, ...]
     total_bits: int
+    by_key: Dict[Tuple, Message] = field(init=False, repr=False,
+                                         compare=False)
+
+    def __post_init__(self):
+        by_key = {}
+        for m in self.messages:
+            key = (m.sender, m.tag, m.meta)
+            if key in by_key:
+                raise ValueError(f"two messages share the key {key}")
+            by_key[key] = m
+        object.__setattr__(self, "by_key", by_key)
 
 
 def split_bits(value: int, width: int, parts: int) -> List[int]:
@@ -93,31 +110,22 @@ def _finish(messages: List[Message]) -> Transcript:
                       total_bits=sum(m.bits for m in ordered))
 
 
-def _blocks_through(placement: Tuple[Tuple[int, ...], ...]) -> Dict[int, List[int]]:
-    through: Dict[int, List[int]] = {}
-    for u, block in enumerate(placement):
-        for x in block:
-            through.setdefault(x, []).append(u)
-    return through
-
-
-def _pair_blocks(
-        placement: Tuple[Tuple[int, ...], ...],
-) -> Dict[Tuple[int, int], List[int]]:
-    pairs: Dict[Tuple[int, int], List[int]] = {}
-    for u, block in enumerate(placement):
-        for i, x in enumerate(block):
-            for y in block[i + 1:]:
-                pairs.setdefault((x, y), []).append(u)
-    return pairs
-
-
 def _pair_key(x: int, y: int) -> Tuple[int, int]:
     return (x, y) if x < y else (y, x)
 
 
-def _index(messages: Iterable[Message]) -> Dict[Tuple, Message]:
-    return {(m.sender, m.tag, m.meta): m for m in messages}
+def _local_values(s: Scheme, node: int,
+                  ivs: IVTable) -> Dict[Tuple[int, int], int]:
+    """The only part of the table a decoder sees: values of stored files."""
+    return {(q, n): ivs.values[(q, n)]
+            for n in s.placement[node] for q in range(s.Q)}
+
+
+def _payload(transcript: Transcript, node: int, key: Tuple) -> int:
+    try:
+        return transcript.by_key[key].payload
+    except KeyError:
+        raise MissingMessageError(node, key) from None
 
 
 def shuffle_sd(s: Scheme, ivs: IVTable) -> Transcript:
@@ -127,8 +135,7 @@ def shuffle_sd(s: Scheme, ivs: IVTable) -> Transcript:
     t, lam, T = s.design.t, s.design.lam, ivs.T
     diag_field = BinaryField(T // t)
     off_field = BinaryField(T // lam)
-    through = _blocks_through(s.placement)
-    pairs = _pair_blocks(s.placement)
+    through, pairs = s.point_blocks, s.pair_blocks
     messages = []
     for u, block in enumerate(s.placement):
         diag_segs = [split_bits(ivs.values[(x, x)], T, t)[through[x].index(u)]
@@ -168,12 +175,9 @@ def decode_sd(s: Scheme, node: int, transcript: Transcript,
     t, lam, T = s.design.t, s.design.lam, ivs.T
     diag_field = BinaryField(T // t)
     off_field = BinaryField(T // lam)
-    through = _blocks_through(s.placement)
-    pairs = _pair_blocks(s.placement)
+    through, pairs = s.point_blocks, s.pair_blocks
     stored = set(s.placement[node])
-    local = {(q, n): value for (q, n), value in ivs.values.items()
-             if n in stored}
-    index = _index(transcript.messages)
+    local = _local_values(s, node, ivs)
 
     diag_seg: Dict[Tuple[int, int], int] = {}
     off_seg: Dict[Tuple[int, int, int], int] = {}
@@ -190,10 +194,7 @@ def decode_sd(s: Scheme, node: int, transcript: Transcript,
                 unknown.append((j, x))
         sums = []
         for power in range(t - lam):
-            key = (u, "SD-diagonal", (power,))
-            if key not in index:
-                raise MissingMessageError(node, key)
-            rhs = index[key].payload
+            rhs = _payload(transcript, node, (u, "SD-diagonal", (power,)))
             for j, seg in known:
                 rhs ^= diag_field.mul(diag_field.pow(j, power), seg)
             sums.append(rhs)
@@ -216,10 +217,8 @@ def decode_sd(s: Scheme, node: int, transcript: Transcript,
                     unknown.append((j, y))
             sums = []
             for power in range(t - lam - 1):
-                key = (u, "SD-offdiagonal", (x, power))
-                if key not in index:
-                    raise MissingMessageError(node, key)
-                rhs = index[key].payload
+                rhs = _payload(transcript, node,
+                               (u, "SD-offdiagonal", (x, power)))
                 for j, seg in known:
                     rhs ^= off_field.mul(off_field.pow(j, power), seg)
                 sums.append(rhs)
@@ -251,11 +250,10 @@ def shuffle_ads_pos(s: Scheme, ivs: IVTable) -> Transcript:
     lam, T = s.design.source.lam, ivs.T
     if lam < 1:
         raise SchemeParameterError("pair-exchange shuffle needs lam >= 1")
-    pairs = _pair_blocks(s.placement)
     messages = []
     for x in range(s.N):
         for y in range(x + 1, s.N):
-            common = pairs[(x, y)]
+            common = s.pair_blocks[(x, y)]
             c = len(common)
             if c not in (lam, lam + 1):
                 raise AssertionError(
@@ -283,12 +281,11 @@ def shuffle_ads_golomb(s: Scheme, ivs: IVTable) -> Transcript:
     T = ivs.T
     if lam != 0:
         raise SchemeParameterError("segment-fallback shuffle needs lam = 0")
-    through = _blocks_through(s.placement)
-    pairs = _pair_blocks(s.placement)
+    through, pairs = s.point_blocks, s.pair_blocks
     messages = []
     for x in range(s.N):
         for y in range(x + 1, s.N):
-            common = pairs.get((x, y), [])
+            common = pairs.get((x, y), ())
             if len(common) > 1:
                 raise AssertionError(
                     f"pair ({x},{y}) lies in {len(common)} blocks")
@@ -316,33 +313,21 @@ def decode_ads(s: Scheme, node: int, transcript: Transcript,
     if s.kind != "ads":
         raise SchemeParameterError(f"expected an ads scheme, got {s.kind}")
     k, T = s.design.source.k, ivs.T
-    through = _blocks_through(s.placement)
-    pairs = _pair_blocks(s.placement)
-    stored = set(s.placement[node])
-    local = {(q, n): value for (q, n), value in ivs.values.items()
-             if n in stored}
-    index = _index(transcript.messages)
+    through, pairs = s.point_blocks, s.pair_blocks
+    local = _local_values(s, node, ivs)
     out = {}
     for q, n in node_view(s, node).needed:
         x, y = _pair_key(q, n)
-        common = pairs.get((x, y), [])
+        common = pairs.get((x, y), ())
         c = len(common)
         if c >= 1:
             mask = split_bits(local[(n, q)], T, c)
-            parts = []
-            for j, u in enumerate(common):
-                key = (u, "ADS-pairsum", (x, y, j))
-                if key not in index:
-                    raise MissingMessageError(node, key)
-                parts.append(index[key].payload ^ mask[j])
+            parts = [_payload(transcript, node, (u, "ADS-pairsum", (x, y, j)))
+                     ^ mask[j] for j, u in enumerate(common)]
             out[(q, n)] = join_bits(parts, T // c)
         else:
-            parts = []
-            for i, u in enumerate(through[n]):
-                key = (u, "ADS-segment", (q, n, i))
-                if key not in index:
-                    raise MissingMessageError(node, key)
-                parts.append(index[key].payload)
+            parts = [_payload(transcript, node, (u, "ADS-segment", (q, n, i)))
+                     for i, u in enumerate(through[n])]
             out[(q, n)] = join_bits(parts, T // k)
     return out
 
@@ -350,6 +335,51 @@ def decode_ads(s: Scheme, node: int, transcript: Transcript,
 def measure_load(s: Scheme, transcript: Transcript, T: int) -> Fraction:
     """Communication load: total shuffle bits over Q*N*T."""
     return Fraction(transcript.total_bits, s.Q * s.N * T)
+
+
+@dataclass(frozen=True)
+class RunResult:
+    """One simulated run: the values, the wire traffic and the decodes."""
+
+    ivs: IVTable
+    transcript: Transcript
+    recovered: Dict[int, Dict[Tuple[int, int], int]]
+    decode_ok: bool
+    load: Fraction
+
+
+def run(s: Scheme, seed: int, T: int) -> RunResult:
+    """Simulate one scheme end to end on T-bit values drawn from seed.
+
+    Shuffles with the encoder that the scheme kind (and, for an ADS
+    scheme, lam) calls for, decodes at every node and reduces.  decode_ok
+    holds when every node recovered exactly the values it needs, each
+    equal to the table, and every reduce output matches the centralized
+    oracle.
+    """
+    ivs = generate_ivs(s, seed, T)
+    if s.kind == "sd":
+        transcript, decode = shuffle_sd(s, ivs), decode_sd
+    elif s.design.source.lam >= 1:
+        transcript, decode = shuffle_ads_pos(s, ivs), decode_ads
+    else:
+        transcript, decode = shuffle_ads_golomb(s, ivs), decode_ads
+    decode_ok = True
+    recovered = {}
+    for node in range(s.K):
+        got = decode(s, node, transcript, ivs)
+        if got.keys() != node_view(s, node).needed or any(
+                value != ivs.values[key] for key, value in got.items()):
+            decode_ok = False
+        recovered[node] = got
+    oracle = centralized_outputs(s, ivs)
+    outputs = reduce_outputs(s, ivs, recovered)
+    if any(value != oracle[q]
+           for per_node in outputs.values() for q, value in per_node.items()):
+        decode_ok = False
+    return RunResult(ivs=ivs, transcript=transcript, recovered=recovered,
+                     decode_ok=decode_ok,
+                     load=measure_load(s, transcript, T))
 
 
 def transcript_to_jsonl(transcript: Transcript) -> str:

@@ -19,10 +19,9 @@ from cdcsim.designs import (SymmetricDesign, classify_ads, complement_ads,
                             develop, diff_function, projective_plane,
                             ruzsa_ads, verify_symmetric_design)
 from cdcsim.scheme import (build_scheme_ads, build_scheme_sd,
-                           centralized_outputs, choose_T, generate_ivs,
-                           node_view, reduce_outputs)
-from cdcsim.shuffle import (decode_ads, decode_sd, measure_load,
-                            shuffle_ads_golomb, shuffle_ads_pos, shuffle_sd)
+                           centralized_outputs, choose_T, node_view,
+                           reduce_outputs)
+from cdcsim.shuffle import run
 
 
 def verdict(tag, ok):
@@ -32,25 +31,18 @@ def verdict(tag, ok):
 
 def simulate(s, seed=0):
     """Full pipeline; returns the exact load, or raises on any mismatch."""
-    T = choose_T(s)
-    ivs = generate_ivs(s, seed, T)
-    if s.kind == "sd":
-        transcript, decode = shuffle_sd(s, ivs), decode_sd
-    elif s.design.source.lam >= 1:
-        transcript, decode = shuffle_ads_pos(s, ivs), decode_ads
-    else:
-        transcript, decode = shuffle_ads_golomb(s, ivs), decode_ads
-    recovered = {}
-    for node in range(s.K):
-        got = decode(s, node, transcript, ivs)
+    result = run(s, seed, choose_T(s))
+    ivs = result.ivs
+    assert set(result.recovered) == set(range(s.K))
+    for node, got in result.recovered.items():
         assert set(got) == set(node_view(s, node).needed)
         assert all(value == ivs.values[key] for key, value in got.items())
-        recovered[node] = got
-    outputs = reduce_outputs(s, ivs, recovered)
+    outputs = reduce_outputs(s, ivs, result.recovered)
     oracle = centralized_outputs(s, ivs)
     assert all(value == oracle[q]
                for per_node in outputs.values() for q, value in per_node.items())
-    return measure_load(s, transcript, T)
+    assert result.decode_ok
+    return result.load
 
 
 def test_criterion_01_fano_end_to_end():

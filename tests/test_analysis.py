@@ -4,8 +4,7 @@ from math import comb
 import pytest
 
 from cdcsim.analysis import (AnalysisDomainError, CSV_HEADER, ads_load,
-                             compare_ours_vs_jiang, is_prime_power, jiang_load,
-                             jiang_load_alt, li_load,
+                             is_prime_power, jiang_load, li_load,
                              li_lower_bound_inequality, li_lower_bound_steps,
                              li_sandwich, ours_sd_load, sweep, sweep_csv,
                              symmetric_design_families)
@@ -47,16 +46,13 @@ def test_sd_load_formulas():
     assert ours_sd_load(13, 4) == Fraction(35, 52)
     assert jiang_load(7, 3) == Fraction(2, 3)
     assert jiang_load(13, 4) == Fraction(3, 4)
-    assert jiang_load_alt(7, 3) == Fraction(3 * 4, 2 * 7)
     with pytest.raises(AnalysisDomainError):
         ours_sd_load(1, 1)
 
 
 def test_gap_to_baseline_is_one_over_v():
     for v, t in ((7, 3), (13, 4), (31, 6), (16, 6), (40, 13)):
-        cmp_ = compare_ours_vs_jiang(v, t)
-        assert cmp_.strictly_better
-        assert cmp_.gap == Fraction(1, v)
+        assert jiang_load(v, t) - ours_sd_load(v, t) == Fraction(1, v)
 
 
 def test_ads_load_values():
@@ -137,8 +133,7 @@ def test_design_families():
 def test_ours_beats_baseline_across_families():
     for b in range(2, 17):
         for label, v, t, lam in symmetric_design_families(b):
-            cmp_ = compare_ours_vs_jiang(v, t)
-            assert cmp_.l_ours < cmp_.l_jiang, (b, label)
+            assert ours_sd_load(v, t) < jiang_load(v, t), (b, label)
 
 
 def test_sweep_plane():

@@ -4,6 +4,13 @@ import pytest
 
 from cdcsim.cli import EX_OK, EX_UNSUPPORTED, EX_USAGE, EX_VERIFY, main
 
+# well-formed JSON of the wrong shape: a design or ADS document whose
+# fields have the wrong types
+MALFORMED_DESIGNS = ['{"v":7,"blocks":5}', '{"v":"x","blocks":[[0]]}',
+                     '{"v":7,"blocks":[[0,"a"]]}']
+MALFORMED_ADS = ['{"n":6,"D":5}', '{"n":"x","D":[0,1,3]}',
+                 '{"n":6,"D":[0,[1],3]}']
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -62,9 +69,11 @@ def test_design_verify_unreadable_and_unparseable(capsys, tmp_path):
     code, _, _ = run(capsys, "design", "--verify", str(tmp_path / "absent"))
     assert code == EX_USAGE
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _, _ = run(capsys, "design", "--verify", str(bad))
-    assert code == EX_VERIFY
+    for text in ["{not json"] + MALFORMED_DESIGNS + MALFORMED_ADS:
+        bad.write_text(text)
+        code, out, err = run(capsys, "design", "--verify", str(bad))
+        assert code == EX_VERIFY, text
+        assert out == "" and "verification failed" in err, text
 
 
 def test_usage_errors(capsys):
@@ -134,6 +143,13 @@ def test_simulate_from_design_file(capsys, tmp_path):
     code, _, _ = run(capsys, "simulate", "--scheme", "ads",
                      "--design", str(path))
     assert code == EX_USAGE
+    for scheme, texts in (("sd", MALFORMED_DESIGNS), ("ads", MALFORMED_ADS)):
+        for text in texts:
+            path.write_text(text)
+            code, out, err = run(capsys, "simulate", "--scheme", scheme,
+                                 "--design", str(path))
+            assert code == EX_VERIFY, text
+            assert out == "" and "verification failed" in err, text
 
 
 def test_simulate_unsupported(capsys):

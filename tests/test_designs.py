@@ -99,6 +99,14 @@ def test_smallest_primitive_roots():
     assert [smallest_primitive_root(p) for p in (3, 5, 7, 11, 13)] == \
         [2, 2, 3, 2, 2]
     assert smallest_primitive_root(41) == 6
+    # against the definition: g has order p-1 and no smaller g does
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        order = {g: next(e for e in range(1, p) if pow(g, e, p) == 1)
+                 for g in range(2, p)}
+        assert smallest_primitive_root(p) == \
+            min(g for g in order if order[g] == p - 1)
+    with pytest.raises(DesignParameterError):
+        smallest_primitive_root(15)
 
 
 @pytest.mark.parametrize("p,expected_D", [

@@ -9,43 +9,43 @@ from cdcsim.designs import (classify_ads, complement_ads, develop,
                             ruzsa_ads)
 from cdcsim.gf import BinaryField
 from cdcsim.scheme import (IVTable, build_scheme_ads, build_scheme_sd,
-                           centralized_outputs, choose_T, generate_ivs,
-                           node_view, reduce_outputs)
-from cdcsim.shuffle import (MissingMessageError, Transcript, decode_ads,
-                            decode_sd, join_bits, measure_load,
-                            shuffle_ads_golomb, shuffle_ads_pos, shuffle_sd,
-                            split_bits, transcript_from_jsonl,
-                            transcript_to_jsonl)
+                           centralized_outputs, choose_T, node_view,
+                           reduce_outputs)
+from cdcsim.shuffle import (Message, MissingMessageError, Transcript,
+                            decode_ads, decode_sd, join_bits, run, split_bits,
+                            transcript_from_jsonl, transcript_to_jsonl)
 
 CYCLIC_FANO = [tuple(sorted((d + r) % 7 for d in (0, 1, 3))) for r in range(7)]
 
 
-def shuffle_for(s, ivs):
-    if s.kind == "sd":
-        return shuffle_sd(s, ivs), decode_sd
-    if s.design.source.lam >= 1:
-        return shuffle_ads_pos(s, ivs), decode_ads
-    return shuffle_ads_golomb(s, ivs), decode_ads
+def fano_scheme():
+    return build_scheme_sd(require_symmetric_design(7, CYCLIC_FANO))
+
+
+def ads_scheme(D, n):
+    return build_scheme_ads(develop(classify_ads(D, n)))
+
+
+def transcript_for(s, seed):
+    return run(s, seed, choose_T(s)).transcript
 
 
 def run_end_to_end(s, seed=0, scale=1):
-    """Shuffle, decode at every node, reduce, and check the oracle."""
-    T = choose_T(s, scale)
-    ivs = generate_ivs(s, seed, T)
-    transcript, decode = shuffle_for(s, ivs)
-    recovered = {}
-    for node in range(s.K):
-        got = decode(s, node, transcript, ivs)
+    """Run the pipeline, then re-check every decode and the reduce."""
+    result = run(s, seed, choose_T(s, scale))
+    ivs = result.ivs
+    assert set(result.recovered) == set(range(s.K))
+    for node, got in result.recovered.items():
         assert set(got) == set(node_view(s, node).needed)
         for key, value in got.items():
             assert value == ivs.values[key], (node, key)
-        recovered[node] = got
-    outputs = reduce_outputs(s, ivs, recovered)
+    outputs = reduce_outputs(s, ivs, result.recovered)
     oracle = centralized_outputs(s, ivs)
     for node, per_node in outputs.items():
         for q, value in per_node.items():
             assert value == oracle[q]
-    return measure_load(s, transcript, T), transcript, ivs
+    assert result.decode_ok
+    return result.load, result.transcript, ivs
 
 
 def test_split_join_round_trip():
@@ -75,11 +75,9 @@ def test_fano_end_to_end():
 
 def test_fano_payload_goldens():
     """Spot-check the coded signals of node 0 against hand encoding."""
-    s = build_scheme_sd(require_symmetric_design(7, CYCLIC_FANO))
-    T = choose_T(s)
-    ivs = generate_ivs(s, 9, T)
-    transcript, _ = shuffle_for(s, ivs)
-    by_key = {(m.sender, m.tag, m.meta): m for m in transcript.messages}
+    s = fano_scheme()
+    result = run(s, 9, choose_T(s))
+    T, ivs, by_key = result.ivs.T, result.ivs, result.transcript.by_key
     # block 0 is (0,1,3); it is block 0 of the lists through 0, 1, and 3,
     # so it holds segment 0 of each diagonal value
     segs = [split_bits(ivs.values[(x, x)], T, 3)[0] for x in (0, 1, 3)]
@@ -100,30 +98,32 @@ def test_plane_13_end_to_end():
     assert load == ours_sd_load(13, 4) == Fraction(35, 52)
 
 
-def test_decode_sd_uses_only_local_values():
-    """Zeroing every non-local table entry must not change the decode."""
-    s = build_scheme_sd(require_symmetric_design(7, CYCLIC_FANO))
-    T = choose_T(s)
-    ivs = generate_ivs(s, 4, T)
-    transcript, _ = shuffle_for(s, ivs)
-    node = 2
-    stored = set(s.placement[node])
-    doctored = IVTable(T=T, values={
-        key: value if key[1] in stored else 0
-        for key, value in ivs.values.items()})
-    assert decode_sd(s, node, transcript, doctored) == \
-        decode_sd(s, node, transcript, ivs)
+@pytest.mark.parametrize("make_scheme,decode", [
+    (fano_scheme, decode_sd),
+    (lambda: ads_scheme([0, 1, 3], 6), decode_ads),
+    (lambda: ads_scheme([0, 1], 6), decode_ads),
+], ids=["sd-fano", "ads-634", "ads-620"])
+def test_decode_sd_uses_only_local_values(make_scheme, decode):
+    """Zeroing every non-local table entry must not change any decode."""
+    s = make_scheme()
+    result = run(s, 4, choose_T(s))
+    ivs = result.ivs
+    for node in range(s.K):
+        stored = set(s.placement[node])
+        doctored = IVTable(T=ivs.T, values={
+            key: value if key[1] in stored else 0
+            for key, value in ivs.values.items()})
+        assert decode(s, node, result.transcript, doctored) == \
+            result.recovered[node]
 
 
 def test_decode_sd_missing_message():
-    s = build_scheme_sd(require_symmetric_design(7, CYCLIC_FANO))
-    T = choose_T(s)
-    ivs = generate_ivs(s, 0, T)
-    transcript, _ = shuffle_for(s, ivs)
-    truncated = Transcript(messages=transcript.messages[1:],
-                           total_bits=transcript.total_bits)
+    s = fano_scheme()
+    result = run(s, 0, choose_T(s))
+    truncated = Transcript(messages=result.transcript.messages[1:],
+                           total_bits=result.transcript.total_bits)
     with pytest.raises(MissingMessageError):
-        decode_sd(s, 5, truncated, ivs)
+        decode_sd(s, 5, truncated, result.ivs)
 
 
 def test_ads_634_end_to_end():
@@ -136,10 +136,9 @@ def test_ads_634_end_to_end():
 
 def test_ads_pair_widths_match_common_blocks():
     """Each pair moves T bits total, split over its common blocks."""
-    s = build_scheme_ads(develop(classify_ads([0, 1, 3], 6)))
+    s = ads_scheme([0, 1, 3], 6)
     T = choose_T(s)
-    ivs = generate_ivs(s, 1, T)
-    transcript, _ = shuffle_for(s, ivs)
+    transcript = transcript_for(s, 1)
     per_pair = {}
     for m in transcript.messages:
         per_pair.setdefault(m.meta[:2], []).append(m.bits)
@@ -187,19 +186,30 @@ def test_scaled_width_keeps_load():
 
 
 def test_transcript_canonical_order():
-    s = build_scheme_ads(develop(classify_ads([0, 1], 6)))
-    ivs = generate_ivs(s, 0, choose_T(s))
-    transcript, _ = shuffle_for(s, ivs)
+    transcript = transcript_for(ads_scheme([0, 1], 6), 0)
     keys = [(m.sender, m.tag, m.meta) for m in transcript.messages]
     assert keys == sorted(keys)
 
 
 def test_transcript_jsonl_round_trip():
-    s = build_scheme_sd(require_symmetric_design(7, CYCLIC_FANO))
-    ivs = generate_ivs(s, 6, choose_T(s))
-    transcript, _ = shuffle_for(s, ivs)
+    transcript = transcript_for(fano_scheme(), 6)
     text = transcript_to_jsonl(transcript)
     again = transcript_from_jsonl(text)
     assert again == transcript
     assert transcript_to_jsonl(again) == text
     assert text.count("\n") == len(transcript.messages)
+
+
+def test_transcript_rejects_duplicate_keys():
+    """Two messages under one (sender, tag, meta) key would let a decoder
+    read either payload, so building such a transcript fails."""
+    first = Message(sender=0, tag="ADS-pairsum", meta=(0, 1, 0), bits=2,
+                    payload=1)
+    second = Message(sender=0, tag="ADS-pairsum", meta=(0, 1, 0), bits=2,
+                     payload=2)
+    with pytest.raises(ValueError, match="share the key"):
+        Transcript(messages=(first, second), total_bits=4)
+    text = transcript_to_jsonl(transcript_for(fano_scheme(), 0))
+    first_line = text.splitlines()[0]
+    with pytest.raises(ValueError, match="share the key"):
+        transcript_from_jsonl(first_line + "\n" + text)
