@@ -17,7 +17,7 @@ from .designs import (AdsReport, AlmostDifferenceSet, DesignParameterError,
                       ruzsa_ads, smallest_primitive_root,
                       verify_symmetric_design)
 from .gf import (BinaryField, FieldError, SingularMatrixError, is_prime,
-                 solve_linear, solve_power_sums)
+                 solve_power_sums)
 from .scheme import (IncompleteRecoveryError, IVTable, NodeView, Scheme,
                      SchemeParameterError, build_scheme_ads, build_scheme_sd,
                      centralized_outputs, choose_T, generate_ivs, node_view,
@@ -25,6 +25,6 @@ from .scheme import (IncompleteRecoveryError, IVTable, NodeView, Scheme,
 from .shuffle import (Message, MissingMessageError, RunResult, Transcript,
                       decode_ads, decode_sd, join_bits, measure_load, run,
                       shuffle_ads_golomb, shuffle_ads_pos, shuffle_sd,
-                      split_bits, transcript_from_jsonl, transcript_to_jsonl)
+                      split_bits, transcript_to_jsonl)
 
 __version__ = "0.1.0"

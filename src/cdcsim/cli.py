@@ -47,8 +47,11 @@ def _write_out(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise _UsageError(f"cannot write {path}: {e.strerror}")
 
 
 def _read_file(path: str) -> str:

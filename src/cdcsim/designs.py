@@ -197,16 +197,12 @@ def projective_plane(b: int) -> SymmetricDesign:
 
 
 def diff_function(D: Sequence[int], n: int, x: int) -> int:
-    """|D intersect (D + x)| in Z_n."""
+    """|D intersect (D + x)| in Z_n, for D distinct elements of [0, n)."""
     if n < 1:
         raise DesignParameterError(f"group order must be positive, got {n}")
     if not 0 <= x < n:
         raise DesignParameterError(f"shift {x} outside [0, {n})")
     dset = set(D)
-    if len(dset) != len(D):
-        raise DesignParameterError("repeated element in D")
-    if any(not 0 <= d < n for d in dset):
-        raise DesignParameterError(f"element of D outside [0, {n})")
     return sum(1 for d in D if (d + x) % n in dset)
 
 
@@ -217,13 +213,21 @@ def classify_ads(D: Sequence[int], n: int) -> Union[AlmostDifferenceSet, AdsRepo
     adjacent values {lam, lam+1} over nonzero shifts (mu = multiplicity of
     lam).  A constant difference function is the perfect-difference-set
     degenerate case, reported as (n, k, lam, n-1).  Anything else comes
-    back as an AdsReport carrying the value histogram.
+    back as an AdsReport carrying the value histogram.  D must hold
+    distinct elements of Z_n; a repeated or out-of-range element raises
+    DesignVerificationError.
     """
     if n < 2:
         raise DesignParameterError(f"group order must be at least 2, got {n}")
     if len(D) == 0:
         raise DesignParameterError("D must be nonempty")
     ordered = tuple(sorted(D))
+    outside = [d for d in ordered if not 0 <= d < n]
+    if outside:
+        raise DesignVerificationError(
+            f"element {outside[0]} of D outside [0, {n})")
+    if len(set(ordered)) != len(ordered):
+        raise DesignVerificationError("repeated element in D")
     counts: Dict[int, int] = {}
     for x in range(1, n):
         value = diff_function(ordered, n, x)
@@ -372,7 +376,8 @@ def import_design(text: str) -> SymmetricDesign:
     """Parse and verify a symmetric-design JSON document."""
     data = json.loads(text)
     if not isinstance(data, dict) or "v" not in data or "blocks" not in data:
-        raise DesignParameterError("design document needs keys 'v' and 'blocks'")
+        raise DesignVerificationError(
+            "design document needs keys 'v' and 'blocks'")
     if not _is_int(data["v"]):
         raise DesignVerificationError("'v' must be an integer")
     if not isinstance(data["blocks"], list):
@@ -391,7 +396,7 @@ def import_ads(text: str) -> AlmostDifferenceSet:
     """Parse and classify an ADS JSON document; non-ADS content raises."""
     data = json.loads(text)
     if not isinstance(data, dict) or "n" not in data or "D" not in data:
-        raise DesignParameterError("ADS document needs keys 'n' and 'D'")
+        raise DesignVerificationError("ADS document needs keys 'n' and 'D'")
     if not _is_int(data["n"]):
         raise DesignVerificationError("'n' must be an integer")
     result = classify_ads(_int_list(data["D"], "'D'"), data["n"])

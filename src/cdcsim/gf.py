@@ -9,7 +9,7 @@ test of the design and analysis code.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set
+from typing import Dict, List, Sequence
 
 
 class FieldError(ValueError):
@@ -22,8 +22,8 @@ class SingularMatrixError(ValueError):
 
 # One irreducible polynomial per degree, the lexicographically smallest.
 # Bit i of the encoding is the coefficient of x^i.  The table is fixed so
-# transcripts are reproducible across runs and machines; each entry is
-# re-checked by trial division the first time a field uses it.
+# transcripts are reproducible across runs and machines; the test suite
+# checks every entry by trial division.
 IRREDUCIBLE_POLY: Dict[int, int] = {
     1: 0x2,
     2: 0x7,
@@ -60,55 +60,20 @@ IRREDUCIBLE_POLY: Dict[int, int] = {
 }
 
 
-def poly_degree(f: int) -> int:
-    """Degree of a GF(2) polynomial encoded as an int; deg(0) is -1."""
-    return f.bit_length() - 1
-
-
-def poly_mod(a: int, b: int) -> int:
-    """Remainder of GF(2) polynomial division of a by b (b != 0)."""
-    db = poly_degree(b)
-    while a and poly_degree(a) >= db:
-        a ^= b << (poly_degree(a) - db)
-    return a
-
-
-def poly_is_irreducible(f: int) -> bool:
-    """Trial division by every polynomial of degree 1..deg(f)/2."""
-    m = poly_degree(f)
-    if m < 1:
-        return False
-    for d in range(2, 1 << (m // 2 + 1)):
-        if poly_mod(f, d) == 0:
-            return False
-    return True
-
-
-_checked_moduli: Set[int] = set()
-
-
 class BinaryField:
-    """GF(2^m) with a fixed irreducible modulus."""
+    """GF(2^m) modulo IRREDUCIBLE_POLY[m]."""
 
-    def __init__(self, m: int, modulus: int | None = None):
+    def __init__(self, m: int):
         if m < 1:
             raise FieldError(f"extension degree must be >= 1, got {m}")
-        if modulus is None:
-            try:
-                modulus = IRREDUCIBLE_POLY[m]
-            except KeyError:
-                raise FieldError(
-                    f"no built-in modulus of degree {m}; the table covers "
-                    f"degrees 1..{max(IRREDUCIBLE_POLY)}"
-                ) from None
-        if poly_degree(modulus) != m:
-            raise FieldError(f"modulus 0x{modulus:x} does not have degree {m}")
-        if modulus not in _checked_moduli:
-            if not poly_is_irreducible(modulus):
-                raise FieldError(f"modulus 0x{modulus:x} is reducible")
-            _checked_moduli.add(modulus)
+        try:
+            self.modulus = IRREDUCIBLE_POLY[m]
+        except KeyError:
+            raise FieldError(
+                f"no built-in modulus of degree {m}; the table covers "
+                f"degrees 1..{max(IRREDUCIBLE_POLY)}"
+            ) from None
         self.m = m
-        self.modulus = modulus
         self.order = 1 << m
 
     def __repr__(self) -> str:
@@ -123,19 +88,19 @@ class BinaryField:
         self._check(a, b)
         return a ^ b
 
-    def sub(self, a: int, b: int) -> int:
-        """Same as add: every element is its own additive inverse."""
-        return self.add(a, b)
-
     def mul(self, a: int, b: int) -> int:
+        """Shift-and-add product, reducing a each time it reaches degree m."""
         self._check(a, b)
+        order, modulus = self.order, self.modulus
         acc = 0
         while b:
             if b & 1:
                 acc ^= a
-            a <<= 1
             b >>= 1
-        return poly_mod(acc, self.modulus)
+            a <<= 1
+            if a & order:
+                a ^= modulus
+        return acc
 
     def pow(self, a: int, e: int) -> int:
         """a**e by square-and-multiply, with the convention 0**0 = 1."""
@@ -188,41 +153,53 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def solve_linear(field: BinaryField, matrix: Sequence[Sequence[int]],
-                 rhs: Sequence[int]) -> List[int]:
-    """Solve the square system matrix*u = rhs by Gaussian elimination.
-
-    Exact; raises SingularMatrixError when the matrix is not invertible.
-    """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise ValueError("system is not square")
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError(f"no pivot available in column {col}")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        scale = field.inv(aug[col][col])
-        aug[col] = [field.mul(scale, x) for x in aug[col]]
-        for row in range(n):
-            if row != col and aug[row][col] != 0:
-                factor = aug[row][col]
-                aug[row] = [field.sub(x, field.mul(factor, y))
-                            for x, y in zip(aug[row], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 def solve_power_sums(field: BinaryField, points: Sequence[int],
                      sums: Sequence[int]) -> List[int]:
     """Recover u_j from the weighted power sums sums_p = sum_j points[j]^p * u_j.
 
     The transpose of the interpolation system: one equation per power
-    p = 0..len(points)-1.  Distinct points make it uniquely solvable.
+    p = 0..n-1, solved in closed form (Bjorck and Pereyra, Math. Comp. 24,
+    1970).  With M(z) = prod_i (z - x_i) and Q_j = M / (z - x_j),
+    sum_p coef_p(Q_j) * sums_p = Q_j(x_j) * u_j, since Q_j vanishes at
+    every other point.  Distinct points make every Q_j(x_j) nonzero; the
+    n divisions share one field inversion.
     """
-    if len(set(points)) != len(points):
+    n = len(points)
+    if len(set(points)) != n:
         raise SingularMatrixError("points must be distinct")
-    if len(sums) != len(points):
-        raise ValueError(f"expected {len(points)} sums, got {len(sums)}")
-    matrix = [[field.pow(x, p) for x in points] for p in range(len(points))]
-    return solve_linear(field, matrix, sums)
+    if len(sums) != n:
+        raise ValueError(f"expected {n} sums, got {len(sums)}")
+    if n == 0:
+        return []
+    mul = field.mul
+    # coefficients of M, constant term first
+    m = [1]
+    for x in points:
+        m = [0] + m
+        for k in range(len(m) - 1):
+            m[k] ^= mul(x, m[k + 1])
+    numerators = []
+    denominators = []
+    for j, x in enumerate(points):
+        # synthetic division M / (z - x), top coefficient down
+        q = 1
+        num = sums[n - 1]
+        for k in range(n - 1, 0, -1):
+            q = m[k] ^ mul(x, q)
+            num ^= mul(q, sums[k - 1])
+        den = 1
+        for i, y in enumerate(points):
+            if i != j:
+                den = mul(den, x ^ y)
+        numerators.append(num)
+        denominators.append(den)
+    # one inversion for all n denominators (prefix products)
+    prefix = [1]
+    for den in denominators:
+        prefix.append(mul(prefix[-1], den))
+    inv = field.inv(prefix[-1])
+    out = [0] * n
+    for j in range(n - 1, -1, -1):
+        out[j] = mul(numerators[j], mul(inv, prefix[j]))
+        inv = mul(inv, denominators[j])
+    return out

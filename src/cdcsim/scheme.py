@@ -85,10 +85,9 @@ class IVTable:
 
 @dataclass(frozen=True)
 class NodeView:
-    """What one node holds locally and what it still needs to reduce."""
+    """The (q, n) pairs one node still needs to reduce."""
 
     node: int
-    local: frozenset
     needed: frozenset
 
 
@@ -193,14 +192,13 @@ def generate_ivs(s: Scheme, seed: int, T: int) -> IVTable:
 
 
 def node_view(s: Scheme, node: int) -> NodeView:
-    """Local and needed (q, n) pairs for one node."""
+    """Needed (q, n) pairs for one node: its outputs over files it lacks."""
     if not 0 <= node < s.K:
         raise SchemeParameterError(f"node {node} outside [0, {s.K})")
     stored = set(s.placement[node])
-    local = frozenset((q, n) for q in range(s.Q) for n in stored)
     needed = frozenset((q, n) for q in s.assignment[node]
                        for n in range(s.N) if n not in stored)
-    return NodeView(node=node, local=local, needed=needed)
+    return NodeView(node=node, needed=needed)
 
 
 def centralized_outputs(s: Scheme, ivs: IVTable) -> Dict[int, int]:

@@ -11,15 +11,16 @@ Bit conventions used throughout:
   scheme's incidence maps, so no index metadata travels on the wire.
 
 Symmetric-design scheme: node u holds block B_u = (x_0 < ... < x_{t-1}).
-Each v_{x,x} splits into t segments over the blocks through x; node u
-folds its segments of all t diagonal values into t-lam coded signals with
-coefficients a_j^p, where a_j is position j of the block embedded in
-GF(2^(T/t)).  Each v_{x,y} (x != y) splits into lam segments over the
-blocks through both points; for each local file x, node u folds its
-segments of the t-1 values v_{x,y} into t-lam-1 signals with coefficients
-b_j^p over GF(2^(T/lam)), j the position of y among the others.  A
-receiver subtracts the terms it can compute locally and is left with a
-square power-sum system at distinct points.
+Each v_{x,x} splits into t segments over the blocks through x, and each
+v_{x,y} (x != y) into lam segments over the blocks through both points.
+One description, _sd_groups, lists node u's coding groups for encoder and
+decoder alike: the diagonal group (v_{x_j,x_j} at point j of GF(2^(T/t)))
+and, for each local file x, an off-diagonal group (v_{x,y} at point j of
+GF(2^(T/lam)), j the position of y among the others), each member being
+the segment u holds.  A group of g members goes out as the g - lam power
+sums sum_j j^p * seg_j, p = 0..g-lam-1.  A receiver subtracts the terms it
+can compute locally and is left with a square power-sum system at
+distinct points.
 
 ADS scheme: translates share both orientations of a pair through their
 common blocks (the j-th common block sends the XOR of the j-th segments).
@@ -32,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .gf import BinaryField, solve_power_sums
 from .scheme import (IVTable, Scheme, SchemeParameterError,
@@ -128,37 +129,51 @@ def _payload(transcript: Transcript, node: int, key: Tuple) -> int:
         raise MissingMessageError(node, key) from None
 
 
+def _sd_groups(s: Scheme, u: int,
+               T: int) -> Iterator[Tuple[str, Tuple[int, ...], int, list]]:
+    """Node u's coding groups in wire order: (tag, prefix, width, members).
+
+    Member j sits at coding point j of GF(2^width) and is (key, index):
+    segment index of value key, the one u holds.  A group of g members
+    goes out as g - lam power sums, power p under meta prefix + (p,).
+    """
+    t, lam = s.design.t, s.design.lam
+    block = s.placement[u]
+    yield ("SD-diagonal", (), T // t,
+           [((x, x), s.point_blocks[x].index(u)) for x in block])
+    for x in block:
+        yield ("SD-offdiagonal", (x,), T // lam,
+               [((x, y), s.pair_blocks[_pair_key(x, y)].index(u))
+                for y in block if y != x])
+
+
+def _power_sums(field: BinaryField, terms: Iterable[Tuple[int, int]],
+                count: int) -> List[int]:
+    """sum_j point_j^p * value_j for p = 0..count-1 over (point_j, value_j)."""
+    sums = [0] * count
+    for point, value in terms:
+        sums[0] ^= value
+        for p in range(1, count):
+            value = field.mul(value, point)
+            sums[p] ^= value
+    return sums
+
+
 def shuffle_sd(s: Scheme, ivs: IVTable) -> Transcript:
     """Coded shuffle for the symmetric-design scheme."""
     if s.kind != "sd":
         raise SchemeParameterError(f"expected an sd scheme, got {s.kind}")
-    t, lam, T = s.design.t, s.design.lam, ivs.T
-    diag_field = BinaryField(T // t)
-    off_field = BinaryField(T // lam)
-    through, pairs = s.point_blocks, s.pair_blocks
+    lam, T = s.design.lam, ivs.T
     messages = []
-    for u, block in enumerate(s.placement):
-        diag_segs = [split_bits(ivs.values[(x, x)], T, t)[through[x].index(u)]
-                     for x in block]
-        for power in range(t - lam):
-            acc = 0
-            for j, seg in enumerate(diag_segs):
-                acc ^= diag_field.mul(diag_field.pow(j, power), seg)
-            messages.append(Message(sender=u, tag="SD-diagonal", meta=(power,),
-                                    bits=T // t, payload=acc))
-        for x in block:
-            others = [y for y in block if y != x]
-            row_segs = [
-                split_bits(ivs.values[(x, y)], T, lam)[
-                    pairs[_pair_key(x, y)].index(u)]
-                for y in others]
-            for power in range(t - lam - 1):
-                acc = 0
-                for j, seg in enumerate(row_segs):
-                    acc ^= off_field.mul(off_field.pow(j, power), seg)
-                messages.append(Message(sender=u, tag="SD-offdiagonal",
-                                        meta=(x, power),
-                                        bits=T // lam, payload=acc))
+    for u in range(s.K):
+        for tag, prefix, width, members in _sd_groups(s, u, T):
+            terms = [(j, split_bits(ivs.values[key], T, T // width)[index])
+                     for j, (key, index) in enumerate(members)]
+            sums = _power_sums(BinaryField(width), terms, len(members) - lam)
+            messages.extend(
+                Message(sender=u, tag=tag, meta=prefix + (p,), bits=width,
+                        payload=payload)
+                for p, payload in enumerate(sums))
     return _finish(messages)
 
 
@@ -166,76 +181,38 @@ def decode_sd(s: Scheme, node: int, transcript: Transcript,
               ivs: IVTable) -> Dict[Tuple[int, int], int]:
     """Recover every intermediate value node needs, from messages alone.
 
-    Only the node's locally stored values are read from the table; each
-    sender's signals reduce to square power-sum systems once the local
-    terms are subtracted.
+    Only the node's locally stored values are read from the table.  Each
+    group of another sender that holds a needed value reduces, once the
+    local terms are subtracted, to a square power-sum system.
     """
     if s.kind != "sd":
         raise SchemeParameterError(f"expected an sd scheme, got {s.kind}")
-    t, lam, T = s.design.t, s.design.lam, ivs.T
-    diag_field = BinaryField(T // t)
-    off_field = BinaryField(T // lam)
-    through, pairs = s.point_blocks, s.pair_blocks
-    stored = set(s.placement[node])
+    lam, T = s.design.lam, ivs.T
     local = _local_values(s, node, ivs)
-
-    diag_seg: Dict[Tuple[int, int], int] = {}
-    off_seg: Dict[Tuple[int, int, int], int] = {}
-    for u, block in enumerate(s.placement):
+    needed = node_view(s, node).needed
+    segs: Dict[Tuple[Tuple[int, int], int], int] = {}
+    widths: Dict[Tuple[int, int], int] = {}
+    for u in range(s.K):
         if u == node:
             continue
-        known = []
-        unknown = []
-        for j, x in enumerate(block):
-            if x in stored:
-                seg = split_bits(local[(x, x)], T, t)[through[x].index(u)]
-                known.append((j, seg))
-            else:
-                unknown.append((j, x))
-        sums = []
-        for power in range(t - lam):
-            rhs = _payload(transcript, node, (u, "SD-diagonal", (power,)))
-            for j, seg in known:
-                rhs ^= diag_field.mul(diag_field.pow(j, power), seg)
-            sums.append(rhs)
-        values = solve_power_sums(diag_field, [j for j, _ in unknown], sums)
-        for (_, x), value in zip(unknown, values):
-            diag_seg[(x, u)] = value
-
-        for x in block:
-            if x in stored:
+        for tag, prefix, width, members in _sd_groups(s, u, T):
+            if needed.isdisjoint(key for key, _ in members):
                 continue
-            others = [y for y in block if y != x]
-            known = []
-            unknown = []
-            for j, y in enumerate(others):
-                if y in stored:
-                    seg = split_bits(local[(x, y)], T, lam)[
-                        pairs[_pair_key(x, y)].index(u)]
-                    known.append((j, seg))
-                else:
-                    unknown.append((j, y))
-            sums = []
-            for power in range(t - lam - 1):
-                rhs = _payload(transcript, node,
-                               (u, "SD-offdiagonal", (x, power)))
-                for j, seg in known:
-                    rhs ^= off_field.mul(off_field.pow(j, power), seg)
-                sums.append(rhs)
-            values = solve_power_sums(off_field, [j for j, _ in unknown], sums)
-            for (_, y), value in zip(unknown, values):
-                off_seg[(x, y, u)] = value
-
-    out = {}
-    for q, n in node_view(s, node).needed:
-        if q == n:
-            out[(q, n)] = join_bits(
-                (diag_seg[(q, u)] for u in through[q]), T // t)
-        else:
-            out[(q, n)] = join_bits(
-                (off_seg[(q, n, u)] for u in pairs[_pair_key(q, n)]),
-                T // lam)
-    return out
+            field = BinaryField(width)
+            known = [(j, split_bits(local[key], T, T // width)[index])
+                     for j, (key, index) in enumerate(members) if key in local]
+            unknown = [j for j, (key, _) in enumerate(members)
+                       if key not in local]
+            sums = [_payload(transcript, node, (u, tag, prefix + (p,))) ^ own
+                    for p, own in enumerate(
+                        _power_sums(field, known, len(members) - lam))]
+            for j, value in zip(unknown,
+                                solve_power_sums(field, unknown, sums)):
+                segs[members[j]] = value
+                widths[members[j][0]] = width
+    return {key: join_bits((segs[key, i] for i in range(T // widths[key])),
+                           widths[key])
+            for key in needed}
 
 
 def shuffle_ads_pos(s: Scheme, ivs: IVTable) -> Transcript:
@@ -393,20 +370,3 @@ def transcript_to_jsonl(transcript: Transcript) -> str:
             separators=(",", ":"), sort_keys=True))
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-def transcript_from_jsonl(text: str) -> Transcript:
-    """Parse a transcript dump back into canonical order."""
-    messages = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        data = json.loads(line)
-        bits = int(data["bits"])
-        payload = int.from_bytes(bytes.fromhex(data["payload"]), "big")
-        if payload >= 1 << bits:
-            raise ValueError(f"payload wider than declared {bits} bits")
-        messages.append(Message(
-            sender=int(data["sender"]), tag=str(data["tag"]),
-            meta=tuple(int(x) for x in data["meta"]),
-            bits=bits, payload=payload))
-    return _finish(messages)

@@ -10,6 +10,10 @@ MALFORMED_DESIGNS = ['{"v":7,"blocks":5}', '{"v":"x","blocks":[[0]]}',
                      '{"v":7,"blocks":[[0,"a"]]}']
 MALFORMED_ADS = ['{"n":6,"D":5}', '{"n":"x","D":[0,1,3]}',
                  '{"n":6,"D":[0,[1],3]}']
+# well-typed documents with bad content: a missing key, an element
+# outside Z_n, a repeated element
+BAD_CONTENT = ['{"blocks":[[0,1]]}', '{"n":6,"D":[0,9]}',
+               '{"n":6,"D":[0,0,1]}']
 
 
 def run(capsys, *argv):
@@ -38,10 +42,13 @@ def test_design_ruzsa_and_ads(capsys):
 
 
 def test_design_rejects_non_ads(capsys):
-    code, out, err = run(capsys, "design", "--ads", "0,1,2,3", "--n", "8")
-    assert code == EX_VERIFY
-    assert out == ""
-    assert "verification failed" in err
+    for argv in (("design", "--ads", "0,1,2,3", "--n", "8"),
+                 ("design", "--ads", "0,9", "--n", "6"),
+                 ("simulate", "--scheme", "ads", "--ads", "0,9", "--n", "6")):
+        code, out, err = run(capsys, *argv)
+        assert code == EX_VERIFY, argv
+        assert out == ""
+        assert err.startswith("verification failed: "), argv
 
 
 def test_design_unsupported_parameters(capsys):
@@ -69,11 +76,23 @@ def test_design_verify_unreadable_and_unparseable(capsys, tmp_path):
     code, _, _ = run(capsys, "design", "--verify", str(tmp_path / "absent"))
     assert code == EX_USAGE
     bad = tmp_path / "bad.json"
-    for text in ["{not json"] + MALFORMED_DESIGNS + MALFORMED_ADS:
+    for text in (["{not json"] + MALFORMED_DESIGNS + MALFORMED_ADS
+                 + BAD_CONTENT):
         bad.write_text(text)
         code, out, err = run(capsys, "design", "--verify", str(bad))
         assert code == EX_VERIFY, text
         assert out == "" and "verification failed" in err, text
+
+
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
+    path = str(tmp_path / "absent" / "x")
+    ads = ("--ads", "0,1,3", "--n", "6")
+    for argv in (("design", *ads, "--out", path),
+                 ("simulate", "--scheme", "ads", *ads, "--transcript", path),
+                 ("simulate", "--scheme", "ads", *ads, "--dump-scheme", path)):
+        code, _, err = run(capsys, *argv)
+        assert code == EX_USAGE, argv
+        assert err.startswith(f"cannot write {path}: "), argv
 
 
 def test_usage_errors(capsys):

@@ -200,5 +200,5 @@ def test_import_rejects_bad_content():
         import_design('{"v":7,"blocks":[[0,1,2]]}')
     with pytest.raises(DesignVerificationError):
         import_ads('{"n":8,"D":[0,1,2,3]}')
-    with pytest.raises(DesignParameterError):
+    with pytest.raises(DesignVerificationError):
         import_design('{"v":7}')

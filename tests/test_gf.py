@@ -2,10 +2,38 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cdcsim.gf import (BinaryField, FieldError, IRREDUCIBLE_POLY,
-                       SingularMatrixError, is_prime, poly_is_irreducible,
-                       solve_linear, solve_power_sums)
+                       SingularMatrixError, is_prime, solve_power_sums)
+
+
+def poly_mod(a, b):
+    """Remainder of GF(2) polynomial division of a by b (b != 0)."""
+    db = b.bit_length()
+    while a.bit_length() >= db:
+        a ^= b << (a.bit_length() - db)
+    return a
+
+
+def poly_is_irreducible(f):
+    """Trial division by every polynomial of degree 1..deg(f)/2."""
+    m = f.bit_length() - 1
+    if m < 1:
+        return False
+    return all(poly_mod(f, d) for d in range(2, 1 << (m // 2 + 1)))
+
+
+def forward_sums(f, points, values):
+    """sums_p = sum_j points[j]^p * values[j] for p = 0..len(points)-1."""
+    sums = []
+    for power in range(len(points)):
+        acc = 0
+        for pt, val in zip(points, values):
+            acc ^= f.mul(f.pow(pt, power), val)
+        sums.append(acc)
+    return sums
 
 
 def mul_table(f):
@@ -84,7 +112,12 @@ def test_element_range_checked():
 
 
 def test_irreducible_table_is_minimal():
-    """Recompute the stored modulus for small degrees by brute force."""
+    """Every stored modulus is irreducible of its degree; for small degrees
+    it is the smallest one, recomputed by brute force."""
+    assert sorted(IRREDUCIBLE_POLY) == list(range(1, 33))
+    for m, f in IRREDUCIBLE_POLY.items():
+        assert f.bit_length() - 1 == m
+        assert poly_is_irreducible(f), m
     for m in range(1, 13):
         stored = IRREDUCIBLE_POLY[m]
         first = next(f for f in range(1 << m, 1 << (m + 1))
@@ -110,21 +143,36 @@ def test_power_sums_round_trip():
     for size in range(1, 7):
         points = rng.sample(range(64), size)
         values = [rng.randrange(64) for _ in range(size)]
-        sums = []
-        for power in range(size):
-            acc = 0
-            for pt, val in zip(points, values):
-                acc ^= f.mul(f.pow(pt, power), val)
-            sums.append(acc)
+        sums = forward_sums(f, points, values)
         assert solve_power_sums(f, points, sums) == values
     with pytest.raises(SingularMatrixError):
         solve_power_sums(f, [3, 3], [1, 0])
 
 
-def test_solve_linear_singular():
-    f = BinaryField(4)
+@st.composite
+def power_sum_systems(draw):
+    """A degree m in 1..32, 1..min(8, 2^m) distinct points, one value each."""
+    m = draw(st.integers(1, 32))
+    n = draw(st.integers(1, min(8, 1 << m)))
+    element = st.integers(0, (1 << m) - 1)
+    points = draw(st.lists(element, min_size=n, max_size=n, unique=True))
+    values = draw(st.lists(element, min_size=n, max_size=n))
+    return BinaryField(m), points, values
+
+
+@given(power_sum_systems())
+def test_solve_power_sums_inverts_forward_sums(system):
+    f, points, values = system
+    assert solve_power_sums(f, points, forward_sums(f, points, values)) == \
+        values
+
+
+@given(power_sum_systems(), st.data())
+def test_solve_power_sums_rejects_repeated_points(system, data):
+    f, points, values = system
+    repeated = points + [data.draw(st.sampled_from(points))]
     with pytest.raises(SingularMatrixError):
-        solve_linear(f, [[1, 1], [1, 1]], [1, 0])
+        solve_power_sums(f, repeated, forward_sums(f, points, values) + [0])
 
 
 def test_prime_field_and_primality():

@@ -88,7 +88,6 @@ def test_generate_ivs_validates():
 def test_node_view_fano():
     s = fano_scheme()
     view = node_view(s, 0)
-    assert view.local == {(q, n) for q in range(7) for n in (0, 1, 3)}
     assert view.needed == {(q, n) for q in (2, 4, 5, 6) for n in (2, 4, 5, 6)}
 
 
