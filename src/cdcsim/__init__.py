@@ -24,7 +24,7 @@ from .scheme import (IncompleteRecoveryError, IVTable, NodeView, Scheme,
                      reduce_outputs, scheme_params, scheme_to_json)
 from .shuffle import (Message, MissingMessageError, RunResult, Transcript,
                       decode_ads, decode_sd, join_bits, measure_load, run,
-                      shuffle_ads_golomb, shuffle_ads_pos, shuffle_sd,
-                      split_bits, transcript_to_jsonl)
+                      shuffle_ads, shuffle_sd, split_bits,
+                      transcript_to_jsonl)
 
 __version__ = "0.1.0"

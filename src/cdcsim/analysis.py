@@ -9,7 +9,6 @@ placement-delivery scheme on the same designs.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -17,8 +16,6 @@ from math import comb
 from typing import List, Optional, Tuple
 
 from .gf import is_prime
-
-log = logging.getLogger(__name__)
 
 
 class AnalysisDomainError(ValueError):
@@ -219,7 +216,7 @@ def sweep(family: str, lo: int, hi: int) -> List[SweepRow]:
 
     family "plane" walks projective planes of prime order b; family
     "ruzsa" walks the lam = 0 ADS construction at prime p >= 3.
-    Non-prime values in the range are skipped with a log note.
+    Values that are not prime, and 2 for ruzsa, are skipped.
     """
     if family not in ("plane", "ruzsa"):
         raise AnalysisDomainError(f"unknown family {family!r}")
@@ -228,7 +225,6 @@ def sweep(family: str, lo: int, hi: int) -> List[SweepRow]:
     rows = []
     for b in range(lo, hi + 1):
         if not is_prime(b) or (family == "ruzsa" and b < 3):
-            log.info("skipping %d: not usable for family %s", b, family)
             continue
         if family == "plane":
             v, t = b * b + b + 1, b + 1

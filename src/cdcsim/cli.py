@@ -19,10 +19,10 @@ from typing import List, Optional, Union
 from .analysis import (AnalysisDomainError, ads_load, li_lower_bound_inequality,
                        li_lower_bound_steps, li_sandwich, ours_sd_load, sweep,
                        sweep_csv)
-from .designs import (AdsReport, AlmostDifferenceSet, DesignParameterError,
-                      DesignVerificationError, SymmetricDesign, classify_ads,
-                      develop, export_ads, export_design, import_ads,
-                      import_design, projective_plane, ruzsa_ads)
+from .designs import (AlmostDifferenceSet, DesignParameterError,
+                      DesignVerificationError, SymmetricDesign, ads_from_doc,
+                      design_from_doc, develop, export_ads, export_design,
+                      projective_plane, ruzsa_ads)
 from .gf import FieldError
 from .scheme import (SchemeParameterError, build_scheme_ads, build_scheme_sd,
                      choose_T, scheme_to_json)
@@ -54,14 +54,6 @@ def _write_out(text: str, path: Optional[str]) -> None:
             raise _UsageError(f"cannot write {path}: {e.strerror}")
 
 
-def _read_file(path: str) -> str:
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError as e:
-        raise _UsageError(f"cannot read {path}: {e.strerror}")
-
-
 def _parse_csv_ints(text: str) -> List[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
@@ -76,79 +68,62 @@ def _canonical_json(doc) -> str:
 _DOCUMENT_KINDS = {"sd": "a symmetric design", "ads": "an ADS"}
 
 
-def _load_document(
-        path: str, scheme: Optional[str] = None,
-) -> Union[SymmetricDesign, AlmostDifferenceSet]:
-    """Read and verify a design or ADS document, told apart by its keys.
+def _source(args, path: Optional[str], scheme: Optional[str] = None,
+            ) -> Union[SymmetricDesign, AlmostDifferenceSet]:
+    """Build, or read and verify, the design or ADS the source flags name.
 
-    With scheme given, a document of the other kind is a usage error,
-    reported before the (possibly long) verification runs.
+    --plane, --ruzsa and --ads (with --n) build; otherwise the document at
+    path is read and told apart by its keys.  With scheme given, a source
+    of the other kind is a usage error, reported before anything is built
+    or verified.
     """
-    raw = _read_file(path)
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise DesignVerificationError(f"{path} is not JSON: {e}")
-    if isinstance(data, dict) and "blocks" in data:
-        kind = "sd"
-    elif isinstance(data, dict) and "D" in data:
-        kind = "ads"
-    else:
-        raise DesignVerificationError(
-            f"{path} is neither a design nor an ADS document")
-    if scheme is not None and scheme != kind:
-        raise _UsageError(f"{path} holds {_DOCUMENT_KINDS[kind]}, "
-                          f"got --scheme {scheme}")
-    return import_design(raw) if kind == "sd" else import_ads(raw)
-
-
-def cmd_design(args) -> int:
     if args.ads is not None and args.n is None:
         raise _UsageError("--ads requires --n")
     if args.n is not None and args.ads is None:
         raise _UsageError("--n only makes sense with --ads")
     if args.plane is not None:
-        text = export_design(projective_plane(args.plane))
+        kind, what = "sd", "--plane builds an sd scheme"
     elif args.ruzsa is not None:
-        text = export_ads(ruzsa_ads(args.ruzsa))
+        kind, what = "ads", "--ruzsa builds an ads scheme"
     elif args.ads is not None:
-        result = classify_ads(_parse_csv_ints(args.ads), args.n)
-        if isinstance(result, AdsReport):
-            print(f"verification failed: {result}", file=sys.stderr)
-            return EX_VERIFY
-        text = export_ads(result)
+        kind, what = "ads", "--ads builds an ads scheme"
     else:
-        doc = _load_document(args.verify)
-        text = (export_design(doc) if isinstance(doc, SymmetricDesign)
-                else export_ads(doc))
-    _write_out(text, args.out)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as e:
+            raise _UsageError(f"cannot read {path}: {e.strerror}")
+        except (UnicodeDecodeError, json.JSONDecodeError,
+                RecursionError) as e:  # nested deeper than the parser goes
+            raise DesignVerificationError(f"{path} is not JSON: {e}")
+        if isinstance(data, dict) and "blocks" in data:
+            kind = "sd"
+        elif isinstance(data, dict) and "D" in data:
+            kind = "ads"
+        else:
+            raise DesignVerificationError(
+                f"{path} is neither a design nor an ADS document")
+        what = f"{path} holds {_DOCUMENT_KINDS[kind]}"
+    if scheme is not None and scheme != kind:
+        raise _UsageError(f"{what}, got --scheme {scheme}")
+    if args.plane is not None:
+        return projective_plane(args.plane)
+    if args.ruzsa is not None:
+        return ruzsa_ads(args.ruzsa)
+    if args.ads is not None:  # classified as the ADS document it spells out
+        data = {"n": args.n, "D": _parse_csv_ints(args.ads)}
+    return design_from_doc(data) if kind == "sd" else ads_from_doc(data)
+
+
+def cmd_design(args) -> int:
+    source = _source(args, args.verify)
+    _write_out(export_design(source) if isinstance(source, SymmetricDesign)
+               else export_ads(source), args.out)
     return EX_OK
 
 
-def _simulation_source(args):
-    """Build the design or ADS named by the simulate flags."""
-    if args.ads is not None and args.n is None:
-        raise _UsageError("--ads requires --n")
-    if args.plane is not None:
-        if args.scheme != "sd":
-            raise _UsageError("--plane builds an sd scheme, got --scheme ads")
-        return projective_plane(args.plane)
-    if args.ruzsa is not None:
-        if args.scheme != "ads":
-            raise _UsageError("--ruzsa builds an ads scheme, got --scheme sd")
-        return ruzsa_ads(args.ruzsa)
-    if args.ads is not None:
-        if args.scheme != "ads":
-            raise _UsageError("--ads builds an ads scheme, got --scheme sd")
-        result = classify_ads(_parse_csv_ints(args.ads), args.n)
-        if isinstance(result, AdsReport):
-            raise DesignVerificationError(result)
-        return result
-    return _load_document(args.design, args.scheme)
-
-
 def cmd_simulate(args) -> int:
-    source = _simulation_source(args)
+    source = _source(args, args.design, args.scheme)
     if isinstance(source, SymmetricDesign):
         s = build_scheme_sd(source)
         formula = ours_sd_load(source.v, source.t)

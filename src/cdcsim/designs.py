@@ -374,7 +374,11 @@ def _int_list(x, what: str) -> List[int]:
 
 def import_design(text: str) -> SymmetricDesign:
     """Parse and verify a symmetric-design JSON document."""
-    data = json.loads(text)
+    return design_from_doc(json.loads(text))
+
+
+def design_from_doc(data) -> SymmetricDesign:
+    """Verify a parsed symmetric-design document."""
     if not isinstance(data, dict) or "v" not in data or "blocks" not in data:
         raise DesignVerificationError(
             "design document needs keys 'v' and 'blocks'")
@@ -394,7 +398,11 @@ def export_ads(a: AlmostDifferenceSet) -> str:
 
 def import_ads(text: str) -> AlmostDifferenceSet:
     """Parse and classify an ADS JSON document; non-ADS content raises."""
-    data = json.loads(text)
+    return ads_from_doc(json.loads(text))
+
+
+def ads_from_doc(data) -> AlmostDifferenceSet:
+    """Classify a parsed ADS document; non-ADS content raises."""
     if not isinstance(data, dict) or "n" not in data or "D" not in data:
         raise DesignVerificationError("ADS document needs keys 'n' and 'D'")
     if not _is_int(data["n"]):

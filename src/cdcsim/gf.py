@@ -84,10 +84,6 @@ class BinaryField:
             if not 0 <= a < self.order:
                 raise FieldError(f"element {a} outside [0, {self.order})")
 
-    def add(self, a: int, b: int) -> int:
-        self._check(a, b)
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         """Shift-and-add product, reducing a each time it reaches degree m."""
         self._check(a, b)
@@ -121,9 +117,6 @@ class BinaryField:
         if a == 0:
             raise FieldError("zero is not invertible")
         return self.pow(a, self.order - 2)
-
-    def elements(self) -> range:
-        return range(self.order)
 
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -116,53 +116,59 @@ def build_scheme_ads(dev: Development) -> Scheme:
                   placement=dev.blocks, assignment=dev.blocks, design=dev)
 
 
+def _segment_counts(s: Scheme) -> Tuple[int, ...]:
+    """Every number of equal segments the shuffle cuts a T-bit value into.
+
+    The sd scheme cuts diagonal values into t and off-diagonal ones into
+    lam; the ADS scheme cuts a pair into its lam or lam + 1 common blocks,
+    or, when lam = 0, a value into k plain segments.
+    """
+    if s.kind == "sd":
+        return (s.design.t, s.design.lam)
+    lam, k = s.design.source.lam, s.design.source.k
+    return (lam, lam + 1) if lam >= 1 else (k,)
+
+
+def _coding_fields(s: Scheme, T: int) -> Tuple[Tuple[int, int], ...]:
+    """(field degree, coding points) of each power-sum code at width T.
+
+    Only the sd scheme codes: t points over GF(2^(T/t)) on the diagonal,
+    t - 1 points over GF(2^(T/lam)) off it.
+    """
+    if s.kind != "sd":
+        return ()
+    t, lam = s.design.t, s.design.lam
+    return ((T // t, t), (T // lam, t - 1))
+
+
 def _check_T(s: Scheme, T: int) -> None:
     if not isinstance(T, int) or T < 1:
         raise SchemeParameterError(f"T must be a positive integer, got {T}")
-    if s.kind == "sd":
-        t, lam = s.design.t, s.design.lam
-        if T % t or T % lam:
+    counts = _segment_counts(s)
+    if any(T % c for c in counts):
+        raise SchemeParameterError(
+            f"T={T} must be divisible by each of {counts}")
+    for degree, points in _coding_fields(s, T):
+        if 2 ** degree < points:
             raise SchemeParameterError(
-                f"T={T} must be divisible by t={t} and lam={lam}")
-        if 2 ** (T // t) < t:
-            raise SchemeParameterError(
-                f"T={T} gives only {2 ** (T // t)} coefficients for "
-                f"{t}-point encoding")
-        if 2 ** (T // lam) < t - 1:
-            raise SchemeParameterError(
-                f"T={T} gives only {2 ** (T // lam)} coefficients for "
-                f"{t - 1}-point encoding")
-        # the shuffle needs both extension fields to exist
-        BinaryField(T // t)
-        BinaryField(T // lam)
-    else:
-        lam, k = s.design.source.lam, s.design.source.k
-        if lam >= 1:
-            if T % lam or T % (lam + 1):
-                raise SchemeParameterError(
-                    f"T={T} must be divisible by both {lam} and {lam + 1}")
-        elif T % k:
-            raise SchemeParameterError(f"T={T} must be divisible by k={k}")
+                f"T={T} gives only {2 ** degree} coefficients for "
+                f"{points}-point encoding")
+        BinaryField(degree)  # the shuffle needs the field to exist
 
 
 def choose_T(s: Scheme, scale: int = 1) -> int:
-    """Smallest bit width every segment rule divides, times scale.
+    """Smallest bit width every segment count divides, times scale.
 
     For the symmetric-design scheme the width must also give each of the
     two binary extension fields enough distinct coefficients for its
-    encoding points.
+    coding points.
     """
     if not isinstance(scale, int) or scale < 1:
         raise SchemeParameterError(f"scale must be a positive integer, got {scale}")
-    if s.kind == "sd":
-        t, lam = s.design.t, s.design.lam
-        base = math.lcm(t, lam)
-        T = base
-        while 2 ** (T // t) < t or 2 ** (T // lam) < t - 1:
-            T += base
-    else:
-        lam, k = s.design.source.lam, s.design.source.k
-        T = lam * (lam + 1) if lam >= 1 else k
+    base = math.lcm(*_segment_counts(s))
+    T = base
+    while any(2 ** degree < points for degree, points in _coding_fields(s, T)):
+        T += base
     T *= scale
     _check_T(s, T)
     return T

@@ -22,10 +22,12 @@ sums sum_j j^p * seg_j, p = 0..g-lam-1.  A receiver subtracts the terms it
 can compute locally and is left with a square power-sum system at
 distinct points.
 
-ADS scheme: translates share both orientations of a pair through their
-common blocks (the j-th common block sends the XOR of the j-th segments).
-When lam = 0, pairs with no common block fall back to plain segments of
-each orientation, one per block through the file.
+ADS scheme: one encoder, shuffle_ads, serves every lam.  A pair x < y lies
+in c common blocks, c = lam or lam + 1.  When c >= 1 the pair shares both
+orientations through them, the j-th common block sending the XOR of the
+j-th T/c-bit segments of v_{x,y} and v_{y,x}.  When c = 0 (only when
+lam = 0) each orientation goes out as k plain T/k-bit segments, one per
+block through the file.
 """
 
 from __future__ import annotations
@@ -215,69 +217,47 @@ def decode_sd(s: Scheme, node: int, transcript: Transcript,
             for key in needed}
 
 
-def shuffle_ads_pos(s: Scheme, ivs: IVTable) -> Transcript:
-    """Pair-exchange shuffle for an ADS scheme with lam >= 1.
+def shuffle_ads(s: Scheme, ivs: IVTable) -> Transcript:
+    """Shuffle for an ADS scheme.
 
-    Every pair of files shares at least one block; each of its c common
-    blocks sends the XOR of the matching T/c-bit segments of the two
-    orientations.
-    """
-    if s.kind != "ads":
-        raise SchemeParameterError(f"expected an ads scheme, got {s.kind}")
-    lam, T = s.design.source.lam, ivs.T
-    if lam < 1:
-        raise SchemeParameterError("pair-exchange shuffle needs lam >= 1")
-    messages = []
-    for x in range(s.N):
-        for y in range(x + 1, s.N):
-            common = s.pair_blocks[(x, y)]
-            c = len(common)
-            if c not in (lam, lam + 1):
-                raise AssertionError(
-                    f"pair ({x},{y}) lies in {c} blocks, expected "
-                    f"{lam} or {lam + 1}")
-            sx = split_bits(ivs.values[(x, y)], T, c)
-            sy = split_bits(ivs.values[(y, x)], T, c)
-            for j, u in enumerate(common):
-                messages.append(Message(sender=u, tag="ADS-pairsum",
-                                        meta=(x, y, j), bits=T // c,
-                                        payload=sx[j] ^ sy[j]))
-    return _finish(messages)
-
-
-def shuffle_ads_golomb(s: Scheme, ivs: IVTable) -> Transcript:
-    """Shuffle for an ADS scheme with lam = 0.
-
-    Pairs covered by one block exchange a full-width XOR through it; the
-    remaining pairs fall back to plain segments, the i-th block through
-    the file sending the i-th T/k-bit segment of each orientation.
+    A pair of files in c >= 1 common blocks exchanges both orientations
+    through them: the j-th common block sends the XOR of the j-th T/c-bit
+    segments.  A pair in no common block (possible only when lam = 0)
+    falls back to plain segments, the i-th block through the file sending
+    the i-th T/k-bit segment of each orientation.
     """
     if s.kind != "ads":
         raise SchemeParameterError(f"expected an ads scheme, got {s.kind}")
     lam, k = s.design.source.lam, s.design.source.k
     T = ivs.T
-    if lam != 0:
-        raise SchemeParameterError("segment-fallback shuffle needs lam = 0")
-    through, pairs = s.point_blocks, s.pair_blocks
     messages = []
     for x in range(s.N):
         for y in range(x + 1, s.N):
-            common = pairs.get((x, y), ())
-            if len(common) > 1:
+            common = s.pair_blocks.get((x, y), ())
+            c = len(common)
+            if c not in (lam, lam + 1):
                 raise AssertionError(
-                    f"pair ({x},{y}) lies in {len(common)} blocks")
-            if common:
-                messages.append(Message(
-                    sender=common[0], tag="ADS-pairsum", meta=(x, y, 0),
-                    bits=T, payload=ivs.values[(x, y)] ^ ivs.values[(y, x)]))
+                    f"pair ({x},{y}) lies in {c} blocks, expected "
+                    f"{lam} or {lam + 1}")
+            if c:
+                sx = split_bits(ivs.values[(x, y)], T, c)
+                sy = split_bits(ivs.values[(y, x)], T, c)
+                messages.extend(
+                    Message(sender=u, tag="ADS-pairsum", meta=(x, y, j),
+                            bits=T // c, payload=sx[j] ^ sy[j])
+                    for j, u in enumerate(common))
             else:
                 for q, n in ((x, y), (y, x)):
                     segs = split_bits(ivs.values[(q, n)], T, k)
-                    for i, u in enumerate(through[n]):
-                        messages.append(Message(
-                            sender=u, tag="ADS-segment", meta=(q, n, i),
-                            bits=T // k, payload=segs[i]))
+                    messages.extend(
+                        Message(sender=u, tag="ADS-segment", meta=(q, n, i),
+                                bits=T // k, payload=segs[i])
+                        for i, u in enumerate(s.point_blocks[n]))
     return _finish(messages)
+
+
+# the names of the former lam-specific encoders, for callers that import them
+shuffle_ads_pos = shuffle_ads_golomb = shuffle_ads
 
 
 def decode_ads(s: Scheme, node: int, transcript: Transcript,
@@ -328,19 +308,16 @@ class RunResult:
 def run(s: Scheme, seed: int, T: int) -> RunResult:
     """Simulate one scheme end to end on T-bit values drawn from seed.
 
-    Shuffles with the encoder that the scheme kind (and, for an ADS
-    scheme, lam) calls for, decodes at every node and reduces.  decode_ok
-    holds when every node recovered exactly the values it needs, each
-    equal to the table, and every reduce output matches the centralized
-    oracle.
+    Shuffles with the encoder of the scheme kind, decodes at every node
+    and reduces.  decode_ok holds when every node recovered exactly the
+    values it needs, each equal to the table, and every reduce output
+    matches the centralized oracle.
     """
     ivs = generate_ivs(s, seed, T)
     if s.kind == "sd":
         transcript, decode = shuffle_sd(s, ivs), decode_sd
-    elif s.design.source.lam >= 1:
-        transcript, decode = shuffle_ads_pos(s, ivs), decode_ads
     else:
-        transcript, decode = shuffle_ads_golomb(s, ivs), decode_ads
+        transcript, decode = shuffle_ads(s, ivs), decode_ads
     decode_ok = True
     recovered = {}
     for node in range(s.K):

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdcsim.cli import EX_OK, EX_UNSUPPORTED, EX_USAGE, EX_VERIFY, main
 
@@ -14,6 +18,10 @@ MALFORMED_ADS = ['{"n":6,"D":5}', '{"n":"x","D":[0,1,3]}',
 # outside Z_n, a repeated element
 BAD_CONTENT = ['{"blocks":[[0,1]]}', '{"n":6,"D":[0,9]}',
                '{"n":6,"D":[0,0,1]}']
+# bytes the JSON parser cannot take: nesting past its recursion limit,
+# and a byte that is not UTF-8
+NOT_JSON = [b"[" * 1500 + b"]" * 1500, b'{"n":6,"D":' + b"[" * 1500,
+            b'{"n":6,"D":[0,1,3]}\xff']
 
 
 def run(capsys, *argv):
@@ -82,6 +90,14 @@ def test_design_verify_unreadable_and_unparseable(capsys, tmp_path):
         code, out, err = run(capsys, "design", "--verify", str(bad))
         assert code == EX_VERIFY, text
         assert out == "" and "verification failed" in err, text
+    for raw in NOT_JSON:
+        bad.write_bytes(raw)
+        for argv in (("design", "--verify", str(bad)),
+                     ("simulate", "--scheme", "ads", "--design", str(bad))):
+            code, out, err = run(capsys, *argv)
+            assert code == EX_VERIFY, (raw[:20], argv)
+            assert out == "" and err.startswith(
+                f"verification failed: {bad} is not JSON: "), (raw[:20], argv)
 
 
 def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
@@ -100,12 +116,46 @@ def test_usage_errors(capsys):
     assert run(capsys)[0] == EX_USAGE
     assert run(capsys, "design")[0] == EX_USAGE
     assert run(capsys, "design", "--ads", "0,1")[0] == EX_USAGE  # no --n
+    assert run(capsys, "design", "--plane", "2", "--n", "5")[0] == EX_USAGE
+    assert run(capsys, "simulate", "--scheme", "sd", "--plane", "2",
+               "--n", "5")[0] == EX_USAGE  # --n without --ads
     assert run(capsys, "simulate", "--scheme", "sd", "--ruzsa", "5")[0] == \
         EX_USAGE
     assert run(capsys, "simulate", "--scheme", "ads", "--plane", "2")[0] == \
         EX_USAGE
     assert run(capsys, "compare", "--family", "plane", "--min", "5",
                "--max", "3")[0] == EX_USAGE
+
+
+# small integers and short lists keep classification and any simulation
+# of a valid document fast
+_INTS = st.integers(-3, 40)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _INTS | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=10)
+_INT_LISTS = st.lists(_INTS, max_size=8)
+_DOCUMENTS = (
+    _JSON
+    | st.fixed_dictionaries({"v": _INTS | _JSON,
+                             "blocks": st.lists(_INT_LISTS, max_size=8) | _JSON})
+    | st.fixed_dictionaries({"n": _INTS | _JSON, "D": _INT_LISTS | _JSON}))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_DOCUMENTS)
+def test_documents_keep_the_exit_code_contract(tmp_path_factory, doc):
+    """Any JSON document exits 0, 2, 3 or 64, and no exception escapes."""
+    path = tmp_path_factory.mktemp("doc") / "doc.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("design", "--verify", str(path)),
+                 ("simulate", "--scheme", "sd", "--design", str(path)),
+                 ("simulate", "--scheme", "ads", "--design", str(path))):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(list(argv))
+        assert code in (EX_OK, EX_VERIFY, EX_UNSUPPORTED, EX_USAGE), argv
 
 
 def test_simulate_fano(capsys):

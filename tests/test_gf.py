@@ -63,20 +63,6 @@ def test_field_axioms_exhaustive(m):
     assert np.array_equal(table[1], np.arange(order, dtype=np.uint16))
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
-def test_add_self_inverse_exhaustive(m):
-    f = BinaryField(m)
-    for a in f.elements():
-        for b in f.elements():
-            assert f.add(f.add(a, b), b) == a
-
-
-def test_add_examples():
-    f = BinaryField(3)
-    assert f.add(0b101, 0b101) == 0
-    assert f.add(0b011, 0b110) == 0b101
-
-
 def test_mul_examples():
     """x*x and x^2*x in GF(2^3) with modulus x^3+x+1."""
     f = BinaryField(3)
@@ -107,8 +93,6 @@ def test_element_range_checked():
     f = BinaryField(3)
     with pytest.raises(FieldError):
         f.mul(8, 1)
-    with pytest.raises(FieldError):
-        f.add(1, -1)
 
 
 def test_irreducible_table_is_minimal():

@@ -94,15 +94,31 @@ def test_fano_payload_goldens():
         ivs.values[(1, 0)] ^ ivs.values[(1, 3)]
 
 
-@pytest.mark.parametrize("b,scale,digest", [
-    (2, 1, "e0c788373ccf805593f2027fed0ee1136eb371b125ba63fadba9f32e1a6d6171"),
-    (3, 1, "790f67c298dae0e825eaf6f881f787d208c0fa976210fed32fb205aef952c20c"),
-    (3, 4, "fcf1a90bae9cf2473afd07ecee4da5fa08057430e235a6681d375c824bd28233"),
-], ids=["plane2", "plane3", "plane3-scale4"])
-def test_sd_transcript_goldens(b, scale, digest):
-    """Every sd wire byte at seed 0, pinned; plane 3 at scale 4 codes over
-    GF(2^8) and GF(2^32)."""
-    s = build_scheme_sd(projective_plane(b))
+@pytest.mark.parametrize("make_scheme,scale,digest", [
+    (lambda: build_scheme_sd(projective_plane(2)), 1,
+     "e0c788373ccf805593f2027fed0ee1136eb371b125ba63fadba9f32e1a6d6171"),
+    (lambda: build_scheme_sd(projective_plane(3)), 1,
+     "790f67c298dae0e825eaf6f881f787d208c0fa976210fed32fb205aef952c20c"),
+    (lambda: build_scheme_sd(projective_plane(3)), 4,
+     "fcf1a90bae9cf2473afd07ecee4da5fa08057430e235a6681d375c824bd28233"),
+    (lambda: ads_scheme([0, 1, 3], 6), 1,
+     "f709f5018a5cfa8076479a5ee7b4564b4d9707917af7f8427c2f0c1feb8a6488"),
+    (lambda: ads_scheme([0, 1], 6), 1,
+     "2a242a5695a98410884c9421b621214e1a62ac70525fb6b8ffcef37feafbf033"),
+    (lambda: build_scheme_ads(develop(ruzsa_ads(7))), 1,
+     "0ea47df4a3f2b30f30181bc48fd63baab266a239e919c3f9c66e8c80e041c741"),
+    (lambda: build_scheme_ads(develop(complement_ads(ruzsa_ads(5)))), 1,
+     "ec2130f77fd8c80557576dabd0fb07fb62e584c3e41b91ebe9809357ab6d55c3"),
+], ids=["plane2", "plane3", "plane3-scale4", "ads-634", "ads-620", "ruzsa7",
+        "ruzsa5-complement"])
+def test_sd_transcript_goldens(make_scheme, scale, digest):
+    """Every wire byte at seed 0, pinned, for both scheme kinds.
+
+    Plane 3 at scale 4 codes over GF(2^8) and GF(2^32); (6,2,0) sends
+    pair sums and plain segments; the complement of ruzsa 5 has pairs in
+    12 and in 13 common blocks.
+    """
+    s = make_scheme()
     text = transcript_to_jsonl(run(s, 0, choose_T(s, scale)).transcript)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
