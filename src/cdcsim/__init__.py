@@ -4,18 +4,16 @@ coded distributed computing schemes."""
 from __future__ import annotations
 
 from .analysis import (AnalysisDomainError, CSV_HEADER, InequalityCheck,
-                       Sandwich, StepChecks, SweepRow, ads_load,
-                       is_prime_power, jiang_load, li_load,
-                       li_lower_bound_inequality, li_lower_bound_steps,
-                       li_sandwich, ours_sd_load, sweep, sweep_csv,
-                       symmetric_design_families)
+                       Sandwich, StepChecks, SweepRow, ads_load, jiang_load,
+                       li_load, li_lower_bound_inequality,
+                       li_lower_bound_steps, li_sandwich, ours_sd_load, sweep,
+                       sweep_csv)
 from .designs import (AdsReport, AlmostDifferenceSet, DesignParameterError,
                       DesignVerificationError, DesignViolation, Development,
                       SymmetricDesign, classify_ads, complement_ads, develop,
-                      diff_function, export_ads, export_design, import_ads,
-                      import_design, projective_plane, require_symmetric_design,
-                      ruzsa_ads, smallest_primitive_root,
-                      verify_symmetric_design)
+                      diff_function, export_ads, export_design, import_design,
+                      projective_plane, require_symmetric_design, ruzsa_ads,
+                      smallest_primitive_root, verify_symmetric_design)
 from .gf import (BinaryField, FieldError, SingularMatrixError, is_prime,
                  solve_power_sums)
 from .scheme import (IncompleteRecoveryError, IVTable, NodeView, Scheme,

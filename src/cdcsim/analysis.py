@@ -158,41 +158,6 @@ def li_sandwich(p: int) -> Sandwich:
                     holds=lower < value < upper)
 
 
-def is_prime_power(x: int) -> bool:
-    """True when x = f^e for a prime f and e >= 1."""
-    if x < 2:
-        return False
-    f = 2
-    while f * f <= x:
-        if x % f == 0:
-            while x % f == 0:
-                x //= f
-            return x == 1
-        f += 1
-    return True
-
-
-def symmetric_design_families(b: int) -> List[Tuple[str, int, int, int]]:
-    """Admissible (v, t, lam) parameter families at order b.
-
-    Three families need b to be a prime power; the fourth needs both b-1
-    and b^2-b+1 to be prime powers.  Each returned triple satisfies the
-    counting identity lam*(v-1) = t*(t-1).
-    """
-    if b < 2:
-        raise AnalysisDomainError(f"b must be at least 2, got {b}")
-    out = []
-    if is_prime_power(b):
-        out.append(("b2+b+1", b * b + b + 1, b + 1, 1))
-        out.append(("b3+b2+b+1", b ** 3 + b * b + b + 1, b * b + b + 1, b + 1))
-        out.append(("b3+2b2", b ** 3 + 2 * b * b, b * b + b, b))
-    if is_prime_power(b - 1) and is_prime_power(b * b - b + 1):
-        out.append(("b3+b+1", b ** 3 + b + 1, b * b + 1, b))
-    for _, v, t, lam in out:
-        assert lam * (v - 1) == t * (t - 1), (b, v, t, lam)
-    return out
-
-
 @dataclass(frozen=True)
 class SweepRow:
     """One comparison row: design parameters plus the three loads."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Union
+from typing import Iterable, List, Optional, Union
 
 from .analysis import (AnalysisDomainError, ads_load, li_lower_bound_inequality,
                        li_lower_bound_steps, li_sandwich, ours_sd_load, sweep,
@@ -26,7 +26,7 @@ from .designs import (AlmostDifferenceSet, DesignParameterError,
 from .gf import FieldError
 from .scheme import (SchemeParameterError, build_scheme_ads, build_scheme_sd,
                      choose_T, scheme_to_json)
-from .shuffle import run, transcript_to_jsonl
+from .shuffle import run, transcript_lines
 
 EX_OK = 0
 EX_VERIFY = 2
@@ -43,13 +43,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
-def _write_out(text: str, path: Optional[str]) -> None:
+def _write_out(text: Union[str, Iterable[str]], path: Optional[str]) -> None:
+    """Write text, or an iterable of text chunks, to path or stdout."""
+    chunks = (text,) if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         try:
             with open(path, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as e:
             raise _UsageError(f"cannot write {path}: {e.strerror}")
 
@@ -140,7 +142,7 @@ def cmd_simulate(args) -> int:
         "match": result.load == formula, "decode_ok": result.decode_ok,
     }
     if args.transcript is not None:
-        _write_out(transcript_to_jsonl(result.transcript), args.transcript)
+        _write_out(transcript_lines(result.transcript), args.transcript)
     if args.dump_scheme is not None:
         _write_out(scheme_to_json(s), args.dump_scheme)
     _write_out(_canonical_json(report), args.out)
@@ -160,12 +162,12 @@ def cmd_compare(args) -> int:
 
 def cmd_check_appendix(args) -> int:
     min_p, max_p = args.min_p, args.max_p
-    if min_p > max_p:
-        raise _UsageError(f"--min-p {min_p} exceeds --max-p {max_p}")
     if min_p < 5:
         print(f"warning: clamping --min-p {min_p} to 5, checks are defined "
               f"for p >= 5", file=sys.stderr)
         min_p = 5
+    if min_p > max_p:
+        raise _UsageError(f"--min-p {min_p} exceeds --max-p {max_p}")
     checks = []
     for p in range(min_p, max_p + 1):
         main_check = li_lower_bound_inequality(p)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 from .gf import is_prime
 
@@ -91,16 +91,45 @@ class Development:
     blocks: Tuple[Tuple[int, ...], ...]
 
 
+def blocks_through(blocks: Sequence[Sequence[int]],
+                   v: int) -> Tuple[Tuple[int, ...], ...]:
+    """The transpose of an incidence: for each point x in [0, v), the ids
+    of the blocks holding x, ascending.  Every point must lie in [0, v)."""
+    through: List[List[int]] = [[] for _ in range(v)]
+    for i, block in enumerate(blocks):
+        for x in block:
+            through[x].append(i)
+    return tuple(map(tuple, through))
+
+
+def _meets(rows: Sequence[Sequence[int]]) -> Iterator[Tuple[int, int, int]]:
+    """(i, j, |rows[i] & rows[j]|) for every i < j, in lexicographic order.
+
+    Each row is a set of distinct non-negative ints, held as one bitmask.
+    """
+    masks = [sum(1 << x for x in row) for row in rows]
+    for i, a in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            yield i, j, (a & masks[j]).bit_count()
+
+
 def verify_symmetric_design(
         v: int, blocks: Sequence[Sequence[int]]
 ) -> Union[SymmetricDesign, DesignViolation]:
     """Brute-force check of the symmetric-design invariants.
 
-    Checks, in order: well-formed blocks, block count = v, uniform block
-    size, constant pair multiplicity, constant replication, constant
-    pairwise block intersection, and the counting identity
-    lam*(v-1) = t*(t-1).  Returns a SymmetricDesign (blocks canonically
-    sorted) on success, otherwise a DesignViolation for the first failure.
+    With N the v x b point-by-block incidence matrix, a (v, t, lam)
+    symmetric design has b = v and N N^T = N^T N = (t - lam) I + lam J.
+    Past the shape checks, each check reads entries of these two Gram
+    matrices, every entry the meet of two incidence rows: the rows of
+    points (the blocks through each point) for N N^T, the rows of blocks
+    for N^T N.  Checks, in order: well-formed blocks, block count = v,
+    uniform block size (the diagonal of N^T N), constant pair
+    multiplicity (off the diagonal of N N^T), constant replication (its
+    diagonal), constant pairwise block intersection (off the diagonal of
+    N^T N), and the counting identity lam*(v-1) = t*(t-1).  Returns a
+    SymmetricDesign (blocks canonically sorted) on success, otherwise a
+    DesignViolation for the first failure.
     """
     normalized = [tuple(sorted(b)) for b in blocks]
     if v < 2:
@@ -121,39 +150,26 @@ def verify_symmetric_design(
     if t < 2:
         return DesignViolation("block-size", (t,), "blocks need at least 2 points")
 
-    pair_count: Dict[Tuple[int, int], int] = {}
-    for b in normalized:
-        for i in range(len(b)):
-            for j in range(i + 1, len(b)):
-                pair = (b[i], b[j])
-                pair_count[pair] = pair_count.get(pair, 0) + 1
-    lam = pair_count.get((0, 1), 0) if v >= 2 else 0
-    for x in range(v):
-        for y in range(x + 1, v):
-            count = pair_count.get((x, y), 0)
-            if count != lam:
-                return DesignViolation(
-                    "pair-multiplicity", (x, y, count),
-                    f"pair ({x},{y}) lies in {count} blocks, expected {lam}")
-
-    replication = [0] * v
-    for b in normalized:
-        for x in b:
-            replication[x] += 1
-    for x in range(v):
-        if replication[x] != t:
+    through = blocks_through(normalized, v)
+    pair_meets = _meets(through)
+    lam = next(pair_meets)[2]  # pair (0, 1) comes first and sets lam
+    for x, y, count in pair_meets:
+        if count != lam:
             return DesignViolation(
-                "replication", (x, replication[x]),
-                f"point {x} lies in {replication[x]} blocks, expected {t}")
+                "pair-multiplicity", (x, y, count),
+                f"pair ({x},{y}) lies in {count} blocks, expected {lam}")
 
-    for i in range(v):
-        si = set(normalized[i])
-        for j in range(i + 1, v):
-            meet = len(si.intersection(normalized[j]))
-            if meet != lam:
-                return DesignViolation(
-                    "block-intersection", (i, j, meet),
-                    f"blocks {i} and {j} meet in {meet} points, expected {lam}")
+    for x, ids in enumerate(through):
+        if len(ids) != t:
+            return DesignViolation(
+                "replication", (x, len(ids)),
+                f"point {x} lies in {len(ids)} blocks, expected {t}")
+
+    for i, j, meet in _meets(normalized):
+        if meet != lam:
+            return DesignViolation(
+                "block-intersection", (i, j, meet),
+                f"blocks {i} and {j} meet in {meet} points, expected {lam}")
 
     if lam * (v - 1) != t * (t - 1):
         return DesignViolation(
@@ -330,20 +346,12 @@ def develop(a: AlmostDifferenceSet) -> Development:
     blocks = tuple(tuple(sorted((d + r) % n for d in a.D)) for r in range(n))
     if len(set(blocks)) != n:
         raise AssertionError("translates are not pairwise distinct")
-    replication = [0] * n
-    pair_count: Dict[Tuple[int, int], int] = {}
-    for block in blocks:
-        for i, x in enumerate(block):
-            replication[x] += 1
-            for y in block[i + 1:]:
-                pair_count[(x, y)] = pair_count.get((x, y), 0) + 1
-    if any(count != k for count in replication):
+    through = blocks_through(blocks, n)
+    if any(len(ids) != k for ids in through):
         raise AssertionError("development is not a 1-design with replication k")
     census: Dict[int, int] = {}
-    for x in range(n):
-        for y in range(x + 1, n):
-            multiplicity = pair_count.get((x, y), 0)
-            census[multiplicity] = census.get(multiplicity, 0) + 1
+    for _, _, multiplicity in _meets(through):
+        census[multiplicity] = census.get(multiplicity, 0) + 1
     expected = {}
     if a.mu:
         expected[a.lam] = a.n * a.mu // 2
@@ -394,11 +402,6 @@ def export_ads(a: AlmostDifferenceSet) -> str:
     """Canonical JSON for an almost difference set (byte-stable)."""
     return json.dumps({"n": a.n, "D": list(a.D)},
                       separators=(",", ":"), sort_keys=True) + "\n"
-
-
-def import_ads(text: str) -> AlmostDifferenceSet:
-    """Parse and classify an ADS JSON document; non-ADS content raises."""
-    return ads_from_doc(json.loads(text))
 
 
 def ads_from_doc(data) -> AlmostDifferenceSet:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Tuple, Union
 
-from .designs import Development, SymmetricDesign
+from .designs import Development, SymmetricDesign, blocks_through
 from .gf import BinaryField
 
 
@@ -53,13 +53,9 @@ class Scheme:
     design: Union[SymmetricDesign, Development]
 
     @cached_property
-    def point_blocks(self) -> Dict[int, Tuple[int, ...]]:
+    def point_blocks(self) -> Tuple[Tuple[int, ...], ...]:
         """Blocks (nodes) storing each file, in ascending block order."""
-        through: Dict[int, list] = {}
-        for u, block in enumerate(self.placement):
-            for x in block:
-                through.setdefault(x, []).append(u)
-        return {x: tuple(us) for x, us in through.items()}
+        return blocks_through(self.placement, self.N)
 
     @cached_property
     def pair_blocks(self) -> Dict[Tuple[int, int], Tuple[int, ...]]:

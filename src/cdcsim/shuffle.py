@@ -336,14 +336,17 @@ def run(s: Scheme, seed: int, T: int) -> RunResult:
                      load=measure_load(s, transcript, T))
 
 
-def transcript_to_jsonl(transcript: Transcript) -> str:
-    """One canonical JSON object per message, in transcript order."""
-    lines = []
+def transcript_lines(transcript: Transcript) -> Iterator[str]:
+    """One canonical JSON object per message, in transcript order, each
+    line ending in a newline."""
     for m in transcript.messages:
         nbytes = (m.bits + 7) // 8
-        lines.append(json.dumps(
+        yield json.dumps(
             {"sender": m.sender, "tag": m.tag, "meta": list(m.meta),
              "bits": m.bits, "payload": m.payload.to_bytes(nbytes, "big").hex()},
-            separators=(",", ":"), sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")
+            separators=(",", ":"), sort_keys=True) + "\n"
 
+
+def transcript_to_jsonl(transcript: Transcript) -> str:
+    """The whole transcript as JSON lines, one message per line."""
+    return "".join(transcript_lines(transcript))

@@ -13,7 +13,7 @@ import pytest
 
 from cdcsim.analysis import (ads_load, jiang_load, li_load, li_sandwich,
                              li_lower_bound_inequality, li_lower_bound_steps,
-                             ours_sd_load, symmetric_design_families)
+                             ours_sd_load)
 from cdcsim.cli import EX_OK, main
 from cdcsim.designs import (SymmetricDesign, classify_ads, complement_ads,
                             develop, diff_function, projective_plane,
@@ -22,6 +22,8 @@ from cdcsim.scheme import (build_scheme_ads, build_scheme_sd,
                            centralized_outputs, choose_T, node_view,
                            reduce_outputs)
 from cdcsim.shuffle import run
+
+from test_analysis import symmetric_design_families
 
 
 def verdict(tag, ok):

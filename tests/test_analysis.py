@@ -4,10 +4,45 @@ from math import comb
 import pytest
 
 from cdcsim.analysis import (AnalysisDomainError, CSV_HEADER, ads_load,
-                             is_prime_power, jiang_load, li_load,
-                             li_lower_bound_inequality, li_lower_bound_steps,
-                             li_sandwich, ours_sd_load, sweep, sweep_csv,
-                             symmetric_design_families)
+                             jiang_load, li_load, li_lower_bound_inequality,
+                             li_lower_bound_steps, li_sandwich, ours_sd_load,
+                             sweep, sweep_csv)
+
+
+def is_prime_power(x: int) -> bool:
+    """True when x = f^e for a prime f and e >= 1."""
+    if x < 2:
+        return False
+    f = 2
+    while f * f <= x:
+        if x % f == 0:
+            while x % f == 0:
+                x //= f
+            return x == 1
+        f += 1
+    return True
+
+
+def symmetric_design_families(b: int):
+    """Admissible (label, v, t, lam) symmetric-design families at order b.
+
+    The parameter sets the loads are compared over (acceptance criterion 6
+    imports this).  Three families need b to be a prime power; the fourth
+    needs both b-1 and b^2-b+1 to be prime powers.  Each returned triple
+    satisfies the counting identity lam*(v-1) = t*(t-1).
+    """
+    if b < 2:
+        raise AnalysisDomainError(f"b must be at least 2, got {b}")
+    out = []
+    if is_prime_power(b):
+        out.append(("b2+b+1", b * b + b + 1, b + 1, 1))
+        out.append(("b3+b2+b+1", b ** 3 + b * b + b + 1, b * b + b + 1, b + 1))
+        out.append(("b3+2b2", b ** 3 + 2 * b * b, b * b + b, b))
+    if is_prime_power(b - 1) and is_prime_power(b * b - b + 1):
+        out.append(("b3+b+1", b ** 3 + b + 1, b * b + 1, b))
+    for _, v, t, lam in out:
+        assert lam * (v - 1) == t * (t - 1), (b, v, t, lam)
+    return out
 
 
 def li_reference(K, r, s):

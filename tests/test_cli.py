@@ -125,6 +125,9 @@ def test_usage_errors(capsys):
         EX_USAGE
     assert run(capsys, "compare", "--family", "plane", "--min", "5",
                "--max", "3")[0] == EX_USAGE
+    # empty once --min-p is clamped up to 5
+    assert run(capsys, "check-appendix", "--min-p", "1",
+               "--max-p", "3")[0] == EX_USAGE
 
 
 # small integers and short lists keep classification and any simulation

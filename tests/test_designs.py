@@ -1,15 +1,85 @@
+import json
+from typing import Dict, Sequence, Tuple, Union
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdcsim.designs import (AdsReport, AlmostDifferenceSet,
                             DesignParameterError, DesignVerificationError,
-                            DesignViolation, SymmetricDesign, classify_ads,
-                            complement_ads, develop, diff_function, export_ads,
-                            export_design, import_ads, import_design,
-                            projective_plane, ruzsa_ads,
+                            DesignViolation, SymmetricDesign, ads_from_doc,
+                            classify_ads, complement_ads, develop,
+                            diff_function, export_ads, export_design,
+                            import_design, projective_plane, ruzsa_ads,
                             smallest_primitive_root, verify_symmetric_design)
 
 FANO_BLOCKS = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6),
                (2, 3, 6), (2, 4, 5)]
+
+
+def reference_verify(
+        v: int, blocks: Sequence[Sequence[int]]
+) -> Union[SymmetricDesign, DesignViolation]:
+    """The design verifier as a pair dictionary, a replication counter and
+    a set intersection per block pair, kept as the reference."""
+    normalized = [tuple(sorted(b)) for b in blocks]
+    if v < 2:
+        return DesignViolation("point-count", (v,), "need at least 2 points")
+    for b in normalized:
+        if len(set(b)) != len(b):
+            return DesignViolation("block-members", b, "repeated point in block")
+        if b and (b[0] < 0 or b[-1] >= v):
+            return DesignViolation("block-members", b, f"point outside [0, {v})")
+    if len(normalized) != v:
+        return DesignViolation("block-count", (len(normalized), v),
+                               f"{len(normalized)} blocks for {v} points")
+    sizes = {len(b) for b in normalized}
+    if len(sizes) != 1:
+        return DesignViolation("block-size", tuple(sorted(sizes)),
+                               "blocks have unequal sizes")
+    t = sizes.pop()
+    if t < 2:
+        return DesignViolation("block-size", (t,), "blocks need at least 2 points")
+
+    pair_count: Dict[Tuple[int, int], int] = {}
+    for b in normalized:
+        for i in range(len(b)):
+            for j in range(i + 1, len(b)):
+                pair = (b[i], b[j])
+                pair_count[pair] = pair_count.get(pair, 0) + 1
+    lam = pair_count.get((0, 1), 0) if v >= 2 else 0
+    for x in range(v):
+        for y in range(x + 1, v):
+            count = pair_count.get((x, y), 0)
+            if count != lam:
+                return DesignViolation(
+                    "pair-multiplicity", (x, y, count),
+                    f"pair ({x},{y}) lies in {count} blocks, expected {lam}")
+
+    replication = [0] * v
+    for b in normalized:
+        for x in b:
+            replication[x] += 1
+    for x in range(v):
+        if replication[x] != t:
+            return DesignViolation(
+                "replication", (x, replication[x]),
+                f"point {x} lies in {replication[x]} blocks, expected {t}")
+
+    for i in range(v):
+        si = set(normalized[i])
+        for j in range(i + 1, v):
+            meet = len(si.intersection(normalized[j]))
+            if meet != lam:
+                return DesignViolation(
+                    "block-intersection", (i, j, meet),
+                    f"blocks {i} and {j} meet in {meet} points, expected {lam}")
+
+    if lam * (v - 1) != t * (t - 1):
+        return DesignViolation(
+            "counting-identity", (v, t, lam),
+            f"lam*(v-1) = {lam * (v - 1)} but t*(t-1) = {t * (t - 1)}")
+    return SymmetricDesign(v=v, t=t, lam=lam, blocks=tuple(sorted(normalized)))
 
 
 @pytest.mark.parametrize("b,v,t", [(2, 7, 3), (3, 13, 4), (5, 31, 6)])
@@ -191,14 +261,55 @@ def test_design_round_trip_byte_stable():
 def test_ads_round_trip():
     a = ruzsa_ads(5)
     text = export_ads(a)
-    assert import_ads(text) == a
-    assert export_ads(import_ads(text)) == text
+    assert ads_from_doc(json.loads(text)) == a
+    assert export_ads(ads_from_doc(json.loads(text))) == text
 
 
 def test_import_rejects_bad_content():
     with pytest.raises(DesignVerificationError):
         import_design('{"v":7,"blocks":[[0,1,2]]}')
     with pytest.raises(DesignVerificationError):
-        import_ads('{"n":8,"D":[0,1,2,3]}')
+        ads_from_doc(json.loads('{"n":8,"D":[0,1,2,3]}'))
     with pytest.raises(DesignVerificationError):
         import_design('{"v":7}')
+
+
+@st.composite
+def _random_block_lists(draw):
+    v = draw(st.integers(0, 9))
+    points = st.integers(-1, v + 1)
+    blocks = draw(st.lists(st.lists(points, max_size=v + 1), max_size=v + 1))
+    return v, blocks
+
+
+_PLANES = {b: projective_plane(b) for b in (2, 3, 5)}
+
+
+@st.composite
+def _edited_planes(draw):
+    """A plane of order 2, 3 or 5 after 0-2 random edits."""
+    d = _PLANES[draw(st.sampled_from(sorted(_PLANES)))]
+    blocks = [list(b) for b in d.blocks]
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["point", "drop", "duplicate", "reorder"]))
+        i = draw(st.integers(0, len(blocks) - 1))
+        if edit == "point":
+            block = blocks[i]
+            block[draw(st.integers(0, len(block) - 1))] = \
+                draw(st.integers(-1, d.v))
+        elif edit == "drop":
+            del blocks[i]
+        elif edit == "duplicate":
+            blocks.insert(i, list(blocks[i]))
+        else:
+            blocks = draw(st.permutations(blocks))
+    return d.v, blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_block_lists() | _edited_planes())
+def test_verify_matches_reference(case):
+    """Same design, or the same first violation with the same witness and
+    message, as the pair-dictionary reference."""
+    v, blocks = case
+    assert verify_symmetric_design(v, blocks) == reference_verify(v, blocks)
