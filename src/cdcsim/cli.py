@@ -12,6 +12,7 @@ parameters, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Iterable, List, Optional, Union
@@ -197,7 +198,9 @@ def cmd_check_appendix(args) -> int:
     return EX_OK if all_hold else EX_VERIFY
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argparse tree, built on first use and shared by every call."""
     parser = _Parser(prog="cdcsim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
 

@@ -1,15 +1,24 @@
 """Exact arithmetic over the binary fields GF(2^m).
 
 Elements are ints in [0, 2^m): addition is XOR, multiplication is
-carry-less polynomial multiplication reduced by a fixed irreducible
-modulus.  No floats anywhere, no hidden randomness; every operation is
+carry-less polynomial multiplication reduced by a modulus chosen by rule,
+the smallest irreducible polynomial of degree m, found by Rabin's test.
+The rule is fixed, so transcripts are reproducible across runs and
+machines.  Inverses come from the extended Euclidean algorithm over
+GF(2)[x].  No floats anywhere, no hidden randomness; every operation is
 exact and deterministic.  The module also holds is_prime, the primality
 test of the design and analysis code.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+import functools
+from typing import List, Sequence
+
+# The largest extension degree served: it admits the fields of the planes
+# of order 11 (GF(2^48)) and 13 (GF(2^56)) and keeps larger schemes, such
+# as plane 31 over GF(2^160), outside the simulated domain.
+MAX_DEGREE = 64
 
 
 class FieldError(ValueError):
@@ -20,61 +29,51 @@ class SingularMatrixError(ValueError):
     """Linear system without a unique solution."""
 
 
-# One irreducible polynomial per degree, the lexicographically smallest.
-# Bit i of the encoding is the coefficient of x^i.  The table is fixed so
-# transcripts are reproducible across runs and machines; the test suite
-# checks every entry by trial division.
-IRREDUCIBLE_POLY: Dict[int, int] = {
-    1: 0x2,
-    2: 0x7,
-    3: 0xB,
-    4: 0x13,
-    5: 0x25,
-    6: 0x43,
-    7: 0x83,
-    8: 0x11B,
-    9: 0x203,
-    10: 0x409,
-    11: 0x805,
-    12: 0x1009,
-    13: 0x201B,
-    14: 0x4021,
-    15: 0x8003,
-    16: 0x1002B,
-    17: 0x20009,
-    18: 0x40009,
-    19: 0x80027,
-    20: 0x100009,
-    21: 0x200005,
-    22: 0x400003,
-    23: 0x800021,
-    24: 0x100001B,
-    25: 0x2000009,
-    26: 0x400001B,
-    27: 0x8000027,
-    28: 0x10000003,
-    29: 0x20000005,
-    30: 0x40000003,
-    31: 0x80000009,
-    32: 0x10000008D,
-}
+def _poly_mod(a: int, f: int) -> int:
+    """Remainder of a modulo f in GF(2)[x]; bit i is the coefficient of x^i."""
+    n = f.bit_length()
+    while (shift := a.bit_length() - n) >= 0:
+        a ^= f << shift
+    return a
+
+
+def _is_irreducible(f: int) -> bool:
+    """Rabin's test (Rabin, SIAM J. Comput. 9, 1980) for f of degree m >= 1.
+
+    f is irreducible iff x^(2^m) = x (mod f) and, for every prime p
+    dividing m, gcd(x^(2^(m/p)) - x, f) = 1.  Squaring in GF(2)[x] spreads
+    the coefficients to the even powers.
+    """
+    m = f.bit_length() - 1
+    x = _poly_mod(0b10, f)
+    checks = {m // p for p in range(2, m + 1) if m % p == 0 and is_prime(p)}
+    power = x  # x^(2^k) mod f
+    for k in range(1, m + 1):
+        power = _poly_mod(int("0".join(format(power, "b")), 2), f)
+        if k in checks:
+            a, b = f, power ^ x
+            while b:
+                a, b = b, _poly_mod(a, b)
+            if a != 1:
+                return False
+    return power == x
+
+
+@functools.cache
+def _smallest_irreducible(m: int) -> int:
+    return next(f for f in range(1 << m, 2 << m) if _is_irreducible(f))
 
 
 class BinaryField:
-    """GF(2^m) modulo IRREDUCIBLE_POLY[m]."""
+    """GF(2^m) modulo the smallest irreducible polynomial of degree m."""
 
     def __init__(self, m: int):
-        if m < 1:
-            raise FieldError(f"extension degree must be >= 1, got {m}")
-        try:
-            self.modulus = IRREDUCIBLE_POLY[m]
-        except KeyError:
+        if not 1 <= m <= MAX_DEGREE:
             raise FieldError(
-                f"no built-in modulus of degree {m}; the table covers "
-                f"degrees 1..{max(IRREDUCIBLE_POLY)}"
-            ) from None
+                f"extension degree must be in 1..{MAX_DEGREE}, got {m}")
         self.m = m
         self.order = 1 << m
+        self.modulus = _smallest_irreducible(m)
 
     def __repr__(self) -> str:
         return f"BinaryField(m={self.m}, modulus=0x{self.modulus:x})"
@@ -98,25 +97,21 @@ class BinaryField:
                 a ^= modulus
         return acc
 
-    def pow(self, a: int, e: int) -> int:
-        """a**e by square-and-multiply, with the convention 0**0 = 1."""
-        self._check(a)
-        if e < 0:
-            raise FieldError("negative exponents are not defined here")
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
     def inv(self, a: int) -> int:
+        """Extended Euclid over GF(2)[x]: each remainder r is kept with an s
+        such that r = s*a (mod modulus); once r is 1, s is the inverse."""
         self._check(a)
         if a == 0:
             raise FieldError("zero is not invertible")
-        return self.pow(a, self.order - 2)
+        r0, s0, r1, s1 = a, 1, self.modulus, 0
+        while r0 != 1:
+            shift = r0.bit_length() - r1.bit_length()
+            if shift < 0:
+                r0, s0, r1, s1 = r1, s1, r0, s0
+                shift = -shift
+            r0 ^= r1 << shift
+            s0 ^= s1 << shift
+        return s0
 
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -154,16 +149,13 @@ def solve_power_sums(field: BinaryField, points: Sequence[int],
     p = 0..n-1, solved in closed form (Bjorck and Pereyra, Math. Comp. 24,
     1970).  With M(z) = prod_i (z - x_i) and Q_j = M / (z - x_j),
     sum_p coef_p(Q_j) * sums_p = Q_j(x_j) * u_j, since Q_j vanishes at
-    every other point.  Distinct points make every Q_j(x_j) nonzero; the
-    n divisions share one field inversion.
+    every other point.  Distinct points make every Q_j(x_j) nonzero.
     """
     n = len(points)
     if len(set(points)) != n:
         raise SingularMatrixError("points must be distinct")
     if len(sums) != n:
         raise ValueError(f"expected {n} sums, got {len(sums)}")
-    if n == 0:
-        return []
     mul = field.mul
     # coefficients of M, constant term first
     m = [1]
@@ -171,8 +163,7 @@ def solve_power_sums(field: BinaryField, points: Sequence[int],
         m = [0] + m
         for k in range(len(m) - 1):
             m[k] ^= mul(x, m[k + 1])
-    numerators = []
-    denominators = []
+    out = []
     for j, x in enumerate(points):
         # synthetic division M / (z - x), top coefficient down
         q = 1
@@ -184,15 +175,5 @@ def solve_power_sums(field: BinaryField, points: Sequence[int],
         for i, y in enumerate(points):
             if i != j:
                 den = mul(den, x ^ y)
-        numerators.append(num)
-        denominators.append(den)
-    # one inversion for all n denominators (prefix products)
-    prefix = [1]
-    for den in denominators:
-        prefix.append(mul(prefix[-1], den))
-    inv = field.inv(prefix[-1])
-    out = [0] * n
-    for j in range(n - 1, -1, -1):
-        out[j] = mul(numerators[j], mul(inv, prefix[j]))
-        inv = mul(inv, denominators[j])
+        out.append(mul(num, field.inv(den)))
     return out

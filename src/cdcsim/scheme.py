@@ -149,7 +149,7 @@ def _check_T(s: Scheme, T: int) -> None:
             raise SchemeParameterError(
                 f"T={T} gives only {2 ** degree} coefficients for "
                 f"{points}-point encoding")
-        BinaryField(degree)  # the shuffle needs the field to exist
+        BinaryField(degree)  # raises FieldError past gf.MAX_DEGREE
 
 
 def choose_T(s: Scheme, scale: int = 1) -> int:

@@ -224,6 +224,17 @@ def test_simulate_from_design_file(capsys, tmp_path):
             assert out == "" and "verification failed" in err, text
 
 
+@pytest.mark.parametrize("plane,scale,T", [(2, 6, 36), (3, 5, 40)])
+def test_simulate_fields_past_degree_32(capsys, plane, scale, T):
+    # the off-diagonal code of a plane runs over GF(2^T)
+    code, out, _ = run(capsys, "simulate", "--scheme", "sd",
+                       "--plane", str(plane), "--scale", str(scale))
+    assert code == EX_OK
+    report = json.loads(out)
+    assert report["T"] == T
+    assert report["match"] and report["decode_ok"]
+
+
 def test_simulate_unsupported(capsys):
     # a valid plane whose field degree is past the supported ceiling
     code, _, err = run(capsys, "simulate", "--scheme", "sd", "--plane", "31")

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cdcsim.gf import (BinaryField, FieldError, IRREDUCIBLE_POLY,
-                       SingularMatrixError, is_prime, solve_power_sums)
+from cdcsim.gf import (MAX_DEGREE, BinaryField, FieldError,
+                       SingularMatrixError, _is_irreducible, is_prime,
+                       solve_power_sums)
 
 
 def poly_mod(a, b):
@@ -25,14 +26,36 @@ def poly_is_irreducible(f):
     return all(poly_mod(f, d) for d in range(2, 1 << (m // 2 + 1)))
 
 
+def clmul(a, b):
+    """Carry-less product of two GF(2) polynomials."""
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        a <<= 1
+        b >>= 1
+    return acc
+
+
+def reference_inv(f, a):
+    """a^(2^m - 2) by square-and-multiply (Fermat), for a != 0."""
+    result, base, e = 1, a, f.order - 2
+    while e:
+        if e & 1:
+            result = f.mul(result, base)
+        base = f.mul(base, base)
+        e >>= 1
+    return result
+
+
 def forward_sums(f, points, values):
     """sums_p = sum_j points[j]^p * values[j] for p = 0..len(points)-1."""
-    sums = []
-    for power in range(len(points)):
-        acc = 0
-        for pt, val in zip(points, values):
-            acc ^= f.mul(f.pow(pt, power), val)
-        sums.append(acc)
+    sums = [0] * len(points)
+    for pt, val in zip(points, values):
+        term = val
+        for power in range(len(points)):
+            sums[power] ^= term
+            term = f.mul(term, pt)
     return sums
 
 
@@ -81,44 +104,62 @@ def test_inv_example_and_exhaustive():
         g.inv(0)
 
 
-def test_pow_edge_cases():
-    f = BinaryField(4)
-    assert f.pow(0, 0) == 1
-    assert f.pow(5, 1) == 5
-    with pytest.raises(FieldError):
-        f.pow(3, -1)
-
-
 def test_element_range_checked():
     f = BinaryField(3)
     with pytest.raises(FieldError):
         f.mul(8, 1)
 
 
-def test_irreducible_table_is_minimal():
-    """Every stored modulus is irreducible of its degree; for small degrees
-    it is the smallest one, recomputed by brute force."""
-    assert sorted(IRREDUCIBLE_POLY) == list(range(1, 33))
-    for m, f in IRREDUCIBLE_POLY.items():
-        assert f.bit_length() - 1 == m
-        assert poly_is_irreducible(f), m
-    for m in range(1, 13):
-        stored = IRREDUCIBLE_POLY[m]
-        first = next(f for f in range(1 << m, 1 << (m + 1))
+def test_modulus_is_smallest_irreducible():
+    """The modulus rule is the first f >= 2^m that trial division finds
+    irreducible; this pins every transcript coded over degrees 1..32."""
+    for m in range(1, 33):
+        first = next(f for f in range(1 << m, 2 << m)
                      if poly_is_irreducible(f))
-        assert stored == first
+        assert BinaryField(m).modulus == first, m
     assert not poly_is_irreducible(0b101)  # (x+1)^2
     assert poly_is_irreducible(0b111)
 
 
+@given(st.integers(2, (1 << 17) - 1))
+def test_rabin_agrees_with_trial_division(f):
+    """Every f of degree 1..16."""
+    assert _is_irreducible(f) == poly_is_irreducible(f)
+
+
+@st.composite
+def reducible_products(draw):
+    """g*h with deg g, deg h >= 1 and deg g + deg h <= MAX_DEGREE."""
+    dg = draw(st.integers(1, MAX_DEGREE - 1))
+    dh = draw(st.integers(1, MAX_DEGREE - dg))
+    g = draw(st.integers(1 << dg, (2 << dg) - 1))
+    h = draw(st.integers(1 << dh, (2 << dh) - 1))
+    return clmul(g, h)
+
+
+@given(reducible_products())
+def test_rabin_rejects_products(f):
+    assert not _is_irreducible(f)
+
+
+@given(st.integers(1, MAX_DEGREE), st.data())
+def test_inv_matches_fermat(m, data):
+    f = BinaryField(m)
+    a = data.draw(st.integers(1, f.order - 1))
+    assert f.inv(a) == reference_inv(f, a)
+    assert f.mul(a, f.inv(a)) == 1
+
+
 def test_large_degrees_usable():
-    # 18 carries the (31,6,1) scheme, 32 is the table ceiling
-    for m in (18, 32):
+    # 18 carries the (31,6,1) scheme, 48 and 56 planes 11 and 13
+    assert MAX_DEGREE == 64
+    for m in (18, 32, 48, 56, 64):
         f = BinaryField(m)
         a = (1 << (m - 1)) | 5
         assert f.mul(a, f.inv(a)) == 1
-    with pytest.raises(FieldError):
-        BinaryField(33)
+    for m in (0, MAX_DEGREE + 1):
+        with pytest.raises(FieldError):
+            BinaryField(m)
 
 
 def test_power_sums_round_trip():
@@ -135,8 +176,8 @@ def test_power_sums_round_trip():
 
 @st.composite
 def power_sum_systems(draw):
-    """A degree m in 1..32, 1..min(8, 2^m) distinct points, one value each."""
-    m = draw(st.integers(1, 32))
+    """A degree m in 1..64, 1..min(8, 2^m) distinct points, one value each."""
+    m = draw(st.integers(1, MAX_DEGREE))
     n = draw(st.integers(1, min(8, 1 << m)))
     element = st.integers(0, (1 << m) - 1)
     points = draw(st.lists(element, min_size=n, max_size=n, unique=True))

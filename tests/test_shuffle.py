@@ -129,6 +129,38 @@ def test_plane_13_end_to_end():
     assert load == ours_sd_load(13, 4) == Fraction(35, 52)
 
 
+def cyclic_blocks(D, v):
+    return [tuple(sorted((d + r) % v for d in D)) for r in range(v)]
+
+
+def complement_blocks(v, blocks):
+    return [tuple(sorted(set(range(v)) - set(b))) for b in blocks]
+
+
+def quadratic_residues(p):
+    return {x * x % p for x in range(1, p)}
+
+
+@pytest.mark.parametrize("params,make_blocks,scale", [
+    ((7, 4, 2), lambda: complement_blocks(7, CYCLIC_FANO), 1),
+    ((7, 4, 2), lambda: complement_blocks(7, CYCLIC_FANO), 2),
+    ((11, 5, 2), lambda: cyclic_blocks(quadratic_residues(11), 11), 1),
+    ((11, 5, 2), lambda: cyclic_blocks(quadratic_residues(11), 11), 2),
+    ((19, 9, 4), lambda: cyclic_blocks(quadratic_residues(19), 19), 1),
+    ((15, 7, 3), lambda: cyclic_blocks([0, 1, 2, 4, 5, 8, 10], 15), 1),
+    ((13, 9, 6), lambda: complement_blocks(13, projective_plane(3).blocks),
+     1),
+], ids=["fano-complement", "fano-complement-scale2", "paley11",
+        "paley11-scale2", "paley19", "singer15", "plane3-complement"])
+def test_sd_lambda_at_least_two_end_to_end(params, make_blocks, scale):
+    """lam >= 2: off-diagonal values go out in lam segments, each row as
+    g - lam power sums over GF(2^(T/lam))."""
+    design = require_symmetric_design(params[0], make_blocks())
+    assert (design.v, design.t, design.lam) == params
+    load, _, _ = run_end_to_end(build_scheme_sd(design), seed=5, scale=scale)
+    assert load == ours_sd_load(design.v, design.t)
+
+
 @pytest.mark.parametrize("make_scheme,decode", [
     (fano_scheme, decode_sd),
     (lambda: ads_scheme([0, 1, 3], 6), decode_ads),
