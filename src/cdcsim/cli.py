@@ -24,9 +24,9 @@ from .designs import (AlmostDifferenceSet, DesignParameterError,
                       DesignVerificationError, SymmetricDesign, ads_from_doc,
                       design_from_doc, develop, export_ads, export_design,
                       projective_plane, ruzsa_ads)
-from .gf import FieldError
+from .gf import FieldError, is_prime
 from .scheme import (SchemeParameterError, build_scheme_ads, build_scheme_sd,
-                     choose_T, scheme_to_json)
+                     choose_T, choose_sd_T, scheme_to_json)
 from .shuffle import run, transcript_lines
 
 EX_OK = 0
@@ -110,6 +110,10 @@ def _source(args, path: Optional[str], scheme: Optional[str] = None,
     if scheme is not None and scheme != kind:
         raise _UsageError(f"{what}, got --scheme {scheme}")
     if args.plane is not None:
+        if scheme == "sd" and is_prime(args.plane):
+            # a plane of order b is a (b^2+b+1, b+1, 1) design: meet the
+            # width rule before building one
+            choose_sd_T(args.plane + 1, 1, args.scale)
         return projective_plane(args.plane)
     if args.ruzsa is not None:
         return ruzsa_ads(args.ruzsa)

@@ -6,14 +6,21 @@ the smallest irreducible polynomial of degree m, found by Rabin's test.
 The rule is fixed, so transcripts are reproducible across runs and
 machines.  Inverses come from the extended Euclidean algorithm over
 GF(2)[x].  No floats anywhere, no hidden randomness; every operation is
-exact and deterministic.  The module also holds is_prime, the primality
-test of the design and analysis code.
+exact and deterministic.
+
+solve_power_sums inverts the power-sum code of the sd shuffle through a
+solve plan per (degree, point set), built once and cached: a solve is
+then n^2 multiplies by the plan's constants.  The public mul and inv
+range-check their operands; internal multiplies, whose operands are
+field elements by construction, skip the check, and solve_power_sums
+checks its points and sums once at its boundary.  The module also holds
+is_prime, the primality test of the design and analysis code.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 # The largest extension degree served: it admits the fields of the planes
 # of order 11 (GF(2^48)) and 13 (GF(2^56)) and keeps larger schemes, such
@@ -84,8 +91,16 @@ class BinaryField:
                 raise FieldError(f"element {a} outside [0, {self.order})")
 
     def mul(self, a: int, b: int) -> int:
-        """Shift-and-add product, reducing a each time it reaches degree m."""
+        """Product of two elements, each range-checked."""
         self._check(a, b)
+        return self._mul(a, b)
+
+    def _mul(self, a: int, b: int) -> int:
+        """Shift-and-add product, reducing a each time it reaches degree m.
+
+        No range check: internal callers pass field elements by
+        construction.
+        """
         order, modulus = self.order, self.modulus
         acc = 0
         while b:
@@ -141,39 +156,60 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=4096)
+def _solve_plan(m: int, points: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+    """Rows c_j with u_j = sum_p c_j[p] * sums_p over GF(2^m), for distinct
+    points; row j is the coefficient list of Q_j over Q_j(x_j).
+
+    The transpose of the interpolation system, solved in closed form
+    (Bjorck and Pereyra, Math. Comp. 24, 1970).  With
+    M(z) = prod_i (z - x_i) and Q_j = M / (z - x_j),
+    sum_p coef_p(Q_j) * sums_p = Q_j(x_j) * u_j, since Q_j vanishes at
+    every other point.  Distinct points make every Q_j(x_j) nonzero.
+    The cache is bounded, since callers may pass any point sets.
+    """
+    field = BinaryField(m)
+    mul, n = field._mul, len(points)
+    # coefficients of M, constant term first
+    big = [1]
+    for x in points:
+        big = [0] + big
+        for k in range(len(big) - 1):
+            big[k] ^= mul(x, big[k + 1])
+    rows = []
+    for j, x in enumerate(points):
+        # synthetic division M / (z - x), top coefficient down
+        coef = [1] * n
+        for k in range(n - 1, 0, -1):
+            coef[k - 1] = big[k] ^ mul(x, coef[k])
+        den = 1
+        for i, y in enumerate(points):
+            if i != j:
+                den = mul(den, x ^ y)
+        inv_den = field.inv(den)
+        rows.append(tuple(mul(c, inv_den) for c in coef))
+    return tuple(rows)
+
+
 def solve_power_sums(field: BinaryField, points: Sequence[int],
                      sums: Sequence[int]) -> List[int]:
     """Recover u_j from the weighted power sums sums_p = sum_j points[j]^p * u_j.
 
-    The transpose of the interpolation system: one equation per power
-    p = 0..n-1, solved in closed form (Bjorck and Pereyra, Math. Comp. 24,
-    1970).  With M(z) = prod_i (z - x_i) and Q_j = M / (z - x_j),
-    sum_p coef_p(Q_j) * sums_p = Q_j(x_j) * u_j, since Q_j vanishes at
-    every other point.  Distinct points make every Q_j(x_j) nonzero.
+    One equation per power p = 0..n-1.  The solve plan of (m, points) is
+    built once and cached; a solve is then n^2 multiplies by its
+    constants.
     """
     n = len(points)
     if len(set(points)) != n:
         raise SingularMatrixError("points must be distinct")
     if len(sums) != n:
         raise ValueError(f"expected {n} sums, got {len(sums)}")
-    mul = field.mul
-    # coefficients of M, constant term first
-    m = [1]
-    for x in points:
-        m = [0] + m
-        for k in range(len(m) - 1):
-            m[k] ^= mul(x, m[k + 1])
+    field._check(*points, *sums)
+    mul = field._mul
     out = []
-    for j, x in enumerate(points):
-        # synthetic division M / (z - x), top coefficient down
-        q = 1
-        num = sums[n - 1]
-        for k in range(n - 1, 0, -1):
-            q = m[k] ^ mul(x, q)
-            num ^= mul(q, sums[k - 1])
-        den = 1
-        for i, y in enumerate(points):
-            if i != j:
-                den = mul(den, x ^ y)
-        out.append(mul(num, field.inv(den)))
+    for row in _solve_plan(field.m, tuple(points)):
+        acc = 0
+        for c, value in zip(row, sums):
+            acc ^= mul(c, value)
+        out.append(acc)
     return out

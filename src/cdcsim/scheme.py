@@ -112,44 +112,61 @@ def build_scheme_ads(dev: Development) -> Scheme:
                   placement=dev.blocks, assignment=dev.blocks, design=dev)
 
 
-def _segment_counts(s: Scheme) -> Tuple[int, ...]:
-    """Every number of equal segments the shuffle cuts a T-bit value into.
+# (segment counts, power-sum codes as (segments, coding points))
+_Rule = Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]
 
-    The sd scheme cuts diagonal values into t and off-diagonal ones into
-    lam; the ADS scheme cuts a pair into its lam or lam + 1 common blocks,
-    or, when lam = 0, a value into k plain segments.
+
+def _sd_rule(t: int, lam: int) -> _Rule:
+    """Width rule of the sd scheme on any (v, t, lam) design.
+
+    Diagonal values are cut into t segments and coded at t points over
+    GF(2^(T/t)); off-diagonal ones into lam segments, coded at t - 1
+    points over GF(2^(T/lam)).
+    """
+    return (t, lam), ((t, t), (lam, t - 1))
+
+
+def _rule(s: Scheme) -> _Rule:
+    """(segment counts, power-sum codes) that constrain the bit width T.
+
+    Every segment count must divide T.  A code (segments, points) works
+    over GF(2^(T/segments)) and needs at least points elements there.
+    Only the sd scheme codes; the ADS scheme cuts a pair into its lam or
+    lam + 1 common blocks or, when lam = 0, a value into k plain segments.
     """
     if s.kind == "sd":
-        return (s.design.t, s.design.lam)
+        return _sd_rule(s.design.t, s.design.lam)
     lam, k = s.design.source.lam, s.design.source.k
-    return (lam, lam + 1) if lam >= 1 else (k,)
+    return ((lam, lam + 1) if lam >= 1 else (k,)), ()
 
 
-def _coding_fields(s: Scheme, T: int) -> Tuple[Tuple[int, int], ...]:
-    """(field degree, coding points) of each power-sum code at width T.
-
-    Only the sd scheme codes: t points over GF(2^(T/t)) on the diagonal,
-    t - 1 points over GF(2^(T/lam)) off it.
-    """
-    if s.kind != "sd":
-        return ()
-    t, lam = s.design.t, s.design.lam
-    return ((T // t, t), (T // lam, t - 1))
-
-
-def _check_T(s: Scheme, T: int) -> None:
+def _check_T(rule: _Rule, T: int) -> None:
     if not isinstance(T, int) or T < 1:
         raise SchemeParameterError(f"T must be a positive integer, got {T}")
-    counts = _segment_counts(s)
+    counts, codes = rule
     if any(T % c for c in counts):
         raise SchemeParameterError(
             f"T={T} must be divisible by each of {counts}")
-    for degree, points in _coding_fields(s, T):
+    for segments, points in codes:
+        degree = T // segments
         if 2 ** degree < points:
             raise SchemeParameterError(
                 f"T={T} gives only {2 ** degree} coefficients for "
                 f"{points}-point encoding")
         BinaryField(degree)  # raises FieldError past gf.MAX_DEGREE
+
+
+def _choose_T(rule: _Rule, scale: int) -> int:
+    if not isinstance(scale, int) or scale < 1:
+        raise SchemeParameterError(f"scale must be a positive integer, got {scale}")
+    counts, codes = rule
+    base = math.lcm(*counts)
+    T = base
+    while any(2 ** (T // segments) < points for segments, points in codes):
+        T += base
+    T *= scale
+    _check_T(rule, T)
+    return T
 
 
 def choose_T(s: Scheme, scale: int = 1) -> int:
@@ -159,15 +176,14 @@ def choose_T(s: Scheme, scale: int = 1) -> int:
     two binary extension fields enough distinct coefficients for its
     coding points.
     """
-    if not isinstance(scale, int) or scale < 1:
-        raise SchemeParameterError(f"scale must be a positive integer, got {scale}")
-    base = math.lcm(*_segment_counts(s))
-    T = base
-    while any(2 ** degree < points for degree, points in _coding_fields(s, T)):
-        T += base
-    T *= scale
-    _check_T(s, T)
-    return T
+    return _choose_T(_rule(s), scale)
+
+
+def choose_sd_T(t: int, lam: int, scale: int = 1) -> int:
+    """choose_T of the sd scheme on a (v, t, lam) design, t > lam + 1,
+    from the parameters alone, so a width past the field bound is met
+    before the design is built."""
+    return _choose_T(_sd_rule(t, lam), scale)
 
 
 def _stream_bits(seed: int, q: int, n: int, nbits: int) -> int:
@@ -187,7 +203,7 @@ def generate_ivs(s: Scheme, seed: int, T: int) -> IVTable:
     """Deterministic T-bit intermediate values for all (q, n) pairs."""
     if not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
         raise SchemeParameterError(f"seed must be in [0, 2^64), got {seed}")
-    _check_T(s, T)
+    _check_T(_rule(s), T)
     values = {(q, n): _stream_bits(seed, q, n, T)
               for q in range(s.Q) for n in range(s.N)}
     return IVTable(T=T, values=values)

@@ -20,7 +20,10 @@ GF(2^(T/lam)), j the position of y among the others), each member being
 the segment u holds.  A group of g members goes out as the g - lam power
 sums sum_j j^p * seg_j, p = 0..g-lam-1.  A receiver subtracts the terms it
 can compute locally and is left with a square power-sum system at
-distinct points.
+distinct points.  run() gives the decodes of all nodes one memo of solved
+systems, keyed by (width, unknown points, the receiver's own right-hand
+sides): receivers lacking the same points of a group pose the same system
+and solve it once, and none ever reads another node's values.
 
 ADS scheme: one encoder, shuffle_ads, serves every lam.  A pair x < y lies
 in c common blocks, c = lam or lam + 1.  When c >= 1 the pair shares both
@@ -32,10 +35,11 @@ block through the file.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .gf import BinaryField, solve_power_sums
 from .scheme import (IVTable, Scheme, SchemeParameterError,
@@ -151,12 +155,17 @@ def _sd_groups(s: Scheme, u: int,
 
 def _power_sums(field: BinaryField, terms: Iterable[Tuple[int, int]],
                 count: int) -> List[int]:
-    """sum_j point_j^p * value_j for p = 0..count-1 over (point_j, value_j)."""
+    """sum_j point_j^p * value_j for p = 0..count-1 over (point_j, value_j).
+
+    Points and values are field elements by construction, so the
+    multiplies skip the range check.
+    """
+    mul = field._mul
     sums = [0] * count
     for point, value in terms:
         sums[0] ^= value
         for p in range(1, count):
-            value = field.mul(value, point)
+            value = mul(value, point)
             sums[p] ^= value
     return sums
 
@@ -179,16 +188,23 @@ def shuffle_sd(s: Scheme, ivs: IVTable) -> Transcript:
     return _finish(messages)
 
 
-def decode_sd(s: Scheme, node: int, transcript: Transcript,
-              ivs: IVTable) -> Dict[Tuple[int, int], int]:
+def decode_sd(s: Scheme, node: int, transcript: Transcript, ivs: IVTable,
+              solved: Optional[dict] = None) -> Dict[Tuple[int, int], int]:
     """Recover every intermediate value node needs, from messages alone.
 
     Only the node's locally stored values are read from the table.  Each
     group of another sender that holds a needed value reduces, once the
     local terms are subtracted, to a square power-sum system.
+
+    solved memoizes those systems, keyed by (width, unknown points, this
+    node's right-hand sides), so decodes that share one dict solve each
+    distinct system once.  A node only ever reuses the solution of the
+    very system its own sums pose: what another node read never enters.
     """
     if s.kind != "sd":
         raise SchemeParameterError(f"expected an sd scheme, got {s.kind}")
+    if solved is None:
+        solved = {}
     lam, T = s.design.lam, ivs.T
     local = _local_values(s, node, ivs)
     needed = node_view(s, node).needed
@@ -203,13 +219,18 @@ def decode_sd(s: Scheme, node: int, transcript: Transcript,
             field = BinaryField(width)
             known = [(j, split_bits(local[key], T, T // width)[index])
                      for j, (key, index) in enumerate(members) if key in local]
-            unknown = [j for j, (key, _) in enumerate(members)
-                       if key not in local]
-            sums = [_payload(transcript, node, (u, tag, prefix + (p,))) ^ own
-                    for p, own in enumerate(
-                        _power_sums(field, known, len(members) - lam))]
-            for j, value in zip(unknown,
-                                solve_power_sums(field, unknown, sums)):
+            unknown = tuple(j for j, (key, _) in enumerate(members)
+                            if key not in local)
+            sums = tuple(
+                _payload(transcript, node, (u, tag, prefix + (p,))) ^ own
+                for p, own in enumerate(
+                    _power_sums(field, known, len(members) - lam)))
+            system = (width, unknown, sums)
+            values = solved.get(system)
+            if values is None:
+                values = solved[system] = tuple(
+                    solve_power_sums(field, unknown, sums))
+            for j, value in zip(unknown, values):
                 segs[members[j]] = value
                 widths[members[j][0]] = width
     return {key: join_bits((segs[key, i] for i in range(T // widths[key])),
@@ -315,7 +336,10 @@ def run(s: Scheme, seed: int, T: int) -> RunResult:
     """
     ivs = generate_ivs(s, seed, T)
     if s.kind == "sd":
-        transcript, decode = shuffle_sd(s, ivs), decode_sd
+        # one memo for every node: receivers lacking the same points
+        # pose, and share, the same systems
+        transcript = shuffle_sd(s, ivs)
+        decode = functools.partial(decode_sd, solved={})
     else:
         transcript, decode = shuffle_ads(s, ivs), decode_ads
     decode_ok = True

@@ -48,6 +48,31 @@ def reference_inv(f, a):
     return result
 
 
+def reference_solve(f, points, sums):
+    """The closed form of Bjorck and Pereyra, solved afresh each call:
+    u_j = sum_p coef_p(Q_j) * sums_p / Q_j(x_j), Q_j = prod_{i != j}
+    (z - x_i)."""
+    n = len(points)
+    m = [1]  # coefficients of prod_i (z - x_i), constant term first
+    for x in points:
+        m = [0] + m
+        for k in range(len(m) - 1):
+            m[k] ^= f.mul(x, m[k + 1])
+    out = []
+    for j, x in enumerate(points):
+        q = 1  # synthetic division, top coefficient down
+        num = sums[n - 1]
+        for k in range(n - 1, 0, -1):
+            q = m[k] ^ f.mul(x, q)
+            num ^= f.mul(q, sums[k - 1])
+        den = 1
+        for i, y in enumerate(points):
+            if i != j:
+                den = f.mul(den, x ^ y)
+        out.append(f.mul(num, f.inv(den)))
+    return out
+
+
 def forward_sums(f, points, values):
     """sums_p = sum_j points[j]^p * values[j] for p = 0..len(points)-1."""
     sums = [0] * len(points)
@@ -106,8 +131,11 @@ def test_inv_example_and_exhaustive():
 
 def test_element_range_checked():
     f = BinaryField(3)
+    for a, b in ((8, 1), (1, 8), (-1, 1), (1, -1)):
+        with pytest.raises(FieldError):
+            f.mul(a, b)
     with pytest.raises(FieldError):
-        f.mul(8, 1)
+        f.inv(8)
 
 
 def test_modulus_is_smallest_irreducible():
@@ -172,6 +200,8 @@ def test_power_sums_round_trip():
         assert solve_power_sums(f, points, sums) == values
     with pytest.raises(SingularMatrixError):
         solve_power_sums(f, [3, 3], [1, 0])
+    with pytest.raises(ValueError, match="expected 2 sums"):
+        solve_power_sums(f, [3, 4], [1])
 
 
 @st.composite
@@ -190,6 +220,35 @@ def test_solve_power_sums_inverts_forward_sums(system):
     f, points, values = system
     assert solve_power_sums(f, points, forward_sums(f, points, values)) == \
         values
+
+
+@given(power_sum_systems(), st.data())
+def test_solve_plan_matches_reference_solve(system, data):
+    """Arbitrary right-hand sides, not only consistent ones; each system
+    is solved twice so the second solve reuses the cached plan."""
+    f, points, _ = system
+    element = st.integers(0, f.order - 1)
+    sums = data.draw(st.lists(element, min_size=len(points),
+                              max_size=len(points)))
+    expected = reference_solve(f, points, sums)
+    assert solve_power_sums(f, points, sums) == expected
+    assert solve_power_sums(f, tuple(points), sums) == expected
+
+
+@given(power_sum_systems(), st.data())
+def test_solve_power_sums_range_checked(system, data):
+    """The plan multiplies skip the range check, so the boundary makes it:
+    one point or sum outside GF(2^m) raises FieldError."""
+    f, points, values = system
+    sums = forward_sums(f, points, values)
+    bad = data.draw(st.sampled_from([-1, f.order, f.order + 5]))
+    i = data.draw(st.integers(0, len(points) - 1))
+    if data.draw(st.booleans()):
+        points = points[:i] + [bad] + points[i + 1:]  # still distinct
+    else:
+        sums = sums[:i] + [bad] + sums[i + 1:]
+    with pytest.raises(FieldError):
+        solve_power_sums(f, points, sums)
 
 
 @given(power_sum_systems(), st.data())

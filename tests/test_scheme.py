@@ -4,10 +4,12 @@ import pytest
 
 from cdcsim.designs import (classify_ads, develop, projective_plane,
                             require_symmetric_design, ruzsa_ads)
+from cdcsim.gf import FieldError
 from cdcsim.scheme import (IncompleteRecoveryError, SchemeParameterError,
                            build_scheme_ads, build_scheme_sd,
-                           centralized_outputs, choose_T, generate_ivs,
-                           node_view, reduce_outputs, scheme_to_json)
+                           centralized_outputs, choose_sd_T, choose_T,
+                           generate_ivs, node_view, reduce_outputs,
+                           scheme_to_json)
 
 CYCLIC_FANO = [tuple(sorted((d + r) % 7 for d in (0, 1, 3))) for r in range(7)]
 
@@ -47,6 +49,31 @@ def test_choose_T_values():
     assert choose_T(build_scheme_ads(develop(ruzsa_ads(3)))) == 2
     assert choose_T(build_scheme_ads(develop(ruzsa_ads(5)))) == 4
     assert choose_T(fano_scheme(), scale=3) == 18
+
+
+@pytest.mark.parametrize("make_design", [
+    lambda: require_symmetric_design(7, CYCLIC_FANO),
+    lambda: projective_plane(3),
+    lambda: projective_plane(5),
+    lambda: require_symmetric_design(
+        11, [tuple(sorted((d + r) % 11 for d in (1, 3, 4, 5, 9)))
+             for r in range(11)]),
+], ids=["fano", "plane3", "plane5", "paley11"])
+@pytest.mark.parametrize("scale", [1, 3])
+def test_choose_sd_T_is_choose_T(make_design, scale):
+    """The width from (t, lam) alone is the width of the built scheme."""
+    d = make_design()
+    assert choose_sd_T(d.t, d.lam, scale) == \
+        choose_T(build_scheme_sd(d), scale)
+
+
+def test_choose_sd_T_meets_the_field_bound():
+    """Plane 31 needs GF(2^160); the rule says so without a design."""
+    assert choose_sd_T(14, 1) == 56  # plane 13: GF(2^4) and GF(2^56)
+    with pytest.raises(FieldError, match="got 160"):
+        choose_sd_T(32, 1)
+    with pytest.raises(SchemeParameterError):
+        choose_sd_T(3, 1, scale=0)
 
 
 def test_choose_T_rejects_bad_scale():

@@ -1,9 +1,12 @@
+import dataclasses
 import hashlib
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdcsim.analysis import ads_load, ours_sd_load
 from cdcsim.designs import (classify_ads, complement_ads, develop,
@@ -101,6 +104,8 @@ def test_fano_payload_goldens():
      "790f67c298dae0e825eaf6f881f787d208c0fa976210fed32fb205aef952c20c"),
     (lambda: build_scheme_sd(projective_plane(3)), 4,
      "fcf1a90bae9cf2473afd07ecee4da5fa08057430e235a6681d375c824bd28233"),
+    (lambda: build_scheme_sd(projective_plane(7)), 1,
+     "2a77cae7a1dc0fe50eb5d88bdc6c036774ae2b213d3ee6e5869d2b58b33fddfb"),
     (lambda: ads_scheme([0, 1, 3], 6), 1,
      "f709f5018a5cfa8076479a5ee7b4564b4d9707917af7f8427c2f0c1feb8a6488"),
     (lambda: ads_scheme([0, 1], 6), 1,
@@ -109,17 +114,18 @@ def test_fano_payload_goldens():
      "0ea47df4a3f2b30f30181bc48fd63baab266a239e919c3f9c66e8c80e041c741"),
     (lambda: build_scheme_ads(develop(complement_ads(ruzsa_ads(5)))), 1,
      "ec2130f77fd8c80557576dabd0fb07fb62e584c3e41b91ebe9809357ab6d55c3"),
-], ids=["plane2", "plane3", "plane3-scale4", "ads-634", "ads-620", "ruzsa7",
-        "ruzsa5-complement"])
+], ids=["plane2", "plane3", "plane3-scale4", "plane7", "ads-634", "ads-620",
+        "ruzsa7", "ruzsa5-complement"])
 def test_sd_transcript_goldens(make_scheme, scale, digest):
-    """Every wire byte at seed 0, pinned, for both scheme kinds.
+    """Every wire byte at seed 0, pinned, for both scheme kinds, and every
+    node's decode re-checked.
 
-    Plane 3 at scale 4 codes over GF(2^8) and GF(2^32); (6,2,0) sends
-    pair sums and plain segments; the complement of ruzsa 5 has pairs in
-    12 and in 13 common blocks.
+    Plane 3 at scale 4 codes over GF(2^8) and GF(2^32); plane 7 over
+    GF(2^3) and GF(2^24); (6,2,0) sends pair sums and plain segments; the
+    complement of ruzsa 5 has pairs in 12 and in 13 common blocks.
     """
-    s = make_scheme()
-    text = transcript_to_jsonl(run(s, 0, choose_T(s, scale)).transcript)
+    _, transcript, _ = run_end_to_end(make_scheme(), seed=0, scale=scale)
+    text = transcript_to_jsonl(transcript)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -178,6 +184,92 @@ def test_decode_sd_uses_only_local_values(make_scheme, decode):
             for key, value in ivs.values.items()})
         assert decode(s, node, result.transcript, doctored) == \
             result.recovered[node]
+
+
+SHARED_SD_SCHEMES = {
+    "fano": fano_scheme,
+    "plane3": lambda: build_scheme_sd(projective_plane(3)),
+    "paley11": lambda: build_scheme_sd(require_symmetric_design(
+        11, cyclic_blocks(quadratic_residues(11), 11))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_SD_SCHEMES))
+def test_decode_sd_shared_solves_match_per_node(name):
+    """One memo across every node decodes exactly what each node decodes
+    alone.  With lam = 1 the t - 1 other blocks through a point lack the
+    same points of a sender's group, so fewer systems are solved than the
+    nodes pose; in (11,5,2) two blocks meet in a pair no third block
+    holds, and nothing is shared."""
+    s = SHARED_SD_SCHEMES[name]()
+    result = run(s, 1, choose_T(s))
+    shared, posed = {}, 0
+    for node in range(s.K):
+        alone = {}
+        got = decode_sd(s, node, result.transcript, result.ivs, solved=alone)
+        assert got == decode_sd(s, node, result.transcript, result.ivs)
+        assert decode_sd(s, node, result.transcript, result.ivs,
+                         solved=shared) == got == result.recovered[node]
+        posed += len(alone)
+    assert (len(shared) < posed) == (s.design.lam == 1)
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_SD_SCHEMES))
+def test_decode_sd_shared_solves_keep_nodes_apart(name):
+    """A memo first filled by decodes against other stored values hands
+    none of them on: a system is keyed by the decoding node's own
+    right-hand sides, so every node still decodes exactly."""
+    s = SHARED_SD_SCHEMES[name]()
+    result = run(s, 2, choose_T(s))
+    ivs = result.ivs
+    doctored = IVTable(T=ivs.T, values={key: value ^ 1
+                                        for key, value in ivs.values.items()})
+    shared = {}
+    for node in range(s.K):
+        decode_sd(s, node, result.transcript, doctored, solved=shared)
+    for node in range(s.K):
+        assert decode_sd(s, node, result.transcript, ivs, solved=shared) == \
+            result.recovered[node]
+
+
+def sd_readers(s, message):
+    """Nodes other than the sender that need a value of the message's
+    coding group, worked out from the design alone."""
+    block = s.placement[message.sender]
+    if message.tag == "SD-diagonal":
+        values = [(x, x) for x in block]
+    else:
+        x = message.meta[0]
+        values = [(x, y) for y in block if y != x]
+    return {node for node in range(s.K) if node != message.sender
+            and not node_view(s, node).needed.isdisjoint(values)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SHARED_SD_SCHEMES)), st.integers(0, 3),
+       st.data())
+def test_decode_sd_shared_solves_under_tampering(name, seed, data):
+    """Flip one payload bit of one message: shared and per-node decodes
+    still agree everywhere, every reader of that message decodes a wrong
+    value, and every other node decodes exactly."""
+    s = SHARED_SD_SCHEMES[name]()
+    result = run(s, seed, choose_T(s))
+    messages = list(result.transcript.messages)
+    i = data.draw(st.integers(0, len(messages) - 1))
+    m = messages[i]
+    bit = data.draw(st.integers(0, m.bits - 1))
+    messages[i] = dataclasses.replace(m, payload=m.payload ^ (1 << bit))
+    tampered = Transcript(messages=tuple(messages),
+                          total_bits=result.transcript.total_bits)
+    readers = sd_readers(s, m)
+    assert readers
+    shared = {}
+    for node in range(s.K):
+        got = decode_sd(s, node, tampered, result.ivs)
+        assert decode_sd(s, node, tampered, result.ivs, solved=shared) == got
+        exact = all(value == result.ivs.values[key]
+                    for key, value in got.items())
+        assert exact == (node not in readers), node
 
 
 def test_decode_sd_missing_message():
