@@ -11,7 +11,7 @@ from .analysis import (AnalysisDomainError, CSV_HEADER, InequalityCheck,
 from .designs import (AdsReport, AlmostDifferenceSet, DesignParameterError,
                       DesignVerificationError, DesignViolation, Development,
                       SymmetricDesign, classify_ads, complement_ads, develop,
-                      diff_function, export_ads, export_design, import_design,
+                      export_ads, export_design, import_design,
                       projective_plane, require_symmetric_design, ruzsa_ads,
                       smallest_primitive_root, verify_symmetric_design)
 from .gf import (BinaryField, FieldError, SingularMatrixError, is_prime,

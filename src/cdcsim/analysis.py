@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import List, Optional, Tuple
 
 from .gf import is_prime
@@ -27,18 +27,22 @@ def li_load(K: int, r: int, s: int) -> Fraction:
 
     Sum over message sizes ell from max(r+1, s) to min(r+s, K) of
     C(K-r, K-ell)*C(r, ell-s)/C(K, s) * (ell-r)/(ell-1); an empty range
-    gives 0, so full replication r = K costs nothing.
+    gives 0, so full replication r = K costs nothing.  The terms are summed
+    as integers over one common denominator C(K, s) * lcm(ell - 1), so
+    only the total is reduced.
     """
     if K < 1:
         raise AnalysisDomainError(f"K must be positive, got {K}")
     if not 1 <= r <= K or not 1 <= s <= K:
         raise AnalysisDomainError(
             f"need 1 <= r, s <= K, got r={r}, s={s}, K={K}")
-    total = Fraction(0)
-    for ell in range(max(r + 1, s), min(r + s, K) + 1):
-        total += (Fraction(comb(K - r, K - ell) * comb(r, ell - s), comb(K, s))
-                  * Fraction(ell - r, ell - 1))
-    return total
+    ells = range(max(r + 1, s), min(r + s, K) + 1)
+    if not ells:
+        return Fraction(0)
+    common = lcm(*(ell - 1 for ell in ells))
+    numerator = sum(comb(K - r, K - ell) * comb(r, ell - s) * (ell - r)
+                    * (common // (ell - 1)) for ell in ells)
+    return Fraction(numerator, comb(K, s) * common)
 
 
 def ours_sd_load(v: int, t: int) -> Fraction:

@@ -14,8 +14,9 @@ translate shift.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .gf import is_prime
 
@@ -102,15 +103,67 @@ def blocks_through(blocks: Sequence[Sequence[int]],
     return tuple(map(tuple, through))
 
 
-def _meets(rows: Sequence[Sequence[int]]) -> Iterator[Tuple[int, int, int]]:
-    """(i, j, |rows[i] & rows[j]|) for every i < j, in lexicographic order.
+def _gram_rows(rows: Sequence[Sequence[int]],
+               columns: Sequence[Sequence[int]]) -> Tuple[int, Iterator[bytes]]:
+    """Digit width B and the rows of R R^T, each summed as one packed
+    integer and read back as bytes.
 
-    Each row is a set of distinct non-negative ints, held as one bitmask.
+    R is the 0/1 matrix whose row i holds 1 at each column in rows[i];
+    columns is its transpose (columns[c] = the rows holding c).  Each
+    column is packed as one integer of len(rows) big-endian B-byte digits,
+    digit j = 1 when row j holds c, with B the byte width of the longest
+    row so no digit overflows.  Row i of R R^T is the sum of the packed
+    columns row i holds; it is yielded as bytes, digit j = |rows[i] &
+    rows[j]| in bytes [j*B, (j+1)*B).
     """
-    masks = [sum(1 << x for x in row) for row in rows]
-    for i, a in enumerate(masks):
-        for j in range(i + 1, len(masks)):
-            yield i, j, (a & masks[j]).bit_count()
+    n = len(rows)
+    B = max(1, (max(map(len, rows)).bit_length() + 7) // 8)
+    packed = []
+    for holders in columns:
+        digits = bytearray(n * B)
+        for j in holders:
+            digits[j * B + B - 1] = 1
+        packed.append(int.from_bytes(digits, "big"))
+    return B, (sum(packed[c] for c in row).to_bytes(n * B, "big")
+               for row in rows)
+
+
+def _digits(packed: bytes, B: int) -> Sequence[int]:
+    """The big-endian B-byte digits of packed, in order."""
+    if B == 1:
+        return packed
+    return [int.from_bytes(packed[j:j + B], "big")
+            for j in range(0, len(packed), B)]
+
+
+def _first_unequal_meet(rows: Sequence[Sequence[int]],
+                        columns: Sequence[Sequence[int]],
+                        lam: int) -> Optional[Tuple[int, int, int]]:
+    """The first (i, j, |rows[i] & rows[j]|), i < j in lexicographic order,
+    whose meet is not lam; None when every meet is lam.
+
+    Each Gram row's tail past the diagonal is compared with lam repeated;
+    digits are decoded only in a row that differs.
+    """
+    B, gram = _gram_rows(rows, columns)
+    expected = lam.to_bytes(B, "big") * len(rows)
+    for i, row in enumerate(gram):
+        tail = row[(i + 1) * B:]
+        if tail != expected[:len(tail)]:
+            for j, meet in enumerate(_digits(tail, B), i + 1):
+                if meet != lam:
+                    return i, j, meet
+    return None
+
+
+def _pair_census(rows: Sequence[Sequence[int]],
+                 columns: Sequence[Sequence[int]]) -> Dict[int, int]:
+    """How many pairs i < j have |rows[i] & rows[j]| = m, for each m."""
+    B, gram = _gram_rows(rows, columns)
+    census: Counter = Counter()
+    for i, row in enumerate(gram):
+        census.update(_digits(row[(i + 1) * B:], B))
+    return dict(census)
 
 
 def verify_symmetric_design(
@@ -123,13 +176,14 @@ def verify_symmetric_design(
     Past the shape checks, each check reads entries of these two Gram
     matrices, every entry the meet of two incidence rows: the rows of
     points (the blocks through each point) for N N^T, the rows of blocks
-    for N^T N.  Checks, in order: well-formed blocks, block count = v,
-    uniform block size (the diagonal of N^T N), constant pair
-    multiplicity (off the diagonal of N N^T), constant replication (its
-    diagonal), constant pairwise block intersection (off the diagonal of
-    N^T N), and the counting identity lam*(v-1) = t*(t-1).  Returns a
-    SymmetricDesign (blocks canonically sorted) on success, otherwise a
-    DesignViolation for the first failure.
+    for N^T N.  Each Gram row is one packed integer sum (_gram_rows), and
+    a pair is decoded from it only where the row is off.  Checks, in
+    order: well-formed blocks, block count = v, uniform block size (the
+    diagonal of N^T N), constant pair multiplicity (off the diagonal of
+    N N^T), constant replication (its diagonal), constant pairwise block
+    intersection (off the diagonal of N^T N), and the counting identity
+    lam*(v-1) = t*(t-1).  Returns a SymmetricDesign (blocks canonically
+    sorted) on success, otherwise a DesignViolation for the first failure.
     """
     normalized = [tuple(sorted(b)) for b in blocks]
     if v < 2:
@@ -151,13 +205,13 @@ def verify_symmetric_design(
         return DesignViolation("block-size", (t,), "blocks need at least 2 points")
 
     through = blocks_through(normalized, v)
-    pair_meets = _meets(through)
-    lam = next(pair_meets)[2]  # pair (0, 1) comes first and sets lam
-    for x, y, count in pair_meets:
-        if count != lam:
-            return DesignViolation(
-                "pair-multiplicity", (x, y, count),
-                f"pair ({x},{y}) lies in {count} blocks, expected {lam}")
+    lam = len(set(through[0]).intersection(through[1]))  # pair (0, 1) sets lam
+    bad_pair = _first_unequal_meet(through, normalized, lam)
+    if bad_pair is not None:
+        x, y, count = bad_pair
+        return DesignViolation(
+            "pair-multiplicity", bad_pair,
+            f"pair ({x},{y}) lies in {count} blocks, expected {lam}")
 
     for x, ids in enumerate(through):
         if len(ids) != t:
@@ -165,11 +219,12 @@ def verify_symmetric_design(
                 "replication", (x, len(ids)),
                 f"point {x} lies in {len(ids)} blocks, expected {t}")
 
-    for i, j, meet in _meets(normalized):
-        if meet != lam:
-            return DesignViolation(
-                "block-intersection", (i, j, meet),
-                f"blocks {i} and {j} meet in {meet} points, expected {lam}")
+    bad_blocks = _first_unequal_meet(normalized, through, lam)
+    if bad_blocks is not None:
+        i, j, meet = bad_blocks
+        return DesignViolation(
+            "block-intersection", bad_blocks,
+            f"blocks {i} and {j} meet in {meet} points, expected {lam}")
 
     if lam * (v - 1) != t * (t - 1):
         return DesignViolation(
@@ -192,39 +247,51 @@ def projective_plane(b: int) -> SymmetricDesign:
     Points are the 1-dimensional subspaces of GF(b)^3, named by their
     normalized representative (first nonzero coordinate 1) in
     lexicographic order; blocks collect the points on each line a.x = 0.
+    Each line's b+1 points are listed directly: with u, w two independent
+    solutions of a.x = 0, they are u and c*u + w for c in [0, b).
     The result is re-verified by brute force before being returned.
     """
     if not is_prime(b):
         raise DesignParameterError(
             f"projective planes are built for prime orders only, got {b}")
-    reps = [(x0, x1, x2)
-            for x0 in range(b) for x1 in range(b) for x2 in range(b)
-            if next((c for c in (x0, x1, x2) if c != 0), None) == 1]
-    assert len(reps) == b * b + b + 1
+    reps = ([(0, 0, 1)] + [(0, 1, z) for z in range(b)]
+            + [(1, y, z) for y in range(b) for z in range(b)])
+    index = {x: i for i, x in enumerate(reps)}
+    inverse = [0] + [pow(c, -1, b) for c in range(1, b)]
+
+    def point(x0: int, x1: int, x2: int) -> int:
+        """Index of the point spanned by the nonzero vector (x0, x1, x2)."""
+        x0, x1, x2 = x0 % b, x1 % b, x2 % b
+        if x0:
+            scale = inverse[x0]
+            return index[(1, x1 * scale % b, x2 * scale % b)]
+        if x1:
+            return index[(0, 1, x2 * inverse[x1] % b)]
+        return index[(0, 0, 1)]
+
+    unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     blocks = []
-    for a0, a1, a2 in reps:
-        block = tuple(i for i, (x0, x1, x2) in enumerate(reps)
-                      if (a0 * x0 + a1 * x1 + a2 * x2) % b == 0)
-        blocks.append(block)
+    for a in reps:
+        pivot = a.index(1)  # the first nonzero coordinate
+        # e_f - a_f e_pivot for the two coordinates f other than the pivot
+        (u0, u1, u2), (w0, w1, w2) = (
+            [e - a[f] * p for e, p in zip(unit[f], unit[pivot])]
+            for f in range(3) if f != pivot)
+        line = [point(u0, u1, u2)] + [
+            point(c * u0 + w0, c * u1 + w1, c * u2 + w2) for c in range(b)]
+        blocks.append(tuple(sorted(line)))
     design = verify_symmetric_design(len(reps), blocks)
     if not isinstance(design, SymmetricDesign):
         raise AssertionError(f"plane construction for b={b} is broken: {design}")
     return design
 
 
-def diff_function(D: Sequence[int], n: int, x: int) -> int:
-    """|D intersect (D + x)| in Z_n, for D distinct elements of [0, n)."""
-    if n < 1:
-        raise DesignParameterError(f"group order must be positive, got {n}")
-    if not 0 <= x < n:
-        raise DesignParameterError(f"shift {x} outside [0, {n})")
-    dset = set(D)
-    return sum(1 for d in D if (d + x) % n in dset)
-
-
 def classify_ads(D: Sequence[int], n: int) -> Union[AlmostDifferenceSet, AdsReport]:
     """Classify D inside Z_n by its difference function.
 
+    diff_D(x) = |D & (D + x)| counts the ordered pairs (a, b) of D with
+    a - b = x mod n, so the histogram comes from the k(k-1) pairwise
+    differences, every shift no difference hits counting as 0.
     Returns an AlmostDifferenceSet when diff_D takes exactly the two
     adjacent values {lam, lam+1} over nonzero shifts (mu = multiplicity of
     lam).  A constant difference function is the perfect-difference-set
@@ -244,10 +311,10 @@ def classify_ads(D: Sequence[int], n: int) -> Union[AlmostDifferenceSet, AdsRepo
             f"element {outside[0]} of D outside [0, {n})")
     if len(set(ordered)) != len(ordered):
         raise DesignVerificationError("repeated element in D")
-    counts: Dict[int, int] = {}
-    for x in range(1, n):
-        value = diff_function(ordered, n, x)
-        counts[value] = counts.get(value, 0) + 1
+    diff = Counter((a - b) % n for a in ordered for b in ordered if a != b)
+    counts = Counter(diff.values())
+    if len(diff) < n - 1:
+        counts[0] = n - 1 - len(diff)
     support = sorted(counts)
     k = len(ordered)
     if len(support) == 1:
@@ -349,9 +416,7 @@ def develop(a: AlmostDifferenceSet) -> Development:
     through = blocks_through(blocks, n)
     if any(len(ids) != k for ids in through):
         raise AssertionError("development is not a 1-design with replication k")
-    census: Dict[int, int] = {}
-    for _, _, multiplicity in _meets(through):
-        census[multiplicity] = census.get(multiplicity, 0) + 1
+    census = _pair_census(through, blocks)
     expected = {}
     if a.mu:
         expected[a.lam] = a.n * a.mu // 2

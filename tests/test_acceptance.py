@@ -16,14 +16,15 @@ from cdcsim.analysis import (ads_load, jiang_load, li_load, li_sandwich,
                              ours_sd_load)
 from cdcsim.cli import EX_OK, main
 from cdcsim.designs import (SymmetricDesign, classify_ads, complement_ads,
-                            develop, diff_function, projective_plane,
-                            ruzsa_ads, verify_symmetric_design)
+                            develop, projective_plane, ruzsa_ads,
+                            verify_symmetric_design)
 from cdcsim.scheme import (build_scheme_ads, build_scheme_sd,
                            centralized_outputs, choose_T, node_view,
                            reduce_outputs)
 from cdcsim.shuffle import run
 
 from test_analysis import symmetric_design_families
+from test_designs import diff_function
 
 
 def verdict(tag, ok):

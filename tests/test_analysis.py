@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdcsim.analysis import (AnalysisDomainError, CSV_HEADER, ads_load,
                              jiang_load, li_load, li_lower_bound_inequality,
@@ -74,6 +76,36 @@ def test_li_load_domain():
         li_load(5, 0, 1)
     with pytest.raises(AnalysisDomainError):
         li_load(5, 1, 6)
+
+
+def li_domain_error(K, r, s):
+    """The message li_load raises for (K, r, s) outside its domain, or
+    None inside it."""
+    if K < 1:
+        return f"K must be positive, got {K}"
+    if not 1 <= r <= K or not 1 <= s <= K:
+        return f"need 1 <= r, s <= K, got r={r}, s={s}, K={K}"
+    return None
+
+
+@st.composite
+def _li_arguments(draw):
+    K = draw(st.integers(-1, 80))
+    return K, draw(st.integers(-1, K + 1)), draw(st.integers(-1, K + 1))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_li_arguments())
+def test_li_load_matches_term_by_term_sum(args):
+    """One common denominator gives the term-by-term Fraction sum, and the
+    same domain errors."""
+    error = li_domain_error(*args)
+    if error is None:
+        assert li_load(*args) == li_reference(*args)
+    else:
+        with pytest.raises(AnalysisDomainError) as raised:
+            li_load(*args)
+        assert str(raised.value) == error
 
 
 def test_sd_load_formulas():

@@ -49,6 +49,20 @@ def test_design_ruzsa_and_ads(capsys):
     assert json.loads(out) == {"n": 6, "D": [0, 1, 3]}
 
 
+def test_design_ads_in_a_huge_group(capsys, tmp_path):
+    """(n, 3, 0, n - 7) classifies from its pairwise differences, so a
+    group of 10^9 elements costs no more than a small one."""
+    expected = '{"D":[0,1,3],"n":1000000000}\n'
+    code, out, _ = run(capsys, "design", "--ads", "0,1,3", "--n", "1000000000")
+    assert code == EX_OK
+    assert out == expected
+    path = tmp_path / "ads.json"
+    path.write_text('{"n":1000000000,"D":[3,0,1]}')
+    code, out, _ = run(capsys, "design", "--verify", str(path))
+    assert code == EX_OK
+    assert out == expected
+
+
 def test_design_rejects_non_ads(capsys):
     for argv in (("design", "--ads", "0,1,2,3", "--n", "8"),
                  ("design", "--ads", "0,9", "--n", "6"),

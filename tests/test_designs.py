@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from typing import Dict, Sequence, Tuple, Union
 
 import pytest
@@ -7,11 +8,12 @@ from hypothesis import strategies as st
 
 from cdcsim.designs import (AdsReport, AlmostDifferenceSet,
                             DesignParameterError, DesignVerificationError,
-                            DesignViolation, SymmetricDesign, ads_from_doc,
-                            classify_ads, complement_ads, develop,
-                            diff_function, export_ads, export_design,
-                            import_design, projective_plane, ruzsa_ads,
-                            smallest_primitive_root, verify_symmetric_design)
+                            DesignViolation, SymmetricDesign, _pair_census,
+                            ads_from_doc, blocks_through, classify_ads,
+                            complement_ads, develop, export_ads,
+                            export_design, import_design, projective_plane,
+                            ruzsa_ads, smallest_primitive_root,
+                            verify_symmetric_design)
 
 FANO_BLOCKS = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6),
                (2, 3, 6), (2, 4, 5)]
@@ -82,12 +84,75 @@ def reference_verify(
     return SymmetricDesign(v=v, t=t, lam=lam, blocks=tuple(sorted(normalized)))
 
 
+def diff_function(D: Sequence[int], n: int, x: int) -> int:
+    """|D intersect (D + x)| in Z_n, for D distinct elements of [0, n)."""
+    if n < 1:
+        raise DesignParameterError(f"group order must be positive, got {n}")
+    if not 0 <= x < n:
+        raise DesignParameterError(f"shift {x} outside [0, {n})")
+    dset = set(D)
+    return sum(1 for d in D if (d + x) % n in dset)
+
+
+def reference_classify(D: Sequence[int],
+                       n: int) -> Union[AlmostDifferenceSet, AdsReport]:
+    """classify_ads as one diff_function call per nonzero shift, kept as
+    the reference."""
+    if n < 2:
+        raise DesignParameterError(f"group order must be at least 2, got {n}")
+    if len(D) == 0:
+        raise DesignParameterError("D must be nonempty")
+    ordered = tuple(sorted(D))
+    outside = [d for d in ordered if not 0 <= d < n]
+    if outside:
+        raise DesignVerificationError(
+            f"element {outside[0]} of D outside [0, {n})")
+    if len(set(ordered)) != len(ordered):
+        raise DesignVerificationError("repeated element in D")
+    counts: Dict[int, int] = {}
+    for x in range(1, n):
+        value = diff_function(ordered, n, x)
+        counts[value] = counts.get(value, 0) + 1
+    support = sorted(counts)
+    k = len(ordered)
+    if len(support) == 1:
+        return AlmostDifferenceSet(n=n, k=k, lam=support[0], mu=n - 1,
+                                   D=ordered)
+    if len(support) == 2 and support[1] == support[0] + 1:
+        lam = support[0]
+        return AlmostDifferenceSet(n=n, k=k, lam=lam, mu=counts[lam],
+                                   D=ordered)
+    return AdsReport(
+        n=n, D=ordered, histogram=tuple(sorted(counts.items())),
+        message=f"difference function takes values {support}, "
+                f"not two adjacent ones")
+
+
+def reference_plane_blocks(b: int) -> Tuple[Tuple[int, ...], ...]:
+    """The plane's blocks by testing every point against every line, v^2
+    dot products, kept as the reference."""
+    reps = [(x0, x1, x2)
+            for x0 in range(b) for x1 in range(b) for x2 in range(b)
+            if next((c for c in (x0, x1, x2) if c != 0), None) == 1]
+    blocks = [tuple(i for i, (x0, x1, x2) in enumerate(reps)
+                    if (a0 * x0 + a1 * x1 + a2 * x2) % b == 0)
+              for a0, a1, a2 in reps]
+    return tuple(sorted(blocks))
+
+
 @pytest.mark.parametrize("b,v,t", [(2, 7, 3), (3, 13, 4), (5, 31, 6)])
 def test_projective_planes(b, v, t):
     d = projective_plane(b)
     assert (d.v, d.t, d.lam) == (v, t, 1)
     assert len(d.blocks) == v
     assert all(len(block) == t for block in d.blocks)
+
+
+@pytest.mark.parametrize("b", [2, 3, 5, 7, 11, 13, 17])
+def test_plane_lines_match_dot_products(b):
+    """Listing each line's points directly gives the blocks that testing
+    every point against every line gives."""
+    assert projective_plane(b).blocks == reference_plane_blocks(b)
 
 
 def test_plane_needs_prime_order():
@@ -242,6 +307,25 @@ def test_develop_census():
         assert 2 * lam_pairs == n * a.mu
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ruzsa_ads(5),
+    lambda: ruzsa_ads(7),
+    lambda: complement_ads(ruzsa_ads(5)),
+    lambda: complement_ads(ruzsa_ads(7)),
+    lambda: classify_ads([0, 1, 3], 6),
+], ids=["ruzsa5", "ruzsa7", "comp5", "comp7", "ads6"])
+def test_develop_census_matches_brute_force(make):
+    """The pair census develop checks, read from packed Gram rows, is the
+    one that counting the blocks through each pair gives."""
+    a = make()
+    dev = develop(a)
+    sets = [set(block) for block in dev.blocks]
+    brute = Counter(sum(x in block and y in block for block in sets)
+                    for x in range(a.n) for y in range(x + 1, a.n))
+    assert _pair_census(blocks_through(dev.blocks, a.n), dev.blocks) == \
+        dict(brute)
+
+
 def test_develop_guards():
     with pytest.raises(DesignParameterError):
         develop(AlmostDifferenceSet(n=6, k=3, lam=2, mu=3, D=(0, 1, 3)))
@@ -313,3 +397,48 @@ def test_verify_matches_reference(case):
     message, as the pair-dictionary reference."""
     v, blocks = case
     assert verify_symmetric_design(v, blocks) == reference_verify(v, blocks)
+
+
+def _plane17_complement():
+    """The complement of the plane of order 17, a (307, 289, 272) design:
+    rows of 289 need two-byte Gram digits."""
+    d = projective_plane(17)
+    return d.v, [[x for x in range(d.v) if x not in held]
+                 for held in map(set, d.blocks)]
+
+
+def test_verify_multi_byte_digits():
+    v, blocks = _plane17_complement()
+    d = verify_symmetric_design(v, blocks)
+    assert isinstance(d, SymmetricDesign)
+    assert (d.v, d.t, d.lam) == (307, 289, 272) and d.t > 255
+    assert d.blocks == tuple(sorted(map(tuple, blocks)))
+
+
+@pytest.mark.parametrize("edit", ["point", "duplicate"])
+def test_verify_multi_byte_digits_matches_reference(edit):
+    """One changed point, or one block repeated in place of another, gives
+    the reference's violation at two-byte digits too."""
+    v, blocks = _plane17_complement()
+    if edit == "point":
+        blocks[0][-1] = min(set(range(v)) - set(blocks[0]))
+    else:
+        blocks[-1] = list(blocks[0])
+    report = verify_symmetric_design(v, blocks)
+    assert isinstance(report, DesignViolation)
+    assert report == reference_verify(v, blocks)
+
+
+@st.composite
+def _subsets_of_zn(draw):
+    n = draw(st.integers(2, 60))
+    return draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True)), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_subsets_of_zn())
+def test_classify_matches_per_shift_reference(case):
+    """The histogram from pairwise differences classifies every subset as
+    one diff_function call per shift does."""
+    D, n = case
+    assert classify_ads(D, n) == reference_classify(D, n)
