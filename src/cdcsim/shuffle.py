@@ -27,10 +27,15 @@ and solve it once, and none ever reads another node's values.
 
 ADS scheme: one encoder, shuffle_ads, serves every lam.  A pair x < y lies
 in c common blocks, c = lam or lam + 1.  When c >= 1 the pair shares both
-orientations through them, the j-th common block sending the XOR of the
-j-th T/c-bit segments of v_{x,y} and v_{y,x}.  When c = 0 (only when
-lam = 0) each orientation goes out as k plain T/k-bit segments, one per
-block through the file.
+orientations through them, the j-th common block sending the j-th T/c-bit
+segment of v_{x,y} ^ v_{y,x}.  When c = 0 (only when lam = 0) each
+orientation goes out as k plain T/k-bit segments, one per block through
+the file.  Splitting commutes with XOR, so joining a pair's payloads gives
+v_{x,y} ^ v_{y,x} whole, and a node holding one orientation unmasks the
+other with one XOR.  run() gives the decodes of all nodes one memo of
+joined message groups, keyed by ("ADS-pairsum", x, y) or
+("ADS-segment", q, n): each group is read and joined once per run, and
+the memo holds nothing but transcript bits.
 """
 
 from __future__ import annotations
@@ -261,11 +266,11 @@ def shuffle_ads(s: Scheme, ivs: IVTable) -> Transcript:
                     f"pair ({x},{y}) lies in {c} blocks, expected "
                     f"{lam} or {lam + 1}")
             if c:
-                sx = split_bits(ivs.values[(x, y)], T, c)
-                sy = split_bits(ivs.values[(y, x)], T, c)
+                sums = split_bits(ivs.values[(x, y)] ^ ivs.values[(y, x)],
+                                  T, c)
                 messages.extend(
                     Message(sender=u, tag="ADS-pairsum", meta=(x, y, j),
-                            bits=T // c, payload=sx[j] ^ sy[j])
+                            bits=T // c, payload=sums[j])
                     for j, u in enumerate(common))
             else:
                 for q, n in ((x, y), (y, x)):
@@ -281,32 +286,42 @@ def shuffle_ads(s: Scheme, ivs: IVTable) -> Transcript:
 shuffle_ads_pos = shuffle_ads_golomb = shuffle_ads
 
 
-def decode_ads(s: Scheme, node: int, transcript: Transcript,
-               ivs: IVTable) -> Dict[Tuple[int, int], int]:
+def decode_ads(s: Scheme, node: int, transcript: Transcript, ivs: IVTable,
+               joined: Optional[dict] = None) -> Dict[Tuple[int, int], int]:
     """Recover every intermediate value node needs in an ADS scheme.
 
-    Pair-sum payloads are unmasked with the locally known opposite
-    orientation; segment messages are joined directly.
+    Only the node's locally stored values are read from the table.  The
+    joined pair-sum payloads of a pair are v_{q,n} ^ v_{n,q}, unmasked
+    with the stored opposite orientation; segment messages join to the
+    value itself.
+
+    joined memoizes each joined message group, keyed by
+    ("ADS-pairsum", x, y) or ("ADS-segment", q, n), so decodes of one
+    transcript that share one dict read each message once.  It holds only
+    transcript bits, never a node's stored values.
     """
     if s.kind != "ads":
         raise SchemeParameterError(f"expected an ads scheme, got {s.kind}")
-    k, T = s.design.source.k, ivs.T
+    if joined is None:
+        joined = {}
+    T = ivs.T
     through, pairs = s.point_blocks, s.pair_blocks
     local = _local_values(s, node, ivs)
     out = {}
     for q, n in node_view(s, node).needed:
         x, y = _pair_key(q, n)
-        common = pairs.get((x, y), ())
-        c = len(common)
-        if c >= 1:
-            mask = split_bits(local[(n, q)], T, c)
-            parts = [_payload(transcript, node, (u, "ADS-pairsum", (x, y, j)))
-                     ^ mask[j] for j, u in enumerate(common)]
-            out[(q, n)] = join_bits(parts, T // c)
+        senders = pairs.get((x, y))
+        if senders:
+            group, mask = ("ADS-pairsum", x, y), local[(n, q)]
         else:
-            parts = [_payload(transcript, node, (u, "ADS-segment", (q, n, i)))
-                     for i, u in enumerate(through[n])]
-            out[(q, n)] = join_bits(parts, T // k)
+            group, mask, senders = ("ADS-segment", q, n), 0, through[n]
+        value = joined.get(group)
+        if value is None:
+            tag, a, b = group
+            value = joined[group] = join_bits(
+                [_payload(transcript, node, (u, tag, (a, b, j)))
+                 for j, u in enumerate(senders)], T // len(senders))
+        out[(q, n)] = value ^ mask
     return out
 
 
@@ -341,7 +356,9 @@ def run(s: Scheme, seed: int, T: int) -> RunResult:
         transcript = shuffle_sd(s, ivs)
         decode = functools.partial(decode_sd, solved={})
     else:
-        transcript, decode = shuffle_ads(s, ivs), decode_ads
+        # one memo for every node: each message group is joined once
+        transcript = shuffle_ads(s, ivs)
+        decode = functools.partial(decode_ads, joined={})
     decode_ok = True
     recovered = {}
     for node in range(s.K):
@@ -363,12 +380,16 @@ def run(s: Scheme, seed: int, T: int) -> RunResult:
 def transcript_lines(transcript: Transcript) -> Iterator[str]:
     """One canonical JSON object per message, in transcript order, each
     line ending in a newline."""
+    # the bytes of json.dumps(..., separators=(",", ":"), sort_keys=True)
+    tags: Dict[str, str] = {}
     for m in transcript.messages:
-        nbytes = (m.bits + 7) // 8
-        yield json.dumps(
-            {"sender": m.sender, "tag": m.tag, "meta": list(m.meta),
-             "bits": m.bits, "payload": m.payload.to_bytes(nbytes, "big").hex()},
-            separators=(",", ":"), sort_keys=True) + "\n"
+        tag = tags.get(m.tag)
+        if tag is None:
+            tag = tags[m.tag] = json.dumps(m.tag)
+        meta = ",".join(map(str, m.meta))
+        payload = m.payload.to_bytes((m.bits + 7) // 8, "big").hex()
+        yield (f'{{"bits":{m.bits},"meta":[{meta}],"payload":"{payload}",'
+               f'"sender":{m.sender},"tag":{tag}}}\n')
 
 
 def transcript_to_jsonl(transcript: Transcript) -> str:

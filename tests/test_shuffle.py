@@ -18,7 +18,7 @@ from cdcsim.scheme import (IVTable, build_scheme_ads, build_scheme_sd,
                            reduce_outputs)
 from cdcsim.shuffle import (Message, MissingMessageError, Transcript,
                             decode_ads, decode_sd, join_bits, run, split_bits,
-                            transcript_to_jsonl)
+                            transcript_lines, transcript_to_jsonl)
 
 CYCLIC_FANO = [tuple(sorted((d + r) % 7 for d in (0, 1, 3))) for r in range(7)]
 
@@ -114,15 +114,20 @@ def test_fano_payload_goldens():
      "0ea47df4a3f2b30f30181bc48fd63baab266a239e919c3f9c66e8c80e041c741"),
     (lambda: build_scheme_ads(develop(complement_ads(ruzsa_ads(5)))), 1,
      "ec2130f77fd8c80557576dabd0fb07fb62e584c3e41b91ebe9809357ab6d55c3"),
+    (lambda: build_scheme_ads(develop(ruzsa_ads(5))), 1,
+     "3c6e229cb93f478abfc6925a058ae2a05fca039fde799b34b29773f0e739d95a"),
+    (lambda: build_scheme_ads(develop(complement_ads(ruzsa_ads(3)))), 1,
+     "ea1dc215a0d1060cef1b4643943ed547a27e1971725d0c977cad2b1021217d07"),
 ], ids=["plane2", "plane3", "plane3-scale4", "plane7", "ads-634", "ads-620",
-        "ruzsa7", "ruzsa5-complement"])
+        "ruzsa7", "ruzsa5-complement", "ruzsa5", "ruzsa3-complement"])
 def test_sd_transcript_goldens(make_scheme, scale, digest):
     """Every wire byte at seed 0, pinned, for both scheme kinds, and every
     node's decode re-checked.
 
     Plane 3 at scale 4 codes over GF(2^8) and GF(2^32); plane 7 over
     GF(2^3) and GF(2^24); (6,2,0) sends pair sums and plain segments; the
-    complement of ruzsa 5 has pairs in 12 and in 13 common blocks.
+    complements of ruzsa 3 and 5 have pairs in 2 and 3, and in 12 and 13,
+    common blocks.
     """
     _, transcript, _ = run_end_to_end(make_scheme(), seed=0, scale=scale)
     text = transcript_to_jsonl(transcript)
@@ -281,6 +286,116 @@ def test_decode_sd_missing_message():
         decode_sd(s, 5, truncated, result.ivs)
 
 
+SHARED_ADS_SCHEMES = {
+    "ads-634": lambda: ads_scheme([0, 1, 3], 6),
+    "golomb-620": lambda: ads_scheme([0, 1], 6),
+    "ruzsa5": lambda: build_scheme_ads(develop(ruzsa_ads(5))),
+    "ruzsa3-complement": lambda: build_scheme_ads(
+        develop(complement_ads(ruzsa_ads(3)))),
+}
+
+
+def ads_group(message):
+    """The memo key of the message group a message belongs to."""
+    return (message.tag,) + message.meta[:2]
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_ADS_SCHEMES))
+def test_decode_ads_shared_memo_match_per_node(name):
+    """One memo across every node decodes exactly what each node decodes
+    alone, and ends up holding each message group of the run once."""
+    s = SHARED_ADS_SCHEMES[name]()
+    result = run(s, 1, choose_T(s))
+    shared = {}
+    for node in range(s.K):
+        got = decode_ads(s, node, result.transcript, result.ivs)
+        assert decode_ads(s, node, result.transcript, result.ivs,
+                          joined=shared) == got == result.recovered[node]
+    assert set(shared) == {ads_group(m) for m in result.transcript.messages}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_ADS_SCHEMES))
+def test_decode_ads_shared_memo_keeps_nodes_apart(name):
+    """A memo first filled by decodes against other stored values hands
+    none of them on: it holds joined payloads only, so every node still
+    decodes exactly."""
+    s = SHARED_ADS_SCHEMES[name]()
+    result = run(s, 2, choose_T(s))
+    ivs = result.ivs
+    doctored = IVTable(T=ivs.T, values={key: value ^ 1
+                                        for key, value in ivs.values.items()})
+    shared = {}
+    for node in range(s.K):
+        decode_ads(s, node, result.transcript, doctored, joined=shared)
+    for node in range(s.K):
+        assert decode_ads(s, node, result.transcript, ivs, joined=shared) == \
+            result.recovered[node]
+
+
+def ads_readers(s, message):
+    """Nodes that need a value the message carries, worked out from the
+    design alone: either orientation of a pair sum, the one orientation
+    of a plain segment."""
+    q, n = message.meta[:2]
+    values = [(q, n), (n, q)] if message.tag == "ADS-pairsum" else [(q, n)]
+    return {node for node in range(s.K)
+            if not node_view(s, node).needed.isdisjoint(values)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SHARED_ADS_SCHEMES)), st.integers(0, 3),
+       st.data())
+def test_decode_ads_under_tampering(name, seed, data):
+    """Flip one payload bit of one message: shared-memo and stand-alone
+    decodes agree everywhere, every reader of that message decodes a
+    wrong value, and every other node decodes exactly."""
+    s = SHARED_ADS_SCHEMES[name]()
+    result = run(s, seed, choose_T(s))
+    messages = list(result.transcript.messages)
+    i = data.draw(st.integers(0, len(messages) - 1))
+    m = messages[i]
+    bit = data.draw(st.integers(0, m.bits - 1))
+    messages[i] = dataclasses.replace(m, payload=m.payload ^ (1 << bit))
+    tampered = Transcript(messages=tuple(messages),
+                          total_bits=result.transcript.total_bits)
+    readers = ads_readers(s, m)
+    assert readers and m.sender not in readers
+    shared = {}
+    for node in range(s.K):
+        got = decode_ads(s, node, tampered, result.ivs)
+        assert decode_ads(s, node, tampered, result.ivs, joined=shared) == got
+        exact = all(value == result.ivs.values[key]
+                    for key, value in got.items())
+        assert exact == (node not in readers), node
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(SHARED_ADS_SCHEMES)), st.data())
+def test_decode_ads_missing_message(name, data):
+    """Delete one message: alone and with a shared memo, every reader
+    raises MissingMessageError naming itself and that message's key, and
+    every other node decodes exactly."""
+    s = SHARED_ADS_SCHEMES[name]()
+    result = run(s, 0, choose_T(s))
+    messages = list(result.transcript.messages)
+    m = messages.pop(data.draw(st.integers(0, len(messages) - 1)))
+    truncated = Transcript(messages=tuple(messages),
+                           total_bits=result.transcript.total_bits - m.bits)
+    readers = ads_readers(s, m)
+    assert readers
+    shared = {}
+    for node in range(s.K):
+        for joined in (None, shared):
+            if node in readers:
+                with pytest.raises(MissingMessageError) as caught:
+                    decode_ads(s, node, truncated, result.ivs, joined=joined)
+                assert caught.value.node == node
+                assert caught.value.key == (m.sender, m.tag, m.meta)
+            else:
+                assert decode_ads(s, node, truncated, result.ivs,
+                                  joined=joined) == result.recovered[node]
+
+
 def test_ads_634_end_to_end():
     s = build_scheme_ads(develop(classify_ads([0, 1, 3], 6)))
     load, transcript, _ = run_end_to_end(s)
@@ -316,7 +431,7 @@ def test_golomb_623_end_to_end():
     assert all(m.bits == 1 for m in mine if m.tag == "ADS-segment")
 
 
-@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("p", [5, 7, 11])
 def test_ruzsa_end_to_end(p):
     a = ruzsa_ads(p)
     s = build_scheme_ads(develop(a))
@@ -361,6 +476,26 @@ def test_transcript_jsonl_round_trip():
         assert Message(sender=doc["sender"], tag=doc["tag"],
                        meta=tuple(doc["meta"]), bits=doc["bits"],
                        payload=int.from_bytes(payload, "big")) == m
+
+
+@pytest.mark.parametrize("make_scheme,tags,meta_lengths", [
+    (fano_scheme, {"SD-diagonal", "SD-offdiagonal"}, {1, 2}),
+    (lambda: ads_scheme([0, 1], 6), {"ADS-pairsum", "ADS-segment"}, {3}),
+], ids=["fano", "golomb-620"])
+def test_transcript_lines_match_json_dumps(make_scheme, tags, meta_lengths):
+    """The writer formats each line itself; every line is byte for byte
+    the canonical json.dumps of the message."""
+    transcript = transcript_for(make_scheme(), 3)
+    assert {m.tag for m in transcript.messages} == tags
+    assert {len(m.meta) for m in transcript.messages} == meta_lengths
+    lines = list(transcript_lines(transcript))
+    assert len(lines) == len(transcript.messages)
+    for line, m in zip(lines, transcript.messages):
+        assert line == json.dumps(
+            {"sender": m.sender, "tag": m.tag, "meta": list(m.meta),
+             "bits": m.bits,
+             "payload": m.payload.to_bytes((m.bits + 7) // 8, "big").hex()},
+            separators=(",", ":"), sort_keys=True) + "\n"
 
 
 def test_transcript_rejects_duplicate_keys():
