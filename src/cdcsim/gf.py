@@ -8,18 +8,25 @@ machines.  Inverses come from the extended Euclidean algorithm over
 GF(2)[x].  No floats anywhere, no hidden randomness; every operation is
 exact and deterministic.
 
-solve_power_sums inverts the power-sum code of the sd shuffle through a
-solve plan per (degree, point set), built once and cached: a solve is
-then n^2 multiplies by the plan's constants.  The public mul and inv
-range-check their operands; internal multiplies, whose operands are
-field elements by construction, skip the check, and solve_power_sums
-checks its points and sums once at its boundary.  The module also holds
-is_prime, the primality test of the design and analysis code.
+Multiplying by a constant of GF(2^m) is GF(2)-linear, so the power-sum
+code of the sd shuffle runs on packed bit matrices (the XOR coding of
+Blomer et al., ICSI TR-95-048, 1995): a plan is one packed int per input
+bit, and apply_plan XORs the columns at the set bits of its packed input.
+solve_plan holds the solve of n power sums as n*m columns, one per
+(degree, point set); power_sum_plan holds the power sums of one term at
+one point as m columns.  Both are built by shifts, once, and cached.  The
+public mul and inv range-check their operands; internal multiplies, whose
+operands are field elements by construction, skip the check, and
+solve_power_sums checks its points and sums once at its boundary.  The
+module also holds is_prime, the primality test of the design and
+analysis code.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from typing import List, Sequence, Tuple
 
 # The largest extension degree served: it admits the fields of the planes
@@ -156,17 +163,80 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=4096)
-def _solve_plan(m: int, points: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
-    """Rows c_j with u_j = sum_p c_j[p] * sums_p over GF(2^m), for distinct
-    points; row j is the coefficient list of Q_j over Q_j(x_j).
+# Each plan cache holds at most this many plans, since callers may pass
+# any point sets.  A solve plan of n = 8 points over GF(2^64) is 512
+# columns of 512 bits, 49 952 bytes with its tuple, and a power-sum plan
+# of 8 powers there 6 432 bytes: full caches of such plans take 55 MiB.
+_PLAN_CACHE = 1024
 
-    The transpose of the interpolation system, solved in closed form
-    (Bjorck and Pereyra, Math. Comp. 24, 1970).  With
-    M(z) = prod_i (z - x_i) and Q_j = M / (z - x_j),
+# bytes.translate table: the characters "0" and "1" to the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def apply_plan(columns: Sequence[int], packed: int) -> int:
+    """XOR of columns[i] over the set bits i of packed, a nonnegative int.
+
+    A GF(2)-linear map held as packed columns: bit i of the input selects
+    column i.  Bits past the last column are ignored, so callers
+    range-check what they pack.
+    """
+    bits = format(packed, "b").encode().translate(_BIT_BYTES)[::-1]
+    return functools.reduce(operator.xor, itertools.compress(columns, bits),
+                            0)
+
+
+def _times_x_columns(field: BinaryField, start: int,
+                     lanes: int) -> List[int]:
+    """start * x^b for b = 0..m-1, start holding lanes packed elements.
+
+    Multiplying by x is a shift and, in each lane whose top bit falls
+    out, a reduce: the low terms of the modulus XORed into that lane.
+    """
+    m = field.m
+    top = sum(1 << (k * m + m - 1) for k in range(lanes))
+    low = field.modulus ^ field.order
+    columns = []
+    for _ in range(m):
+        columns.append(start)
+        high = start & top
+        # one copy of low per lane whose top bit fell out; the copies do
+        # not overlap, so the integer product is their XOR
+        start = ((start ^ high) << 1) ^ (high >> (m - 1)) * low
+    return columns
+
+
+def pack_lanes(elements: Sequence[int], m: int) -> int:
+    """Elements of GF(2^m) as m-bit lanes of one int, element 0 lowest.
+
+    No range check: an element of more than m bits would spill into the
+    next lane, so callers pass field elements or check first.
+    """
+    packed = 0
+    for e in reversed(elements):
+        packed = packed << m | e
+    return packed
+
+
+def unpack_lanes(packed: int, m: int, n: int) -> List[int]:
+    """The first n m-bit lanes of packed, lane 0 first."""
+    mask = (1 << m) - 1
+    return [packed >> (j * m) & mask for j in range(n)]
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE)
+def solve_plan(m: int, points: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The solve of the power sums at distinct points over GF(2^m), as a
+    GF(2) bit matrix: n*m packed columns, one per input bit.
+
+    Input bit p*m + b is bit b of sums_p; output lane j (bits j*m and up)
+    is u_j.  The rows come from the transpose of the interpolation
+    system, solved in closed form (Bjorck and Pereyra, Math. Comp. 24,
+    1970).  With M(z) = prod_i (z - x_i) and Q_j = M / (z - x_j),
     sum_p coef_p(Q_j) * sums_p = Q_j(x_j) * u_j, since Q_j vanishes at
-    every other point.  Distinct points make every Q_j(x_j) nonzero.
-    The cache is bounded, since callers may pass any point sets.
+    every other point, so u_j = sum_p c_j[p] * sums_p with c_j the
+    coefficients of Q_j over Q_j(x_j).  Distinct points make every
+    Q_j(x_j) nonzero.  Multiplying by a constant is GF(2)-linear, so the
+    columns of sums_p are the lanes c_j[p] times x^b, built by shifts.
     """
     field = BinaryField(m)
     mul, n = field._mul, len(points)
@@ -187,8 +257,25 @@ def _solve_plan(m: int, points: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
             if i != j:
                 den = mul(den, x ^ y)
         inv_den = field.inv(den)
-        rows.append(tuple(mul(c, inv_den) for c in coef))
-    return tuple(rows)
+        rows.append([mul(c, inv_den) for c in coef])
+    columns = []
+    for p in range(n):
+        columns += _times_x_columns(
+            field, pack_lanes([row[p] for row in rows], m), n)
+    return tuple(columns)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE)
+def power_sum_plan(m: int, point: int, count: int) -> Tuple[int, ...]:
+    """The map value -> (value * point^p for p = 0..count-1) over GF(2^m),
+    as m packed columns: lane p of the output is the p-th power sum of
+    one term."""
+    field = BinaryField(m)
+    powers, power = [], 1
+    for _ in range(count):
+        powers.append(power)
+        power = field._mul(power, point)
+    return tuple(_times_x_columns(field, pack_lanes(powers, m), count))
 
 
 def solve_power_sums(field: BinaryField, points: Sequence[int],
@@ -196,8 +283,8 @@ def solve_power_sums(field: BinaryField, points: Sequence[int],
     """Recover u_j from the weighted power sums sums_p = sum_j points[j]^p * u_j.
 
     One equation per power p = 0..n-1.  The solve plan of (m, points) is
-    built once and cached; a solve is then n^2 multiplies by its
-    constants.
+    built once and cached; a solve packs the sums into one n*m-bit int and
+    XORs the plan's columns at its set bits.
     """
     n = len(points)
     if len(set(points)) != n:
@@ -205,11 +292,6 @@ def solve_power_sums(field: BinaryField, points: Sequence[int],
     if len(sums) != n:
         raise ValueError(f"expected {n} sums, got {len(sums)}")
     field._check(*points, *sums)
-    mul = field._mul
-    out = []
-    for row in _solve_plan(field.m, tuple(points)):
-        acc = 0
-        for c, value in zip(row, sums):
-            acc ^= mul(c, value)
-        out.append(acc)
-    return out
+    m = field.m
+    return unpack_lanes(
+        apply_plan(solve_plan(m, tuple(points)), pack_lanes(sums, m)), m, n)

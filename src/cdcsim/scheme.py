@@ -70,6 +70,42 @@ class Scheme:
                     pairs.setdefault((x, y), []).append(u)
         return {pair: tuple(us) for pair, us in pairs.items()}
 
+    @cached_property
+    def sd_groups(self) -> Tuple[Tuple[tuple, ...], ...]:
+        """Each sd sender's coding groups, in wire order, independent of
+        the bit width T: (message keys, segments, keys, indices).
+
+        Node u with block (x_0 < ... < x_{t-1}) codes the diagonal group,
+        v_{x_j,x_j} at point j in t segments, then for each x of its block
+        an off-diagonal group, v_{x,y} at point j (j the position of y
+        among the others) in lam segments.  Member j is segment indices[j]
+        of value keys[j], the one u holds: its position in the blocks
+        through x, or through x and y.  A group of g members goes out as
+        g - lam power sums, each T // segments bits wide, power p under
+        message key (u, tag, meta) message_keys[p].
+        """
+        t, lam = self.design.t, self.design.lam
+
+        def group(u, tag, prefix, segments, keys, holders):
+            message_keys = tuple((u, tag, prefix + (p,))
+                                 for p in range(len(keys) - lam))
+            return (message_keys, segments, tuple(keys),
+                    tuple(blocks.index(u) for blocks in holders))
+
+        table = []
+        for u, block in enumerate(self.placement):
+            groups = [group(u, "SD-diagonal", (), t,
+                            [(x, x) for x in block],
+                            [self.point_blocks[x] for x in block])]
+            for x in block:
+                others = [y for y in block if y != x]
+                groups.append(group(
+                    u, "SD-offdiagonal", (x,), lam,
+                    [(x, y) for y in others],
+                    [self.pair_blocks[min(x, y), max(x, y)] for y in others]))
+            table.append(tuple(groups))
+        return tuple(table)
+
 
 @dataclass(frozen=True)
 class IVTable:

@@ -13,17 +13,24 @@ Bit conventions used throughout:
 Symmetric-design scheme: node u holds block B_u = (x_0 < ... < x_{t-1}).
 Each v_{x,x} splits into t segments over the blocks through x, and each
 v_{x,y} (x != y) into lam segments over the blocks through both points.
-One description, _sd_groups, lists node u's coding groups for encoder and
-decoder alike: the diagonal group (v_{x_j,x_j} at point j of GF(2^(T/t)))
-and, for each local file x, an off-diagonal group (v_{x,y} at point j of
-GF(2^(T/lam)), j the position of y among the others), each member being
-the segment u holds.  A group of g members goes out as the g - lam power
-sums sum_j j^p * seg_j, p = 0..g-lam-1.  A receiver subtracts the terms it
-can compute locally and is left with a square power-sum system at
-distinct points.  run() gives the decodes of all nodes one memo of solved
-systems, keyed by (width, unknown points, the receiver's own right-hand
-sides): receivers lacking the same points of a group pose the same system
-and solve it once, and none ever reads another node's values.
+One table per scheme, Scheme.sd_groups, lists every sender's coding
+groups for encoder and decoder alike, independent of T: the diagonal
+group (v_{x_j,x_j} at point j of GF(2^(T/t))) and, for each local file
+x, an off-diagonal group (v_{x,y} at point j of GF(2^(T/lam)), j the
+position of y among the others), each member being the segment u holds.
+A group of g members goes out as the g - lam power sums
+sum_j j^p * seg_j, p = 0..g-lam-1.  Sums travel packed as lanes of one
+int, and the GF(2^m) arithmetic runs on gf's packed bit matrices, by
+XORs alone: power_sum_plan maps a segment to its packed sums, solve_plan
+maps packed sums to the packed unknowns.  A receiver cuts each local
+segment it needs with a shift and a mask, XORs its terms out of the
+packed payloads and is left with a square power-sum system at distinct
+points; solved segments are in range by construction and are placed
+into the values with shifts.  run() gives the decodes of all nodes one
+memo of solved systems, keyed by (width, unknown points, the receiver's
+own packed right-hand side): receivers lacking the same points of a
+group pose the same system and solve it once, and none ever reads
+another node's values.
 
 ADS scheme: one encoder, shuffle_ads, serves every lam.  A pair x < y lies
 in c common blocks, c = lam or lam + 1.  When c >= 1 the pair shares both
@@ -46,7 +53,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .gf import BinaryField, solve_power_sums
+from .gf import (FieldError, apply_plan, pack_lanes, power_sum_plan,
+                 solve_plan, unpack_lanes)
 from .scheme import (IVTable, Scheme, SchemeParameterError,
                      centralized_outputs, generate_ivs, node_view,
                      reduce_outputs)
@@ -140,56 +148,25 @@ def _payload(transcript: Transcript, node: int, key: Tuple) -> int:
         raise MissingMessageError(node, key) from None
 
 
-def _sd_groups(s: Scheme, u: int,
-               T: int) -> Iterator[Tuple[str, Tuple[int, ...], int, list]]:
-    """Node u's coding groups in wire order: (tag, prefix, width, members).
-
-    Member j sits at coding point j of GF(2^width) and is (key, index):
-    segment index of value key, the one u holds.  A group of g members
-    goes out as g - lam power sums, power p under meta prefix + (p,).
-    """
-    t, lam = s.design.t, s.design.lam
-    block = s.placement[u]
-    yield ("SD-diagonal", (), T // t,
-           [((x, x), s.point_blocks[x].index(u)) for x in block])
-    for x in block:
-        yield ("SD-offdiagonal", (x,), T // lam,
-               [((x, y), s.pair_blocks[_pair_key(x, y)].index(u))
-                for y in block if y != x])
-
-
-def _power_sums(field: BinaryField, terms: Iterable[Tuple[int, int]],
-                count: int) -> List[int]:
-    """sum_j point_j^p * value_j for p = 0..count-1 over (point_j, value_j).
-
-    Points and values are field elements by construction, so the
-    multiplies skip the range check.
-    """
-    mul = field._mul
-    sums = [0] * count
-    for point, value in terms:
-        sums[0] ^= value
-        for p in range(1, count):
-            value = mul(value, point)
-            sums[p] ^= value
-    return sums
-
-
 def shuffle_sd(s: Scheme, ivs: IVTable) -> Transcript:
     """Coded shuffle for the symmetric-design scheme."""
     if s.kind != "sd":
         raise SchemeParameterError(f"expected an sd scheme, got {s.kind}")
-    lam, T = s.design.lam, ivs.T
+    T, values = ivs.T, ivs.values
     messages = []
-    for u in range(s.K):
-        for tag, prefix, width, members in _sd_groups(s, u, T):
-            terms = [(j, split_bits(ivs.values[key], T, T // width)[index])
-                     for j, (key, index) in enumerate(members)]
-            sums = _power_sums(BinaryField(width), terms, len(members) - lam)
+    for groups in s.sd_groups:
+        for message_keys, segments, keys, indices in groups:
+            width, count = T // segments, len(message_keys)
+            mask = (1 << width) - 1
+            sums = 0  # lane p holds power sum p
+            for j, (key, i) in enumerate(zip(keys, indices)):
+                segment = values[key] >> (segments - 1 - i) * width & mask
+                sums ^= apply_plan(power_sum_plan(width, j, count), segment)
             messages.extend(
-                Message(sender=u, tag=tag, meta=prefix + (p,), bits=width,
+                Message(sender=u, tag=tag, meta=meta, bits=width,
                         payload=payload)
-                for p, payload in enumerate(sums))
+                for (u, tag, meta), payload in zip(
+                    message_keys, unpack_lanes(sums, width, count)))
     return _finish(messages)
 
 
@@ -199,48 +176,63 @@ def decode_sd(s: Scheme, node: int, transcript: Transcript, ivs: IVTable,
 
     Only the node's locally stored values are read from the table.  Each
     group of another sender that holds a needed value reduces, once the
-    local terms are subtracted, to a square power-sum system.
+    local terms are subtracted, to a square power-sum system.  Its
+    right-hand side is packed into one int, lane p holding sum p, and
+    every payload is range-checked before it is packed, so no bit spills
+    into the next lane.
 
     solved memoizes those systems, keyed by (width, unknown points, this
-    node's right-hand sides), so decodes that share one dict solve each
-    distinct system once.  A node only ever reuses the solution of the
-    very system its own sums pose: what another node read never enters.
+    node's packed right-hand side), so decodes that share one dict solve
+    each distinct system once.  A node only ever reuses the solution of
+    the very system its own sums pose: what another node read never
+    enters.
     """
     if s.kind != "sd":
         raise SchemeParameterError(f"expected an sd scheme, got {s.kind}")
     if solved is None:
         solved = {}
-    lam, T = s.design.lam, ivs.T
+    T, by_key = ivs.T, transcript.by_key
     local = _local_values(s, node, ivs)
     needed = node_view(s, node).needed
-    segs: Dict[Tuple[Tuple[int, int], int], int] = {}
-    widths: Dict[Tuple[int, int], int] = {}
-    for u in range(s.K):
+    out = dict.fromkeys(needed, 0)
+    for u, groups in enumerate(s.sd_groups):
         if u == node:
             continue
-        for tag, prefix, width, members in _sd_groups(s, u, T):
-            if needed.isdisjoint(key for key, _ in members):
+        for message_keys, segments, keys, indices in groups:
+            if needed.isdisjoint(keys):
                 continue
-            field = BinaryField(width)
-            known = [(j, split_bits(local[key], T, T // width)[index])
-                     for j, (key, index) in enumerate(members) if key in local]
-            unknown = tuple(j for j, (key, _) in enumerate(members)
-                            if key not in local)
-            sums = tuple(
-                _payload(transcript, node, (u, tag, prefix + (p,))) ^ own
-                for p, own in enumerate(
-                    _power_sums(field, known, len(members) - lam)))
-            system = (width, unknown, sums)
-            values = solved.get(system)
-            if values is None:
-                values = solved[system] = tuple(
-                    solve_power_sums(field, unknown, sums))
-            for j, value in zip(unknown, values):
-                segs[members[j]] = value
-                widths[members[j][0]] = width
-    return {key: join_bits((segs[key, i] for i in range(T // widths[key])),
-                           widths[key])
-            for key in needed}
+            width, count = T // segments, len(message_keys)
+            mask = (1 << width) - 1
+            try:
+                payloads = [by_key[key].payload for key in message_keys]
+            except KeyError:
+                missing = next(k for k in message_keys if k not in by_key)
+                raise MissingMessageError(node, missing) from None
+            if min(payloads) < 0 or max(payloads) > mask:
+                raise FieldError(f"a payload of {message_keys} is outside "
+                                 f"[0, {mask + 1})")
+            rhs = pack_lanes(payloads, width)
+            unknown = []
+            for j, key in enumerate(keys):
+                value = local.get(key)
+                if value is None:
+                    unknown.append(j)
+                else:
+                    rhs ^= apply_plan(
+                        power_sum_plan(width, j, count),
+                        value >> (segments - 1 - indices[j]) * width & mask)
+            system = (width, tuple(unknown), rhs)
+            solution = solved.get(system)
+            if solution is None:
+                solution = solved[system] = tuple(unpack_lanes(
+                    apply_plan(solve_plan(width, system[1]), rhs), width,
+                    len(unknown)))
+            if segments == 1:  # one segment per value: it is the value
+                out.update(zip([keys[j] for j in unknown], solution))
+                continue
+            for j, segment in zip(unknown, solution):
+                out[keys[j]] |= segment << (segments - 1 - indices[j]) * width
+    return out
 
 
 def shuffle_ads(s: Scheme, ivs: IVTable) -> Transcript:

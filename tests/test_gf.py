@@ -1,4 +1,5 @@
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cdcsim.gf import (MAX_DEGREE, BinaryField, FieldError,
-                       SingularMatrixError, _is_irreducible, is_prime,
-                       solve_power_sums)
+                       SingularMatrixError, _is_irreducible, apply_plan,
+                       is_prime, power_sum_plan, solve_plan, solve_power_sums)
 
 
 def poly_mod(a, b):
@@ -233,6 +234,66 @@ def test_solve_plan_matches_reference_solve(system, data):
     expected = reference_solve(f, points, sums)
     assert solve_power_sums(f, points, sums) == expected
     assert solve_power_sums(f, tuple(points), sums) == expected
+
+
+def pack(elements, m):
+    """Elements as m-bit lanes of one int, element 0 lowest."""
+    return sum(e << (i * m) for i, e in enumerate(elements))
+
+
+def lanes(packed, m, n):
+    return [packed >> (i * m) & ((1 << m) - 1) for i in range(n)]
+
+
+@given(power_sum_systems(), st.data())
+def test_bit_plan_matches_reference_solve(system, data):
+    """The packed plan, applied by XORs alone, is the closed form: bit b
+    of sum p selects column p*m + b, and lane j of the result is u_j.
+    Each plan is applied twice, so the cached copy is exercised too."""
+    f, points, _ = system
+    m, n = f.m, len(points)
+    element = st.integers(0, f.order - 1)
+    sums = data.draw(st.lists(element, min_size=n, max_size=n))
+    expected = reference_solve(f, points, sums)
+    plan = solve_plan(m, tuple(points))
+    assert len(plan) == n * m
+    assert all(0 <= column < 1 << (n * m) for column in plan)
+    assert lanes(apply_plan(plan, pack(sums, m)), m, n) == expected
+    again = solve_plan(m, tuple(points))
+    assert again is plan
+    assert lanes(apply_plan(again, pack(sums, m)), m, n) == expected
+
+
+@given(st.integers(1, MAX_DEGREE), st.data())
+def test_power_sum_plan_matches_forward_sums(m, data):
+    """The known-term map: lane p of one term's packed sums is
+    value * point^p."""
+    f = BinaryField(m)
+    point = data.draw(st.integers(0, f.order - 1))
+    value = data.draw(st.integers(0, f.order - 1))
+    count = data.draw(st.integers(1, 8))
+    expected, term = [], value
+    for _ in range(count):
+        expected.append(term)
+        term = f.mul(term, point)
+    plan = power_sum_plan(m, point, count)
+    assert len(plan) == m
+    assert lanes(apply_plan(plan, value), m, count) == expected
+
+
+def plan_bytes(plan):
+    return sys.getsizeof(plan) + sum(sys.getsizeof(c) for c in plan)
+
+
+def test_plan_caches_are_bounded():
+    """A full cache of the largest plans, n = 8 points over GF(2^64),
+    stays under 64 MiB for solve plans and power-sum plans together."""
+    largest = plan_bytes(solve_plan(64, tuple(range(1, 9))))
+    largest_sums = plan_bytes(power_sum_plan(64, 8, 8))
+    solves = solve_plan.cache_info().maxsize
+    sums = power_sum_plan.cache_info().maxsize
+    assert solves is not None and sums is not None
+    assert solves * largest + sums * largest_sums < 64 * 2 ** 20
 
 
 @given(power_sum_systems(), st.data())

@@ -12,7 +12,7 @@ from cdcsim.analysis import ads_load, ours_sd_load
 from cdcsim.designs import (classify_ads, complement_ads, develop,
                             projective_plane, require_symmetric_design,
                             ruzsa_ads)
-from cdcsim.gf import BinaryField
+from cdcsim.gf import BinaryField, FieldError
 from cdcsim.scheme import (IVTable, build_scheme_ads, build_scheme_sd,
                            centralized_outputs, choose_T, node_view,
                            reduce_outputs)
@@ -106,6 +106,12 @@ def test_fano_payload_goldens():
      "fcf1a90bae9cf2473afd07ecee4da5fa08057430e235a6681d375c824bd28233"),
     (lambda: build_scheme_sd(projective_plane(7)), 1,
      "2a77cae7a1dc0fe50eb5d88bdc6c036774ae2b213d3ee6e5869d2b58b33fddfb"),
+    (lambda: build_scheme_sd(require_symmetric_design(
+        7, complement_blocks(7, CYCLIC_FANO))), 1,
+     "be1d8316dadf70c2b657b7d0370d7d862574474de7c9de262245132af3a26454"),
+    (lambda: build_scheme_sd(require_symmetric_design(
+        11, cyclic_blocks(quadratic_residues(11), 11))), 1,
+     "f04ab3b986bec72402cf23bba47924871621ec0b6b9be4c7844b8b7bfae189c2"),
     (lambda: ads_scheme([0, 1, 3], 6), 1,
      "f709f5018a5cfa8076479a5ee7b4564b4d9707917af7f8427c2f0c1feb8a6488"),
     (lambda: ads_scheme([0, 1], 6), 1,
@@ -118,16 +124,18 @@ def test_fano_payload_goldens():
      "3c6e229cb93f478abfc6925a058ae2a05fca039fde799b34b29773f0e739d95a"),
     (lambda: build_scheme_ads(develop(complement_ads(ruzsa_ads(3)))), 1,
      "ea1dc215a0d1060cef1b4643943ed547a27e1971725d0c977cad2b1021217d07"),
-], ids=["plane2", "plane3", "plane3-scale4", "plane7", "ads-634", "ads-620",
+], ids=["plane2", "plane3", "plane3-scale4", "plane7", "fano-complement",
+        "paley11", "ads-634", "ads-620",
         "ruzsa7", "ruzsa5-complement", "ruzsa5", "ruzsa3-complement"])
 def test_sd_transcript_goldens(make_scheme, scale, digest):
     """Every wire byte at seed 0, pinned, for both scheme kinds, and every
     node's decode re-checked.
 
     Plane 3 at scale 4 codes over GF(2^8) and GF(2^32); plane 7 over
-    GF(2^3) and GF(2^24); (6,2,0) sends pair sums and plain segments; the
-    complements of ruzsa 3 and 5 have pairs in 2 and 3, and in 12 and 13,
-    common blocks.
+    GF(2^3) and GF(2^24); the complement of Fano (7,4,2) and the Paley
+    design (11,5,2) send off-diagonal values in lam = 2 segments; (6,2,0)
+    sends pair sums and plain segments; the complements of ruzsa 3 and 5
+    have pairs in 2 and 3, and in 12 and 13, common blocks.
     """
     _, transcript, _ = run_end_to_end(make_scheme(), seed=0, scale=scale)
     text = transcript_to_jsonl(transcript)
@@ -161,8 +169,12 @@ def quadratic_residues(p):
     ((15, 7, 3), lambda: cyclic_blocks([0, 1, 2, 4, 5, 8, 10], 15), 1),
     ((13, 9, 6), lambda: complement_blocks(13, projective_plane(3).blocks),
      1),
+    ((23, 11, 5), lambda: cyclic_blocks(quadratic_residues(23), 23), 1),
+    ((31, 25, 20), lambda: complement_blocks(31, projective_plane(5).blocks),
+     1),
 ], ids=["fano-complement", "fano-complement-scale2", "paley11",
-        "paley11-scale2", "paley19", "singer15", "plane3-complement"])
+        "paley11-scale2", "paley19", "singer15", "plane3-complement",
+        "paley23", "plane5-complement"])
 def test_sd_lambda_at_least_two_end_to_end(params, make_blocks, scale):
     """lam >= 2: off-diagonal values go out in lam segments, each row as
     g - lam power sums over GF(2^(T/lam))."""
@@ -277,13 +289,74 @@ def test_decode_sd_shared_solves_under_tampering(name, seed, data):
         assert exact == (node not in readers), node
 
 
+def replace_message(transcript, i, message):
+    """The transcript with message i replaced, or deleted when message is
+    None."""
+    messages = list(transcript.messages)
+    if message is None:
+        del messages[i]
+    else:
+        messages[i] = message
+    return Transcript(messages=tuple(messages),
+                      total_bits=sum(m.bits for m in messages))
+
+
 def test_decode_sd_missing_message():
-    s = fano_scheme()
+    """Delete each message of Fano and of plane 3 in turn: alone and with
+    a shared memo, every reader raises MissingMessageError naming itself
+    and that message's key, and every other node decodes exactly."""
+    for s in (fano_scheme(), SHARED_SD_SCHEMES["plane3"]()):
+        check_missing_messages(s)
+
+
+def check_missing_messages(s):
     result = run(s, 0, choose_T(s))
-    truncated = Transcript(messages=result.transcript.messages[1:],
-                           total_bits=result.transcript.total_bits)
-    with pytest.raises(MissingMessageError):
-        decode_sd(s, 5, truncated, result.ivs)
+    for i, m in enumerate(result.transcript.messages):
+        truncated = replace_message(result.transcript, i, None)
+        readers = sd_readers(s, m)
+        assert readers
+        shared = {}
+        for node in range(s.K):
+            for solved in (None, shared):
+                if node in readers:
+                    with pytest.raises(MissingMessageError) as caught:
+                        decode_sd(s, node, truncated, result.ivs,
+                                  solved=solved)
+                    assert caught.value.node == node
+                    assert caught.value.key == (m.sender, m.tag, m.meta)
+                else:
+                    assert decode_sd(s, node, truncated, result.ivs,
+                                     solved=solved) == result.recovered[node]
+
+
+@pytest.mark.parametrize("name", ["fano", "plane3"])
+def test_decode_sd_payload_range_checked(name):
+    """A payload with a bit at m.bits would, packed unchecked, flip bit 0
+    of the next sum and decode to a wrong value (or, past the last sum,
+    be dropped).  Set that bit, or make the payload negative, in each
+    message in turn: every reader raises FieldError, alone and with a
+    shared memo, and every other node decodes exactly.  On Fano, message
+    0 is read by nodes 1-6."""
+    s = SHARED_SD_SCHEMES[name]()
+    result = run(s, 0, choose_T(s))
+    if name == "fano":
+        m = result.transcript.messages[0]
+        assert (m.sender, m.tag, m.meta) == (0, "SD-diagonal", (0,))
+        assert sd_readers(s, m) == set(range(1, 7))
+    for i, m in enumerate(result.transcript.messages):
+        readers = sd_readers(s, m)
+        for payload in (m.payload | 1 << m.bits, -1 - m.payload):
+            bad = replace_message(result.transcript, i,
+                                  dataclasses.replace(m, payload=payload))
+            shared = {}
+            for node in range(s.K):
+                if node not in readers:
+                    assert decode_sd(s, node, bad, result.ivs,
+                                     solved=shared) == result.recovered[node]
+                    continue
+                for solved in (None, shared):
+                    with pytest.raises(FieldError):
+                        decode_sd(s, node, bad, result.ivs, solved=solved)
 
 
 SHARED_ADS_SCHEMES = {
