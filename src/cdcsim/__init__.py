@@ -21,8 +21,8 @@ from .scheme import (IncompleteRecoveryError, IVTable, NodeView, Scheme,
                      centralized_outputs, choose_T, generate_ivs, node_view,
                      reduce_outputs, scheme_params, scheme_to_json)
 from .shuffle import (Message, MissingMessageError, RunResult, Transcript,
-                      decode_ads, decode_sd, join_bits, measure_load, run,
-                      shuffle_ads, shuffle_sd, split_bits,
+                      decode_ads, decode_all, decode_sd, join_bits,
+                      measure_load, run, shuffle_ads, shuffle_sd, split_bits,
                       transcript_to_jsonl)
 
 __version__ = "0.1.0"

@@ -270,15 +270,15 @@ def reduce_outputs(
         s: Scheme, ivs: IVTable,
         recovered: Dict[int, Dict[Tuple[int, int], int]],
 ) -> Dict[int, Dict[int, int]]:
-    """Per-node reduce from stored plus recovered intermediate values.
+    """Reduce each node of recovered from its stored plus recovered
+    intermediate values; nodes absent from recovered are not reduced.
 
     Node k may consult the IV table only for files it stores; everything
     else must appear in recovered[k] or IncompleteRecoveryError is raised.
     """
     out: Dict[int, Dict[int, int]] = {}
-    for node in range(s.K):
+    for node, got in recovered.items():
         stored = set(s.placement[node])
-        got = recovered.get(node, {})
         results = {}
         for q in s.assignment[node]:
             acc = 0

@@ -26,11 +26,11 @@ maps packed sums to the packed unknowns.  A receiver cuts each local
 segment it needs with a shift and a mask, XORs its terms out of the
 packed payloads and is left with a square power-sum system at distinct
 points; solved segments are in range by construction and are placed
-into the values with shifts.  run() gives the decodes of all nodes one
-memo of solved systems, keyed by (width, unknown points, the receiver's
-own packed right-hand side): receivers lacking the same points of a
-group pose the same system and solve it once, and none ever reads
-another node's values.
+into the values with shifts.  decode_all gives the decodes of all nodes
+one memo of solved systems, keyed by (width, unknown points, the
+receiver's own packed right-hand side): receivers lacking the same
+points of a group pose the same system and solve it once, and none ever
+reads another node's values.
 
 ADS scheme: one encoder, shuffle_ads, serves every lam.  A pair x < y lies
 in c common blocks, c = lam or lam + 1.  When c >= 1 the pair shares both
@@ -39,15 +39,14 @@ segment of v_{x,y} ^ v_{y,x}.  When c = 0 (only when lam = 0) each
 orientation goes out as k plain T/k-bit segments, one per block through
 the file.  Splitting commutes with XOR, so joining a pair's payloads gives
 v_{x,y} ^ v_{y,x} whole, and a node holding one orientation unmasks the
-other with one XOR.  run() gives the decodes of all nodes one memo of
-joined message groups, keyed by ("ADS-pairsum", x, y) or
+other with one XOR.  decode_all gives the decodes of all nodes one memo
+of joined message groups, keyed by ("ADS-pairsum", x, y) or
 ("ADS-segment", q, n): each group is read and joined once per run, and
 the memo holds nothing but transcript bits.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -317,6 +316,21 @@ def decode_ads(s: Scheme, node: int, transcript: Transcript, ivs: IVTable,
     return out
 
 
+def decode_all(s: Scheme, transcript: Transcript, ivs: IVTable,
+               ) -> Iterator[Tuple[int, Dict[Tuple[int, int], int]]]:
+    """Decode node 0, 1, ..., K - 1 in turn with the decoder of the scheme
+    kind, yielding (node, recovered).
+
+    The decodes share one memo: decode_sd's solved systems, so receivers
+    lacking the same points of a group solve their common system once, or
+    decode_ads's joined message groups, so each group is read once.
+    """
+    decode = decode_sd if s.kind == "sd" else decode_ads
+    memo = {}
+    for node in range(s.K):
+        yield node, decode(s, node, transcript, ivs, memo)
+
+
 def measure_load(s: Scheme, transcript: Transcript, T: int) -> Fraction:
     """Communication load: total shuffle bits over Q*N*T."""
     return Fraction(transcript.total_bits, s.Q * s.N * T)
@@ -324,11 +338,10 @@ def measure_load(s: Scheme, transcript: Transcript, T: int) -> Fraction:
 
 @dataclass(frozen=True)
 class RunResult:
-    """One simulated run: the values, the wire traffic and the decodes."""
+    """One simulated run: the values, the wire traffic and the verdict."""
 
     ivs: IVTable
     transcript: Transcript
-    recovered: Dict[int, Dict[Tuple[int, int], int]]
     decode_ok: bool
     load: Fraction
 
@@ -342,30 +355,23 @@ def run(s: Scheme, seed: int, T: int) -> RunResult:
     matches the centralized oracle.
     """
     ivs = generate_ivs(s, seed, T)
-    if s.kind == "sd":
-        # one memo for every node: receivers lacking the same points
-        # pose, and share, the same systems
-        transcript = shuffle_sd(s, ivs)
-        decode = functools.partial(decode_sd, solved={})
-    else:
-        # one memo for every node: each message group is joined once
-        transcript = shuffle_ads(s, ivs)
-        decode = functools.partial(decode_ads, joined={})
-    decode_ok = True
-    recovered = {}
-    for node in range(s.K):
-        got = decode(s, node, transcript, ivs)
-        if got.keys() != node_view(s, node).needed or any(
-                value != ivs.values[key] for key, value in got.items()):
-            decode_ok = False
-        recovered[node] = got
+    transcript = (shuffle_sd if s.kind == "sd" else shuffle_ads)(s, ivs)
     oracle = centralized_outputs(s, ivs)
-    outputs = reduce_outputs(s, ivs, recovered)
-    if any(value != oracle[q]
-           for per_node in outputs.values() for q, value in per_node.items()):
-        decode_ok = False
-    return RunResult(ivs=ivs, transcript=transcript, recovered=recovered,
-                     decode_ok=decode_ok,
+    values = ivs.values
+    decode_ok = True
+    for node, got in decode_all(s, transcript, ivs):
+        # got's keys are the needed pairs exactly when there are as many
+        # as needed and each is an assigned output over a file not stored
+        assigned, stored = set(s.assignment[node]), set(s.placement[node])
+        if len(got) != len(assigned) * (s.N - len(stored)) or any(
+                key[0] not in assigned or key[1] in stored
+                or values.get(key) != value for key, value in got.items()):
+            decode_ok = False
+        outputs = reduce_outputs(s, ivs, {node: got})[node]
+        if any(value != oracle[q] for q, value in outputs.items()):
+            decode_ok = False
+        del got  # hold one node's decode at a time
+    return RunResult(ivs=ivs, transcript=transcript, decode_ok=decode_ok,
                      load=measure_load(s, transcript, T))
 
 

@@ -18,13 +18,11 @@ from cdcsim.cli import EX_OK, main
 from cdcsim.designs import (SymmetricDesign, classify_ads, complement_ads,
                             develop, projective_plane, ruzsa_ads,
                             verify_symmetric_design)
-from cdcsim.scheme import (build_scheme_ads, build_scheme_sd,
-                           centralized_outputs, choose_T, node_view,
-                           reduce_outputs)
-from cdcsim.shuffle import run
+from cdcsim.scheme import build_scheme_ads, build_scheme_sd
 
 from test_analysis import symmetric_design_families
 from test_designs import diff_function
+from test_shuffle import run_end_to_end
 
 
 def verdict(tag, ok):
@@ -32,25 +30,9 @@ def verdict(tag, ok):
     assert ok, tag
 
 
-def simulate(s, seed=0):
-    """Full pipeline; returns the exact load, or raises on any mismatch."""
-    result = run(s, seed, choose_T(s))
-    ivs = result.ivs
-    assert set(result.recovered) == set(range(s.K))
-    for node, got in result.recovered.items():
-        assert set(got) == set(node_view(s, node).needed)
-        assert all(value == ivs.values[key] for key, value in got.items())
-    outputs = reduce_outputs(s, ivs, result.recovered)
-    oracle = centralized_outputs(s, ivs)
-    assert all(value == oracle[q]
-               for per_node in outputs.values() for q, value in per_node.items())
-    assert result.decode_ok
-    return result.load
-
-
 def test_criterion_01_fano_end_to_end():
     start = time.perf_counter()
-    load = simulate(build_scheme_sd(projective_plane(2)))
+    load, _, _ = run_end_to_end(build_scheme_sd(projective_plane(2)))
     elapsed = time.perf_counter() - start
     verdict("criterion 1: Fano scheme decodes everywhere, load exactly "
             f"11/21, {elapsed:.2f}s < 1s",
@@ -63,7 +45,7 @@ def test_criterion_02_larger_planes():
     for b in (3, 5):
         start = time.perf_counter()
         d = projective_plane(b)
-        load = simulate(build_scheme_sd(d))
+        load, _, _ = run_end_to_end(build_scheme_sd(d))
         elapsed = time.perf_counter() - start
         expected = Fraction((d.v - 1) ** 2 - d.t * d.v + d.v,
                             d.v * (d.v - 1))
@@ -74,27 +56,29 @@ def test_criterion_02_larger_planes():
 
 
 def test_criterion_03_ads_positive_lambda():
-    ok = simulate(build_scheme_ads(develop(classify_ads([0, 1, 3], 6)))) == \
-        Fraction(5, 12)
+    load, _, _ = run_end_to_end(
+        build_scheme_ads(develop(classify_ads([0, 1, 3], 6))))
+    ok = load == Fraction(5, 12)
     cases = [complement_ads(ruzsa_ads(p)) for p in (3, 5, 7)]
     cases.append(classify_ads([0, 1, 3], 6))
     cases.append(classify_ads([0, 1, 2, 5], 8))
     for a in cases:
         assert a.n <= 50 and 1 <= a.lam < a.k - 1
-        load = simulate(build_scheme_ads(develop(a)))
+        load, _, _ = run_end_to_end(build_scheme_ads(develop(a)))
         ok = ok and load == Fraction(a.n - 1, 2 * a.n)
     verdict("criterion 3: lam >= 1 schemes hit (n-1)/(2n) exactly "
             "(5 ADS up to n = 42, (6,3,1,4) gives 5/12)", ok)
 
 
 def test_criterion_04_golomb_schemes():
-    ok = simulate(build_scheme_ads(develop(classify_ads([0, 1], 6)))) == \
-        Fraction(2, 3)
+    load, _, _ = run_end_to_end(
+        build_scheme_ads(develop(classify_ads([0, 1], 6))))
+    ok = load == Fraction(2, 3)
     elapsed_11 = None
     for p in (3, 5, 7, 11):
         a = ruzsa_ads(p)
         start = time.perf_counter()
-        load = simulate(build_scheme_ads(develop(a)))
+        load, _, _ = run_end_to_end(build_scheme_ads(develop(a)))
         elapsed = time.perf_counter() - start
         expected = Fraction(2 * (a.n - 1) - a.k * (a.k - 1), 2 * a.n)
         assert expected == Fraction(p * p + p - 4, 2 * (p * p - p))
