@@ -29,19 +29,24 @@ def li_load(K: int, r: int, s: int) -> Fraction:
     C(K-r, K-ell)*C(r, ell-s)/C(K, s) * (ell-r)/(ell-1); an empty range
     gives 0, so full replication r = K costs nothing.  The terms are summed
     as integers over one common denominator C(K, s) * lcm(ell - 1), so
-    only the total is reduced.
+    only the total is reduced.  The binomial product
+    c_ell = C(K-r, K-ell)*C(r, ell-s) is stepped exactly as
+    c_{ell+1} = c_ell*(K-ell)*(r+s-ell) // ((ell+1-r)*(ell+1-s)).
     """
     if K < 1:
         raise AnalysisDomainError(f"K must be positive, got {K}")
     if not 1 <= r <= K or not 1 <= s <= K:
         raise AnalysisDomainError(
             f"need 1 <= r, s <= K, got r={r}, s={s}, K={K}")
-    ells = range(max(r + 1, s), min(r + s, K) + 1)
-    if not ells:
+    lo, hi = max(r + 1, s), min(r + s, K)
+    if lo > hi:
         return Fraction(0)
-    common = lcm(*(ell - 1 for ell in ells))
-    numerator = sum(comb(K - r, K - ell) * comb(r, ell - s) * (ell - r)
-                    * (common // (ell - 1)) for ell in ells)
+    common = lcm(*range(lo - 1, hi))
+    c = comb(K - r, K - lo) * comb(r, lo - s)
+    numerator = 0
+    for ell in range(lo, hi + 1):
+        numerator += c * (ell - r) * (common // (ell - 1))
+        c = c * (K - ell) * (r + s - ell) // ((ell + 1 - r) * (ell + 1 - s))
     return Fraction(numerator, comb(K, s) * common)
 
 
@@ -83,17 +88,29 @@ class InequalityCheck:
     holds: bool
 
 
+def _appendix_terms(p: int) -> List[int]:
+    """a_ell = C((p-1)^2, ell)*C(p-1, ell) for ell = 0..p-1, stepped
+    exactly from a_0 = 1 as
+    a_{ell+1} = a_ell*((p-1)^2-ell)*(p-1-ell) // (ell+1)^2."""
+    m, a, terms = (p - 1) ** 2, 1, []
+    for ell in range(p):
+        terms.append(a)
+        a = a * (m - ell) * (p - 1 - ell) // ((ell + 1) * (ell + 1))
+    return terms
+
+
 def li_lower_bound_inequality(p: int) -> InequalityCheck:
     """Master inequality behind the lower bound on the Li load at
     K = p^2 - p, r = s = p - 1.
 
     Checks sum_{ell=0}^{p-1} ell*C((p-1)^2, ell)*C(p-1, ell)
-    > (p-3)*C(p^2-p, p-1).
+    > (p-3)*C(p^2-p, p-1).  The terms a_ell = C((p-1)^2, ell)*C(p-1, ell)
+    come from the exact recurrence of _appendix_terms, not one binomial
+    each.
     """
     if p < 5:
         raise AnalysisDomainError(f"defined for p >= 5, got {p}")
-    m = (p - 1) ** 2
-    lhs = sum(ell * comb(m, ell) * comb(p - 1, ell) for ell in range(p))
+    lhs = sum(ell * a for ell, a in enumerate(_appendix_terms(p)))
     rhs = (p - 3) * comb(p * p - p, p - 1)
     return InequalityCheck(lhs=lhs, rhs=rhs, holds=lhs > rhs)
 
@@ -121,18 +138,25 @@ def li_lower_bound_steps(p: int) -> StepChecks:
     ell = 0..p-4: the top binomial dominates the last deficit term, twice
     that term bounds the whole deficit sum, and the consecutive ratios
     d_ell/d_{ell+1} increase while staying below one half.
+
+    Since C(p-1, p-1-ell) = C(p-1, ell), d_ell = (p-3-ell)*a_ell over the
+    terms of _appendix_terms, and with m = (p-1)^2 each ratio is a
+    Fraction of small integers: d_ell/d_{ell+1}
+    = (p-3-ell)*(ell+1)^2 / ((p-4-ell)*(m-ell)*(p-1-ell)).
     """
     if p < 5:
         raise AnalysisDomainError(f"defined for p >= 5, got {p}")
     m = (p - 1) ** 2
-    d = [(p - 3 - ell) * comb(p - 1, p - 1 - ell) * comb(m, ell)
-         for ell in range(p - 3)]
-    dominance = InequalityCheck(
-        lhs=comb(m, p - 1), rhs=comb(p - 1, 3) * comb(m, p - 4),
-        holds=comb(m, p - 1) > comb(p - 1, 3) * comb(m, p - 4))
-    tail_lhs = 2 * comb(m, p - 4) * comb(p - 1, 3)
-    tail = InequalityCheck(lhs=tail_lhs, rhs=sum(d), holds=tail_lhs > sum(d))
-    ratios = tuple(Fraction(d[ell], d[ell + 1]) for ell in range(p - 4))
+    deficit = sum((p - 3 - ell) * a
+                  for ell, a in enumerate(_appendix_terms(p)[:p - 3]))
+    top, last = comb(m, p - 1), comb(p - 1, 3) * comb(m, p - 4)
+    dominance = InequalityCheck(lhs=top, rhs=last, holds=top > last)
+    tail = InequalityCheck(lhs=2 * last, rhs=deficit,
+                           holds=2 * last > deficit)
+    ratios = tuple(
+        Fraction((p - 3 - ell) * (ell + 1) ** 2,
+                 (p - 4 - ell) * (m - ell) * (p - 1 - ell))
+        for ell in range(p - 4))
     increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
     below_half = not ratios or ratios[-1] < Fraction(1, 2)
     return StepChecks(dominance=dominance, tail_bound=tail, ratios=ratios,

@@ -241,7 +241,8 @@ def shuffle_ads(s: Scheme, ivs: IVTable) -> Transcript:
     through them: the j-th common block sends the XOR of the j-th T/c-bit
     segments.  A pair in no common block (possible only when lam = 0)
     falls back to plain segments, the i-th block through the file sending
-    the i-th T/k-bit segment of each orientation.
+    the i-th T/k-bit segment of each orientation.  A pair in any other
+    number of blocks is no ADS development: SchemeParameterError.
     """
     if s.kind != "ads":
         raise SchemeParameterError(f"expected an ads scheme, got {s.kind}")
@@ -253,7 +254,7 @@ def shuffle_ads(s: Scheme, ivs: IVTable) -> Transcript:
             common = s.pair_blocks.get((x, y), ())
             c = len(common)
             if c not in (lam, lam + 1):
-                raise AssertionError(
+                raise SchemeParameterError(
                     f"pair ({x},{y}) lies in {c} blocks, expected "
                     f"{lam} or {lam + 1}")
             if c:

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdcsim.analysis import (AnalysisDomainError, CSV_HEADER, ads_load,
+from cdcsim.analysis import (AnalysisDomainError, CSV_HEADER,
+                             InequalityCheck, StepChecks, ads_load,
                              jiang_load, li_load, li_lower_bound_inequality,
                              li_lower_bound_steps, li_sandwich, ours_sd_load,
                              sweep, sweep_csv)
+from cdcsim.gf import is_prime
 
 
 def is_prime_power(x: int) -> bool:
@@ -54,6 +56,54 @@ def li_reference(K, r, s):
         term = Fraction(comb(K - r, K - ell) * comb(r, ell - s), comb(K, s))
         total += term * Fraction(ell - r, ell - 1)
     return total
+
+
+def reference_inequality(p):
+    """The master inequality with one binomial per term, kept separate on
+    purpose."""
+    m = (p - 1) ** 2
+    lhs = sum(ell * comb(m, ell) * comb(p - 1, ell) for ell in range(p))
+    rhs = (p - 3) * comb(p * p - p, p - 1)
+    return InequalityCheck(lhs=lhs, rhs=rhs, holds=lhs > rhs)
+
+
+def reference_steps(p):
+    """The step chain with one binomial per deficit term and each ratio
+    taken of two deficit terms, kept separate on purpose."""
+    m = (p - 1) ** 2
+    d = [(p - 3 - ell) * comb(p - 1, p - 1 - ell) * comb(m, ell)
+         for ell in range(p - 3)]
+    dominance = InequalityCheck(
+        lhs=comb(m, p - 1), rhs=comb(p - 1, 3) * comb(m, p - 4),
+        holds=comb(m, p - 1) > comb(p - 1, 3) * comb(m, p - 4))
+    tail_lhs = 2 * comb(m, p - 4) * comb(p - 1, 3)
+    tail = InequalityCheck(lhs=tail_lhs, rhs=sum(d), holds=tail_lhs > sum(d))
+    ratios = tuple(Fraction(d[ell], d[ell + 1]) for ell in range(p - 4))
+    increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
+    below_half = not ratios or ratios[-1] < Fraction(1, 2)
+    return StepChecks(dominance=dominance, tail_bound=tail, ratios=ratios,
+                      ratios_increasing=increasing,
+                      last_ratio_below_half=below_half)
+
+
+def test_appendix_matches_reference():
+    """The stepped terms give every lhs, rhs, verdict and ratio that one
+    binomial per term gives."""
+    for p in range(5, 151):
+        assert li_lower_bound_inequality(p) == reference_inequality(p), p
+        assert li_lower_bound_steps(p) == reference_steps(p), p
+
+
+def test_li_load_matches_reference_at_scale():
+    """The stepped binomial products hold far past the K <= 80 the
+    property test draws: at the appendix point K = p^2 - p, r = s = p - 1,
+    and on the planes the plane sweep compares against."""
+    for p in range(5, 61):
+        K, r = p * p - p, p - 1
+        assert li_load(K, r, r) == li_reference(K, r, r), p
+    for b in filter(is_prime, range(2, 51)):
+        v, t = b * b + b + 1, b + 1
+        assert li_load(v, t, v - t) == li_reference(v, t, v - t), b
 
 
 def test_li_load_small_cases():

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -288,6 +289,22 @@ def test_check_appendix(capsys):
     assert all(c["holds"] for c in doc["checks"])
     _, out2, _ = run(capsys, "check-appendix", "--min-p", "5", "--max-p", "11")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("check-appendix --max-p 60",
+     "c405e3a2bdab5ff10ff7822f4f85a2735ca1bad491e43b0dd9cb48b6b25a14ae"),
+    ("compare --family plane --min 2 --max 60",
+     "141310a708817010876610fed14329e8c5b89432f7fbd48bb42aef8f7d931a9d"),
+    ("compare --family ruzsa --min 3 --max 40 --decimal",
+     "65d8072a8b6090cb21d2650d392f3a6607f25fbd8afad403b45fc5c937bf1c4e"),
+], ids=["appendix60", "plane60", "ruzsa40-decimal"])
+def test_analysis_stdout_goldens(capsys, argv, digest):
+    """Every stdout byte of the analysis commands, pinned: a change to how
+    the loads or the inequality terms are computed must not move one."""
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (EX_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_check_appendix_clamps_low_p(capsys):

@@ -15,7 +15,8 @@ from cdcsim.designs import (classify_ads, complement_ads, develop,
                             ruzsa_ads)
 from cdcsim.gf import BinaryField, FieldError
 from cdcsim import shuffle
-from cdcsim.scheme import (IncompleteRecoveryError, IVTable, build_scheme_ads,
+from cdcsim.scheme import (IncompleteRecoveryError, IVTable,
+                           SchemeParameterError, build_scheme_ads,
                            build_scheme_sd, centralized_outputs, choose_T,
                            generate_ivs, node_view, reduce_outputs)
 from cdcsim.shuffle import (Message, MissingMessageError, Transcript,
@@ -578,6 +579,24 @@ def test_ads_pair_widths_match_common_blocks():
     for widths in per_pair.values():
         assert sum(widths) == T
         assert len(set(widths)) == 1
+
+
+def test_ads_census_names_a_broken_development():
+    """A placement that is no ADS development, block 1 of (6,3,1) replaced
+    by a copy of block 0, fails the pair census with a named error."""
+    good = ads_scheme([0, 1, 3], 6)
+    blocks = list(good.placement)
+    blocks[1] = blocks[0]
+    s = dataclasses.replace(good, placement=tuple(blocks),
+                            assignment=tuple(blocks))
+    lam = s.design.source.lam
+    counts = {(x, y): len(s.pair_blocks.get((x, y), ()))
+              for x in range(s.N) for y in range(x + 1, s.N)}
+    off = {pair: c for pair, c in counts.items() if c not in (lam, lam + 1)}
+    assert off == {(0, 3): 3, (1, 2): 0, (2, 4): 0}
+    with pytest.raises(SchemeParameterError,
+                       match=r"pair \(0,3\) lies in 3 blocks, expected 1 or 2"):
+        shuffle_ads(s, generate_ivs(s, 0, choose_T(s)))
 
 
 def test_golomb_623_end_to_end():
