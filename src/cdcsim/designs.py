@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .gf import is_prime
 
@@ -103,31 +103,6 @@ def blocks_through(blocks: Sequence[Sequence[int]],
     return tuple(map(tuple, through))
 
 
-def _gram_rows(rows: Sequence[Sequence[int]],
-               columns: Sequence[Sequence[int]]) -> Tuple[int, Iterator[bytes]]:
-    """Digit width B and the rows of R R^T, each summed as one packed
-    integer and read back as bytes.
-
-    R is the 0/1 matrix whose row i holds 1 at each column in rows[i];
-    columns is its transpose (columns[c] = the rows holding c).  Each
-    column is packed as one integer of len(rows) big-endian B-byte digits,
-    digit j = 1 when row j holds c, with B the byte width of the longest
-    row so no digit overflows.  Row i of R R^T is the sum of the packed
-    columns row i holds; it is yielded as bytes, digit j = |rows[i] &
-    rows[j]| in bytes [j*B, (j+1)*B).
-    """
-    n = len(rows)
-    B = max(1, (max(map(len, rows)).bit_length() + 7) // 8)
-    packed = []
-    for holders in columns:
-        digits = bytearray(n * B)
-        for j in holders:
-            digits[j * B + B - 1] = 1
-        packed.append(int.from_bytes(digits, "big"))
-    return B, (sum(packed[c] for c in row).to_bytes(n * B, "big")
-               for row in rows)
-
-
 def _digits(packed: bytes, B: int) -> Sequence[int]:
     """The big-endian B-byte digits of packed, in order."""
     if B == 1:
@@ -142,28 +117,33 @@ def _first_unequal_meet(rows: Sequence[Sequence[int]],
     """The first (i, j, |rows[i] & rows[j]|), i < j in lexicographic order,
     whose meet is not lam; None when every meet is lam.
 
-    Each Gram row's tail past the diagonal is compared with lam repeated;
-    digits are decoded only in a row that differs.
+    R is the 0/1 matrix whose row i holds 1 at each column in rows[i];
+    columns is its transpose (columns[c] = the rows holding c).  Each
+    column is packed as one integer of len(rows) big-endian B-byte digits,
+    digit j = 1 when row j holds c, with B the byte width of the longest
+    row so no digit overflows.  Row i of R R^T is the sum of the packed
+    columns row i holds, read back as bytes: digit j = |rows[i] & rows[j]|
+    in bytes [j*B, (j+1)*B).  Each row's tail past the diagonal is
+    compared with lam repeated; digits are decoded only in a row that
+    differs.
     """
-    B, gram = _gram_rows(rows, columns)
-    expected = lam.to_bytes(B, "big") * len(rows)
-    for i, row in enumerate(gram):
-        tail = row[(i + 1) * B:]
+    n = len(rows)
+    B = max(1, (max(map(len, rows)).bit_length() + 7) // 8)
+    packed = []
+    for holders in columns:
+        digits = bytearray(n * B)
+        for j in holders:
+            digits[j * B + B - 1] = 1
+        packed.append(int.from_bytes(digits, "big"))
+    expected = lam.to_bytes(B, "big") * n
+    for i, row in enumerate(rows):
+        gram_row = sum(packed[c] for c in row).to_bytes(n * B, "big")
+        tail = gram_row[(i + 1) * B:]
         if tail != expected[:len(tail)]:
             for j, meet in enumerate(_digits(tail, B), i + 1):
                 if meet != lam:
                     return i, j, meet
     return None
-
-
-def _pair_census(rows: Sequence[Sequence[int]],
-                 columns: Sequence[Sequence[int]]) -> Dict[int, int]:
-    """How many pairs i < j have |rows[i] & rows[j]| = m, for each m."""
-    B, gram = _gram_rows(rows, columns)
-    census: Counter = Counter()
-    for i, row in enumerate(gram):
-        census.update(_digits(row[(i + 1) * B:], B))
-    return dict(census)
 
 
 def verify_symmetric_design(
@@ -173,17 +153,24 @@ def verify_symmetric_design(
 
     With N the v x b point-by-block incidence matrix, a (v, t, lam)
     symmetric design has b = v and N N^T = N^T N = (t - lam) I + lam J.
-    Past the shape checks, each check reads entries of these two Gram
-    matrices, every entry the meet of two incidence rows: the rows of
-    points (the blocks through each point) for N N^T, the rows of blocks
-    for N^T N.  Each Gram row is one packed integer sum (_gram_rows), and
-    a pair is decoded from it only where the row is off.  Checks, in
-    order: well-formed blocks, block count = v, uniform block size (the
-    diagonal of N^T N), constant pair multiplicity (off the diagonal of
-    N N^T), constant replication (its diagonal), constant pairwise block
-    intersection (off the diagonal of N^T N), and the counting identity
-    lam*(v-1) = t*(t-1).  Returns a SymmetricDesign (blocks canonically
-    sorted) on success, otherwise a DesignViolation for the first failure.
+    Checks, in order: well-formed blocks, block count = v, uniform block
+    size t >= 2, and constant pair multiplicity lam (off the diagonal of
+    N N^T).  The last is one Gram pass over the rows of points, the blocks
+    through each point: each Gram row is one packed integer sum, and a
+    pair is decoded from it only where the row is off.  Returns a
+    SymmetricDesign (blocks canonically sorted) on success, otherwise a
+    DesignViolation for the first failure.
+
+    The rest of the definition follows from these checks.  A block holds
+    t >= 2 points, so some pair lies in a block and lam >= 1.  Counting
+    the pairs (y, block) with y != x in a block through point x gives
+    r_x (t - 1) = lam (v - 1), so every replication r_x is equal; as
+    sum r_x = v t, r_x = t and lam (v - 1) = t (t - 1).  If t > lam, then
+    N N^T = (t - lam) I + lam J is nonsingular, and N J = J N = t J gives
+    N^T N = N^-1 (N N^T) N = (t - lam) I + lam J: every two blocks meet
+    in lam points (Ryser, Proc. AMS 1, 1950).  If t = lam, every block
+    through a point holds every other point, so v = t and every block is
+    the whole point set.
     """
     normalized = [tuple(sorted(b)) for b in blocks]
     if v < 2:
@@ -213,23 +200,6 @@ def verify_symmetric_design(
             "pair-multiplicity", bad_pair,
             f"pair ({x},{y}) lies in {count} blocks, expected {lam}")
 
-    for x, ids in enumerate(through):
-        if len(ids) != t:
-            return DesignViolation(
-                "replication", (x, len(ids)),
-                f"point {x} lies in {len(ids)} blocks, expected {t}")
-
-    bad_blocks = _first_unequal_meet(normalized, through, lam)
-    if bad_blocks is not None:
-        i, j, meet = bad_blocks
-        return DesignViolation(
-            "block-intersection", bad_blocks,
-            f"blocks {i} and {j} meet in {meet} points, expected {lam}")
-
-    if lam * (v - 1) != t * (t - 1):
-        return DesignViolation(
-            "counting-identity", (v, t, lam),
-            f"lam*(v-1) = {lam * (v - 1)} but t*(t-1) = {t * (t - 1)}")
     return SymmetricDesign(v=v, t=t, lam=lam, blocks=tuple(sorted(normalized)))
 
 
@@ -400,9 +370,13 @@ def develop(a: AlmostDifferenceSet) -> Development:
 
     Needs lam < k-1 so the translates are pairwise distinct and
     1 <= mu <= n-2 so the result is a proper 1-design rather than a
-    2-design.  The point and pair censuses are re-checked by brute force.
+    2-design.  The pair (x, y) lies in the translates D + r with x - r and
+    y - r in D, exactly diff_D(y - x) of them, so the pair census is the
+    difference histogram: D is classified again, and parameters other
+    than a's raise AssertionError.  Then each point lies in k blocks, and
+    no two translates are equal, since diff_D never reaches k.
     """
-    n, k = a.n, a.k
+    n = a.n
     if a.lam >= a.k - 1:
         raise DesignParameterError(
             f"develop needs lam < k-1 for distinct translates, "
@@ -410,21 +384,13 @@ def develop(a: AlmostDifferenceSet) -> Development:
     if not 1 <= a.mu <= n - 2:
         raise DesignParameterError(
             f"degenerate mu={a.mu}: develop needs 1 <= mu <= {n - 2}")
-    blocks = tuple(tuple(sorted((d + r) % n for d in a.D)) for r in range(n))
-    if len(set(blocks)) != n:
-        raise AssertionError("translates are not pairwise distinct")
-    through = blocks_through(blocks, n)
-    if any(len(ids) != k for ids in through):
-        raise AssertionError("development is not a 1-design with replication k")
-    census = _pair_census(through, blocks)
-    expected = {}
-    if a.mu:
-        expected[a.lam] = a.n * a.mu // 2
-    if n - 1 - a.mu:
-        expected[a.lam + 1] = n * (n - 1 - a.mu) // 2
-    if census != expected:
+    found = classify_ads(a.D, n)
+    if not isinstance(found, AlmostDifferenceSet) or \
+            (found.n, found.k, found.lam, found.mu) != (n, a.k, a.lam, a.mu):
         raise AssertionError(
-            f"pair census {census} does not match expected {expected}")
+            f"D classifies as {found}, not as the stated "
+            f"{(n, a.k, a.lam, a.mu)}")
+    blocks = tuple(tuple(sorted((d + r) % n for d in a.D)) for r in range(n))
     return Development(source=a, blocks=blocks)
 
 

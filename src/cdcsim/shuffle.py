@@ -140,11 +140,15 @@ def _local_values(s: Scheme, node: int,
             for n in s.placement[node] for q in range(s.Q)}
 
 
-def _payload(transcript: Transcript, node: int, key: Tuple) -> int:
+def _payloads(transcript: Transcript, node: int,
+              keys: Iterable[Tuple]) -> List[int]:
+    """The payloads of the messages under keys, in order; the first key
+    with no message raises MissingMessageError for node."""
+    by_key = transcript.by_key
     try:
-        return transcript.by_key[key].payload
-    except KeyError:
-        raise MissingMessageError(node, key) from None
+        return [by_key[key].payload for key in keys]
+    except KeyError as missing:
+        raise MissingMessageError(node, missing.args[0]) from None
 
 
 def shuffle_sd(s: Scheme, ivs: IVTable) -> Transcript:
@@ -190,7 +194,7 @@ def decode_sd(s: Scheme, node: int, transcript: Transcript, ivs: IVTable,
         raise SchemeParameterError(f"expected an sd scheme, got {s.kind}")
     if solved is None:
         solved = {}
-    T, by_key = ivs.T, transcript.by_key
+    T = ivs.T
     local = _local_values(s, node, ivs)
     needed = node_view(s, node).needed
     out = dict.fromkeys(needed, 0)
@@ -202,11 +206,7 @@ def decode_sd(s: Scheme, node: int, transcript: Transcript, ivs: IVTable,
                 continue
             width, count = T // segments, len(message_keys)
             mask = (1 << width) - 1
-            try:
-                payloads = [by_key[key].payload for key in message_keys]
-            except KeyError:
-                missing = next(k for k in message_keys if k not in by_key)
-                raise MissingMessageError(node, missing) from None
+            payloads = _payloads(transcript, node, message_keys)
             if min(payloads) < 0 or max(payloads) > mask:
                 raise FieldError(f"a payload of {message_keys} is outside "
                                  f"[0, {mask + 1})")
@@ -310,9 +310,10 @@ def decode_ads(s: Scheme, node: int, transcript: Transcript, ivs: IVTable,
         value = joined.get(group)
         if value is None:
             tag, a, b = group
+            message_keys = [(u, tag, (a, b, j))
+                            for j, u in enumerate(senders)]
             value = joined[group] = join_bits(
-                [_payload(transcript, node, (u, tag, (a, b, j)))
-                 for j, u in enumerate(senders)], T // len(senders))
+                _payloads(transcript, node, message_keys), T // len(senders))
         out[(q, n)] = value ^ mask
     return out
 
@@ -353,7 +354,10 @@ def run(s: Scheme, seed: int, T: int) -> RunResult:
     Shuffles with the encoder of the scheme kind, decodes at every node
     and reduces.  decode_ok holds when every node recovered exactly the
     values it needs, each equal to the table, and every reduce output
-    matches the centralized oracle.
+    matches the centralized oracle.  A node's decode is checked by its
+    key count and its values alone: with as many keys as needed, a key
+    not needed means a needed one is missing, and reduce_outputs raises
+    IncompleteRecoveryError naming it.
     """
     ivs = generate_ivs(s, seed, T)
     transcript = (shuffle_sd if s.kind == "sd" else shuffle_ads)(s, ivs)
@@ -361,12 +365,9 @@ def run(s: Scheme, seed: int, T: int) -> RunResult:
     values = ivs.values
     decode_ok = True
     for node, got in decode_all(s, transcript, ivs):
-        # got's keys are the needed pairs exactly when there are as many
-        # as needed and each is an assigned output over a file not stored
-        assigned, stored = set(s.assignment[node]), set(s.placement[node])
-        if len(got) != len(assigned) * (s.N - len(stored)) or any(
-                key[0] not in assigned or key[1] in stored
-                or values.get(key) != value for key, value in got.items()):
+        count = len(s.assignment[node]) * (s.N - len(s.placement[node]))
+        if len(got) != count or any(values.get(key) != value
+                                    for key, value in got.items()):
             decode_ok = False
         outputs = reduce_outputs(s, ivs, {node: got})[node]
         if any(value != oracle[q] for q, value in outputs.items()):

@@ -176,6 +176,84 @@ def test_documents_keep_the_exit_code_contract(tmp_path_factory, doc):
         assert code in (EX_OK, EX_VERIFY, EX_UNSUPPORTED, EX_USAGE), argv
 
 
+def _flag(name, values=None):
+    """One flag, with a value drawn from values when it takes one."""
+    if values is None:
+        return st.just((name,))
+    return values.map(lambda value: (name, str(value)))
+
+
+def _any_of(*flags):
+    """The tokens of any subset of flags, in any order."""
+    return st.tuples(*(st.none() | flag for flag in flags)).flatmap(
+        lambda picked: st.permutations([f for f in picked if f is not None])
+    ).map(lambda chosen: tuple(token for flag in chosen for token in flag))
+
+
+def _command(name, *flags, always=()):
+    """name, the tokens of each of always, then any subset of flags."""
+    return st.tuples(*always, _any_of(*flags)).map(
+        lambda parts: [name] + [token for part in parts for token in part])
+
+
+def _sources(document_flag):
+    """One source, no source, or any mix of the source flags."""
+    plane = _flag("--plane", st.integers(-3, 5))
+    ruzsa = _flag("--ruzsa", st.integers(-3, 7))
+    ads = _flag("--ads", _ADS_CSV)
+    n = _flag("--n", _SMALL)
+    document = _flag(document_flag, _DOCUMENT)
+    return (plane | ruzsa | document
+            | st.tuples(ads, n).map(lambda pair: pair[0] + pair[1])
+            | _any_of(plane, ruzsa, ads, n, document))
+
+
+# every subcommand and source flag, with small values, so that nothing
+# large is built or simulated; "@name" stands for a document path
+_SMALL = st.integers(-3, 12)
+_ADS_CSV = st.lists(st.integers(-3, 12).map(str)
+                    | st.sampled_from(["", " ", "x", "1.5"]),
+                    max_size=4).map(",".join)
+_DOCUMENT = st.sampled_from(["@fano", "@ads", "@missing"])
+_ARGV = (
+    _command("design", always=[_sources("--verify")])
+    | _command("simulate", _flag("--seed", _SMALL),
+               _flag("--scale", st.integers(-3, 2)),
+               always=[_flag("--scheme", st.sampled_from(["sd", "ads", "x"])),
+                       _sources("--design")])
+    | _command("compare",
+               _flag("--family", st.sampled_from(["plane", "ruzsa"])),
+               _flag("--min", _SMALL), _flag("--max", _SMALL),
+               _flag("--decimal"))
+    | _command("check-appendix", _flag("--min-p", _SMALL),
+               _flag("--max-p", _SMALL))
+    | _command("bogus"))
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """A valid design document, a valid ADS document and a missing path."""
+    root = tmp_path_factory.mktemp("documents")
+    (root / "fano.json").write_text(
+        '{"v":7,"blocks":[[0,1,2],[0,3,4],[0,5,6],[1,3,5],[1,4,6],'
+        '[2,3,6],[2,4,5]]}')
+    (root / "ads.json").write_text('{"n":6,"D":[0,1,3]}')
+    return {f"@{name}": str(root / f"{name}.json")
+            for name in ("fano", "ads", "missing")}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARGV)
+def test_argv_keeps_the_exit_code_contract(documents, argv):
+    """Any argv of the grammar exits 0, 2, 3 or 64, and no exception
+    escapes: MissingMessageError and IncompleteRecoveryError included."""
+    argv = [documents.get(token, token) for token in argv]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (EX_OK, EX_VERIFY, EX_UNSUPPORTED, EX_USAGE), argv
+
+
 def test_simulate_fano(capsys):
     code, out1, _ = run(capsys, "simulate", "--scheme", "sd", "--plane", "2")
     assert code == EX_OK

@@ -1,5 +1,5 @@
 import json
-from collections import Counter
+import tracemalloc
 from typing import Dict, Sequence, Tuple, Union
 
 import pytest
@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from cdcsim.designs import (AdsReport, AlmostDifferenceSet,
                             DesignParameterError, DesignVerificationError,
-                            DesignViolation, SymmetricDesign, _pair_census,
-                            ads_from_doc, blocks_through, classify_ads,
-                            complement_ads, develop, export_ads,
-                            export_design, import_design, projective_plane,
-                            ruzsa_ads, smallest_primitive_root,
-                            verify_symmetric_design)
+                            DesignViolation, SymmetricDesign, ads_from_doc,
+                            classify_ads, complement_ads, develop,
+                            export_ads, export_design, import_design,
+                            projective_plane, ruzsa_ads,
+                            smallest_primitive_root, verify_symmetric_design)
 
 FANO_BLOCKS = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6),
                (2, 3, 6), (2, 4, 5)]
@@ -315,15 +314,16 @@ def test_develop_census():
     lambda: classify_ads([0, 1, 3], 6),
 ], ids=["ruzsa5", "ruzsa7", "comp5", "comp7", "ads6"])
 def test_develop_census_matches_brute_force(make):
-    """The pair census develop checks, read from packed Gram rows, is the
-    one that counting the blocks through each pair gives."""
+    """The pair census develop relies on, read from the difference
+    function, is the one that counting the blocks through each pair gives:
+    x < y lie together in diff_D(y - x) blocks."""
     a = make()
     dev = develop(a)
     sets = [set(block) for block in dev.blocks]
-    brute = Counter(sum(x in block and y in block for block in sets)
-                    for x in range(a.n) for y in range(x + 1, a.n))
-    assert _pair_census(blocks_through(dev.blocks, a.n), dev.blocks) == \
-        dict(brute)
+    for x in range(a.n):
+        for y in range(x + 1, a.n):
+            assert sum(x in block and y in block for block in sets) == \
+                diff_function(a.D, a.n, (y - x) % a.n), (x, y)
 
 
 def test_develop_guards():
@@ -332,6 +332,23 @@ def test_develop_guards():
     singer = classify_ads([1, 2, 4], 7)
     with pytest.raises(DesignParameterError):
         develop(singer)
+    with pytest.raises(AssertionError):  # D's true mu is 4
+        develop(AlmostDifferenceSet(n=6, k=3, lam=1, mu=3, D=(0, 1, 3)))
+
+
+def test_develop_in_a_large_group_stays_small():
+    """develop checks a development through its difference histogram, so
+    n = 10 000 costs the n blocks alone.  A pair census from packed Gram
+    columns peaked at 53.7 MiB on this input."""
+    a = classify_ads([0, 1, 3], 10000)
+    tracemalloc.start()
+    try:
+        dev = develop(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dev.blocks) == 10000
+    assert peak < 5 * 2 ** 20
 
 
 def test_design_round_trip_byte_stable():
