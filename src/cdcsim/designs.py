@@ -125,18 +125,20 @@ def _first_unequal_meet(rows: Sequence[Sequence[int]],
     columns row i holds, read back as bytes: digit j = |rows[i] & rows[j]|
     in bytes [j*B, (j+1)*B).  Each row's tail past the diagonal is
     compared with lam repeated; digits are decoded only in a row that
-    differs.
+    differs.  A column is packed just before the first row holding it, so
+    a check that fails early packs only the columns it has reached.
     """
     n = len(rows)
     B = max(1, (max(map(len, rows)).bit_length() + 7) // 8)
-    packed = []
-    for holders in columns:
-        digits = bytearray(n * B)
-        for j in holders:
-            digits[j * B + B - 1] = 1
-        packed.append(int.from_bytes(digits, "big"))
+    packed = {}
     expected = lam.to_bytes(B, "big") * n
     for i, row in enumerate(rows):
+        for c in row:
+            if c not in packed:
+                digits = bytearray(n * B)
+                for j in columns[c]:
+                    digits[j * B + B - 1] = 1
+                packed[c] = int.from_bytes(digits, "big")
         gram_row = sum(packed[c] for c in row).to_bytes(n * B, "big")
         tail = gram_row[(i + 1) * B:]
         if tail != expected[:len(tail)]:
@@ -301,6 +303,19 @@ def classify_ads(D: Sequence[int], n: int) -> Union[AlmostDifferenceSet, AdsRepo
     return ads
 
 
+def _classified_as(D: Sequence[int], expected: Tuple[int, int, int, int],
+                   what: str) -> AlmostDifferenceSet:
+    """classify_ads(D, n), which must come out as an ADS with parameters
+    expected = (n, k, lam, mu); anything else raises AssertionError
+    naming what was classified, as what, and the expected parameters."""
+    found = classify_ads(D, expected[0])
+    if not isinstance(found, AlmostDifferenceSet) or \
+            (found.n, found.k, found.lam, found.mu) != expected:
+        raise AssertionError(
+            f"{what} classifies as {found}, not as {expected}")
+    return found
+
+
 def smallest_primitive_root(p: int) -> int:
     """Smallest positive primitive root modulo the prime p."""
     if not is_prime(p):
@@ -342,27 +357,17 @@ def ruzsa_ads(p: int) -> AlmostDifferenceSet:
         a = i % (p - 1)
         b = pow(g, i, p)
         D.append((a * p * inv_p + b * (p - 1) * inv_q) % n)
-    ads = classify_ads(D, n)
-    expected = (n, p - 1, 0, 2 * p - 3)
-    if not isinstance(ads, AlmostDifferenceSet) or \
-            (ads.n, ads.k, ads.lam, ads.mu) != expected:
-        raise AssertionError(
-            f"construction for p={p} did not classify as {expected}: {ads}")
-    return ads
+    return _classified_as(D, (n, p - 1, 0, 2 * p - 3),
+                          f"the construction for p={p}")
 
 
 def complement_ads(a: AlmostDifferenceSet) -> AlmostDifferenceSet:
     """Complement Z_n minus D, an (n, n-k, n-2k+lam, mu) ADS."""
     dset = set(a.D)
     comp = [x for x in range(a.n) if x not in dset]
-    out = classify_ads(comp, a.n)
-    expected = (a.n, a.n - a.k, a.n - 2 * a.k + a.lam, a.mu)
-    if not isinstance(out, AlmostDifferenceSet) or \
-            (out.n, out.k, out.lam, out.mu) != expected:
-        raise AssertionError(
-            f"complement of {(a.n, a.k, a.lam, a.mu)} did not classify "
-            f"as {expected}: {out}")
-    return out
+    return _classified_as(
+        comp, (a.n, a.n - a.k, a.n - 2 * a.k + a.lam, a.mu),
+        f"the complement of {(a.n, a.k, a.lam, a.mu)}")
 
 
 def develop(a: AlmostDifferenceSet) -> Development:
@@ -384,12 +389,7 @@ def develop(a: AlmostDifferenceSet) -> Development:
     if not 1 <= a.mu <= n - 2:
         raise DesignParameterError(
             f"degenerate mu={a.mu}: develop needs 1 <= mu <= {n - 2}")
-    found = classify_ads(a.D, n)
-    if not isinstance(found, AlmostDifferenceSet) or \
-            (found.n, found.k, found.lam, found.mu) != (n, a.k, a.lam, a.mu):
-        raise AssertionError(
-            f"D classifies as {found}, not as the stated "
-            f"{(n, a.k, a.lam, a.mu)}")
+    _classified_as(a.D, (n, a.k, a.lam, a.mu), "D")
     blocks = tuple(tuple(sorted((d + r) % n for d in a.D)) for r in range(n))
     return Development(source=a, blocks=blocks)
 

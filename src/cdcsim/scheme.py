@@ -274,21 +274,24 @@ def reduce_outputs(
     intermediate values; nodes absent from recovered are not reduced.
 
     Node k may consult the IV table only for files it stores; everything
-    else must appear in recovered[k] or IncompleteRecoveryError is raised.
+    else must appear in recovered[k] or IncompleteRecoveryError is raised
+    for the first missing (q, n), q in assignment order and n ascending.
     """
+    values = ivs.values
     out: Dict[int, Dict[int, int]] = {}
     for node, got in recovered.items():
-        stored = set(s.placement[node])
+        stored = s.placement[node]
+        lacking = sorted(set(range(s.N)).difference(stored))
         results = {}
         for q in s.assignment[node]:
             acc = 0
-            for n in range(s.N):
-                if n in stored:
-                    acc ^= ivs.values[(q, n)]
-                elif (q, n) in got:
-                    acc ^= got[(q, n)]
-                else:
-                    raise IncompleteRecoveryError(node, q, n)
+            for n in stored:
+                acc ^= values[q, n]
+            try:
+                for n in lacking:
+                    acc ^= got[q, n]
+            except KeyError:
+                raise IncompleteRecoveryError(node, q, n) from None
             results[q] = acc
         out[node] = results
     return out

@@ -26,11 +26,11 @@ maps packed sums to the packed unknowns.  A receiver cuts each local
 segment it needs with a shift and a mask, XORs its terms out of the
 packed payloads and is left with a square power-sum system at distinct
 points; solved segments are in range by construction and are placed
-into the values with shifts.  decode_all gives the decodes of all nodes
-one memo of solved systems, keyed by (width, unknown points, the
-receiver's own packed right-hand side): receivers lacking the same
-points of a group pose the same system and solve it once, and none ever
-reads another node's values.
+into the values with shifts.  The decodes of a transcript share its memo
+of solved systems, keyed by (width, unknown points, the receiver's own
+packed right-hand side): receivers lacking the same points of a group
+pose the same system and solve it once, in any node order, and none
+ever reads another node's values.
 
 ADS scheme: one encoder, shuffle_ads, serves every lam.  A pair x < y lies
 in c common blocks, c = lam or lam + 1.  When c >= 1 the pair shares both
@@ -39,9 +39,9 @@ segment of v_{x,y} ^ v_{y,x}.  When c = 0 (only when lam = 0) each
 orientation goes out as k plain T/k-bit segments, one per block through
 the file.  Splitting commutes with XOR, so joining a pair's payloads gives
 v_{x,y} ^ v_{y,x} whole, and a node holding one orientation unmasks the
-other with one XOR.  decode_all gives the decodes of all nodes one memo
-of joined message groups, keyed by ("ADS-pairsum", x, y) or
-("ADS-segment", q, n): each group is read and joined once per run, and
+other with one XOR.  The transcript's memo holds each joined message
+group, keyed by ("ADS-pairsum", x, y) or ("ADS-segment", q, n) with its
+senders and T: each group is read and joined once per transcript, and
 the memo holds nothing but transcript bits.
 """
 
@@ -50,7 +50,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .gf import (FieldError, apply_plan, pack_lanes, power_sum_plan,
                  solve_plan, unpack_lanes)
@@ -84,13 +84,16 @@ class Transcript:
     """All shuffle messages of one run, canonically ordered.
 
     No two messages share a (sender, tag, meta) key; by_key maps each key
-    to its message.
+    to its message.  memo starts empty and is shared by every decode of
+    the transcript; each entry's key names all it depends on beyond the
+    messages, so any caller may decode the nodes in any order.
     """
 
     messages: Tuple[Message, ...]
     total_bits: int
     by_key: Dict[Tuple, Message] = field(init=False, repr=False,
                                          compare=False)
+    memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         by_key = {}
@@ -100,6 +103,7 @@ class Transcript:
                 raise ValueError(f"two messages share the key {key}")
             by_key[key] = m
         object.__setattr__(self, "by_key", by_key)
+        object.__setattr__(self, "memo", {})
 
 
 def split_bits(value: int, width: int, parts: int) -> List[int]:
@@ -173,8 +177,8 @@ def shuffle_sd(s: Scheme, ivs: IVTable) -> Transcript:
     return _finish(messages)
 
 
-def decode_sd(s: Scheme, node: int, transcript: Transcript, ivs: IVTable,
-              solved: Optional[dict] = None) -> Dict[Tuple[int, int], int]:
+def decode_sd(s: Scheme, node: int, transcript: Transcript,
+              ivs: IVTable) -> Dict[Tuple[int, int], int]:
     """Recover every intermediate value node needs, from messages alone.
 
     Only the node's locally stored values are read from the table.  Each
@@ -184,17 +188,15 @@ def decode_sd(s: Scheme, node: int, transcript: Transcript, ivs: IVTable,
     every payload is range-checked before it is packed, so no bit spills
     into the next lane.
 
-    solved memoizes those systems, keyed by (width, unknown points, this
-    node's packed right-hand side), so decodes that share one dict solve
-    each distinct system once.  A node only ever reuses the solution of
-    the very system its own sums pose: what another node read never
-    enters.
+    The transcript's memo holds those systems' solutions, keyed by
+    (width, unknown points, this node's packed right-hand side), so the
+    decodes of one transcript solve each distinct system once.  A node
+    only ever reuses the solution of the very system its own sums pose:
+    what another node read never enters.
     """
     if s.kind != "sd":
         raise SchemeParameterError(f"expected an sd scheme, got {s.kind}")
-    if solved is None:
-        solved = {}
-    T = ivs.T
+    T, solved = ivs.T, transcript.memo
     local = _local_values(s, node, ivs)
     needed = node_view(s, node).needed
     out = dict.fromkeys(needed, 0)
@@ -278,8 +280,8 @@ def shuffle_ads(s: Scheme, ivs: IVTable) -> Transcript:
 shuffle_ads_pos = shuffle_ads_golomb = shuffle_ads
 
 
-def decode_ads(s: Scheme, node: int, transcript: Transcript, ivs: IVTable,
-               joined: Optional[dict] = None) -> Dict[Tuple[int, int], int]:
+def decode_ads(s: Scheme, node: int, transcript: Transcript,
+               ivs: IVTable) -> Dict[Tuple[int, int], int]:
     """Recover every intermediate value node needs in an ADS scheme.
 
     Only the node's locally stored values are read from the table.  The
@@ -287,16 +289,14 @@ def decode_ads(s: Scheme, node: int, transcript: Transcript, ivs: IVTable,
     with the stored opposite orientation; segment messages join to the
     value itself.
 
-    joined memoizes each joined message group, keyed by
-    ("ADS-pairsum", x, y) or ("ADS-segment", q, n), so decodes of one
-    transcript that share one dict read each message once.  It holds only
-    transcript bits, never a node's stored values.
+    The transcript's memo holds each joined message group, keyed by
+    (tag, q, n, its senders, T), so the decodes of one transcript read
+    each message once.  It holds only transcript bits, never a node's
+    stored values.
     """
     if s.kind != "ads":
         raise SchemeParameterError(f"expected an ads scheme, got {s.kind}")
-    if joined is None:
-        joined = {}
-    T = ivs.T
+    T, joined = ivs.T, transcript.memo
     through, pairs = s.point_blocks, s.pair_blocks
     local = _local_values(s, node, ivs)
     out = {}
@@ -304,12 +304,12 @@ def decode_ads(s: Scheme, node: int, transcript: Transcript, ivs: IVTable,
         x, y = _pair_key(q, n)
         senders = pairs.get((x, y))
         if senders:
-            group, mask = ("ADS-pairsum", x, y), local[(n, q)]
+            group, mask = ("ADS-pairsum", x, y, senders, T), local[(n, q)]
         else:
-            group, mask, senders = ("ADS-segment", q, n), 0, through[n]
+            group, mask = ("ADS-segment", q, n, through[n], T), 0
         value = joined.get(group)
         if value is None:
-            tag, a, b = group
+            tag, a, b, senders, _ = group
             message_keys = [(u, tag, (a, b, j))
                             for j, u in enumerate(senders)]
             value = joined[group] = join_bits(
@@ -321,16 +321,11 @@ def decode_ads(s: Scheme, node: int, transcript: Transcript, ivs: IVTable,
 def decode_all(s: Scheme, transcript: Transcript, ivs: IVTable,
                ) -> Iterator[Tuple[int, Dict[Tuple[int, int], int]]]:
     """Decode node 0, 1, ..., K - 1 in turn with the decoder of the scheme
-    kind, yielding (node, recovered).
-
-    The decodes share one memo: decode_sd's solved systems, so receivers
-    lacking the same points of a group solve their common system once, or
-    decode_ads's joined message groups, so each group is read once.
-    """
+    kind, yielding (node, recovered); the decodes share the transcript's
+    memo."""
     decode = decode_sd if s.kind == "sd" else decode_ads
-    memo = {}
     for node in range(s.K):
-        yield node, decode(s, node, transcript, ivs, memo)
+        yield node, decode(s, node, transcript, ivs)
 
 
 def measure_load(s: Scheme, transcript: Transcript, T: int) -> Fraction:

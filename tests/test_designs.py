@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import tracemalloc
 from typing import Dict, Sequence, Tuple, Union
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdcsim.cli import EX_VERIFY, main
 from cdcsim.designs import (AdsReport, AlmostDifferenceSet,
                             DesignParameterError, DesignVerificationError,
                             DesignViolation, SymmetricDesign, ads_from_doc,
@@ -332,7 +335,8 @@ def test_develop_guards():
     singer = classify_ads([1, 2, 4], 7)
     with pytest.raises(DesignParameterError):
         develop(singer)
-    with pytest.raises(AssertionError):  # D's true mu is 4
+    with pytest.raises(AssertionError,  # D's true mu is 4
+                       match=r"mu=4, .* not as \(6, 3, 1, 3\)"):
         develop(AlmostDifferenceSet(n=6, k=3, lam=1, mu=3, D=(0, 1, 3)))
 
 
@@ -444,6 +448,72 @@ def test_verify_multi_byte_digits_matches_reference(edit):
     report = verify_symmetric_design(v, blocks)
     assert isinstance(report, DesignViolation)
     assert report == reference_verify(v, blocks)
+
+
+def test_verify_packs_columns_as_rows_reach_them():
+    """A ring of blocks {i, i+1 mod v} fails the pair check at row 0, so
+    only the two blocks through point 0 are packed.  Packing every block
+    first peaked at 19.3 MiB here."""
+    v = 6000
+    blocks = [(i, (i + 1) % v) for i in range(v)]
+    tracemalloc.start()
+    try:
+        report = verify_symmetric_design(v, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == DesignViolation(
+        "pair-multiplicity", (0, 2, 0),
+        "pair (0,2) lies in 0 blocks, expected 1")
+    assert peak < 4 * 2 ** 20, peak
+
+
+_VALID_DOCUMENTS = {
+    "fano": (7, FANO_BLOCKS),
+    "plane3": (13, projective_plane(3).blocks),
+    "paley11": (11, [tuple(sorted((x * x + r) % 11 for x in range(1, 6)))
+                     for r in range(11)]),
+}
+
+
+@st.composite
+def _tampered_documents(draw):
+    """A valid Fano, plane 3 or Paley (11,5,2) document with one point of
+    one block moved, one block replaced by a copy of another, or one block
+    dropped."""
+    name = draw(st.sampled_from(sorted(_VALID_DOCUMENTS)))
+    v, valid = _VALID_DOCUMENTS[name]
+    blocks = [list(b) for b in valid]
+    i = draw(st.integers(0, v - 1))
+    edit = draw(st.sampled_from(["move", "copy", "drop"]))
+    if edit == "move":
+        position = draw(st.integers(0, len(blocks[i]) - 1))
+        blocks[i][position] = draw(st.integers(0, v - 1).filter(
+            lambda x: x != blocks[i][position]))
+    elif edit == "copy":
+        blocks[i] = list(blocks[draw(st.integers(0, v - 1).filter(
+            lambda j: j != i))])
+    else:
+        del blocks[i]
+    return v, blocks
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tampered_documents())
+def test_verify_tampered_documents_end_to_end(tmp_path_factory, case):
+    """design --verify of a tampered document exits 2, prints nothing, and
+    reports on stderr the reference verifier's first violation."""
+    v, blocks = case
+    expected = reference_verify(v, blocks)
+    assert isinstance(expected, DesignViolation)
+    path = tmp_path_factory.mktemp("doc") / "design.json"
+    path.write_text(json.dumps({"v": v, "blocks": blocks}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["design", "--verify", str(path)])
+    assert code == EX_VERIFY
+    assert out.getvalue() == ""
+    assert err.getvalue() == f"verification failed: {expected}\n"
 
 
 @st.composite

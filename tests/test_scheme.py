@@ -152,6 +152,28 @@ def test_reduce_outputs_missing_value():
     assert info.value.node == 3
 
 
+@pytest.mark.parametrize("make_scheme", [
+    fano_scheme, lambda: build_scheme_ads(develop(classify_ads([0, 1, 3], 6))),
+], ids=["fano", "ads-634"])
+def test_reduce_outputs_names_the_first_missing_value(make_scheme):
+    """With several values missing, the witness is the first of them: the
+    first output in assignment order, then the smallest file."""
+    s = make_scheme()
+    ivs = generate_ivs(s, 5, choose_T(s))
+    for node in range(s.K):
+        first_q, second_q = s.assignment[node][:2]
+        lacking = sorted(set(range(s.N)) - set(s.placement[node]))
+        kept = {(first_q, n): ivs.values[(first_q, n)] for n in lacking[:-1]}
+        for got, witness in (({}, (first_q, lacking[0])),
+                             (kept, (first_q, lacking[-1])),
+                             ({**kept, (first_q, lacking[-1]): 0},
+                              (second_q, lacking[0]))):
+            with pytest.raises(IncompleteRecoveryError) as info:
+                reduce_outputs(s, ivs, {node: got})
+            assert (info.value.node, info.value.q, info.value.n) == \
+                (node,) + witness
+
+
 def test_scheme_json():
     s = fano_scheme()
     doc = json.loads(scheme_to_json(s))

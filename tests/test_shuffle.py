@@ -39,6 +39,12 @@ def transcript_for(s, seed):
     return run(s, seed, choose_T(s)).transcript
 
 
+def fresh(transcript):
+    """A copy of transcript whose decode memo is empty."""
+    return Transcript(messages=transcript.messages,
+                      total_bits=transcript.total_bits)
+
+
 def needed_values(s, ivs, node):
     """What node must recover, read from the table: its exact decode."""
     return {key: ivs.values[key] for key in node_view(s, node).needed}
@@ -166,8 +172,8 @@ def wrong_decoder(decode, fault):
     flipped, one key is dropped, or one key is added with its table value,
     an assigned output over a stored file ("extra-stored") or an output
     the node does not reduce over a file it lacks ("extra-unassigned")."""
-    def wrong(s, node, transcript, ivs, *memo, **named_memo):
-        got = decode(s, node, transcript, ivs, *memo, **named_memo)
+    def wrong(s, node, transcript, ivs):
+        got = decode(s, node, transcript, ivs)
         if node != BAD_NODE:
             return got
         first = min(got)
@@ -275,7 +281,8 @@ def test_sd_lambda_at_least_two_end_to_end(params, make_blocks, scale):
     (lambda: ads_scheme([0, 1], 6), decode_ads),
 ], ids=["sd-fano", "ads-634", "ads-620"])
 def test_decode_sd_uses_only_local_values(make_scheme, decode):
-    """Zeroing every non-local table entry must not change any decode."""
+    """Zeroing every non-local table entry must not change any decode,
+    each node decoding alone from an empty memo."""
     s = make_scheme()
     result = run(s, 4, choose_T(s))
     ivs = result.ivs
@@ -284,7 +291,7 @@ def test_decode_sd_uses_only_local_values(make_scheme, decode):
         doctored = IVTable(T=ivs.T, values={
             key: value if key[1] in stored else 0
             for key, value in ivs.values.items()})
-        assert decode(s, node, result.transcript, doctored) == \
+        assert decode(s, node, fresh(result.transcript), doctored) == \
             needed_values(s, ivs, node)
 
 
@@ -298,23 +305,21 @@ SHARED_SD_SCHEMES = {
 
 @pytest.mark.parametrize("name", sorted(SHARED_SD_SCHEMES))
 def test_decode_sd_shared_solves_match_per_node(name):
-    """One memo across every node decodes exactly what each node decodes
-    alone.  With lam = 1 the t - 1 other blocks through a point lack the
-    same points of a sender's group, so fewer systems are solved than the
-    nodes pose; in (11,5,2) two blocks meet in a pair no third block
-    holds, and nothing is shared."""
+    """Decodes sharing one transcript's memo decode exactly what each node
+    decodes alone.  With lam = 1 the t - 1 other blocks through a point
+    lack the same points of a sender's group, so fewer systems are solved
+    than the nodes pose; in (11,5,2) two blocks meet in a pair no third
+    block holds, and nothing is shared."""
     s = SHARED_SD_SCHEMES[name]()
     result = run(s, 1, choose_T(s))
-    shared, posed = {}, 0
+    shared, posed = fresh(result.transcript), 0
     for node in range(s.K):
-        alone = {}
-        got = decode_sd(s, node, result.transcript, result.ivs, solved=alone)
-        assert got == decode_sd(s, node, result.transcript, result.ivs)
-        assert decode_sd(s, node, result.transcript, result.ivs,
-                         solved=shared) == got == \
+        alone = fresh(result.transcript)
+        got = decode_sd(s, node, alone, result.ivs)
+        assert decode_sd(s, node, shared, result.ivs) == got == \
             needed_values(s, result.ivs, node)
-        posed += len(alone)
-    assert (len(shared) < posed) == (s.design.lam == 1)
+        posed += len(alone.memo)
+    assert (len(shared.memo) < posed) == (s.design.lam == 1)
 
 
 @pytest.mark.parametrize("name", sorted(SHARED_SD_SCHEMES))
@@ -327,12 +332,11 @@ def test_decode_sd_shared_solves_keep_nodes_apart(name):
     ivs = result.ivs
     doctored = IVTable(T=ivs.T, values={key: value ^ 1
                                         for key, value in ivs.values.items()})
-    shared = {}
+    shared = fresh(result.transcript)
     for node in range(s.K):
-        decode_sd(s, node, result.transcript, doctored, solved=shared)
+        decode_sd(s, node, shared, doctored)
     for node in range(s.K):
-        assert decode_sd(s, node, result.transcript, ivs, solved=shared) == \
-            needed_values(s, ivs, node)
+        assert decode_sd(s, node, shared, ivs) == needed_values(s, ivs, node)
 
 
 def sd_readers(s, message):
@@ -352,9 +356,10 @@ def sd_readers(s, message):
 @given(st.sampled_from(sorted(SHARED_SD_SCHEMES)), st.integers(0, 3),
        st.data())
 def test_decode_sd_shared_solves_under_tampering(name, seed, data):
-    """Flip one payload bit of one message: shared and per-node decodes
-    still agree everywhere, every reader of that message decodes a wrong
-    value, and every other node decodes exactly."""
+    """Flip one payload bit of one message and decode the nodes in a drawn
+    order: each decode sharing the memo agrees with the node's decode
+    alone, every reader of that message decodes a wrong value, and every
+    other node decodes exactly."""
     s = SHARED_SD_SCHEMES[name]()
     result = run(s, seed, choose_T(s))
     messages = list(result.transcript.messages)
@@ -366,10 +371,9 @@ def test_decode_sd_shared_solves_under_tampering(name, seed, data):
                           total_bits=result.transcript.total_bits)
     readers = sd_readers(s, m)
     assert readers
-    shared = {}
-    for node in range(s.K):
+    for node in data.draw(st.permutations(range(s.K))):
         got = decode_sd(s, node, tampered, result.ivs)
-        assert decode_sd(s, node, tampered, result.ivs, solved=shared) == got
+        assert decode_sd(s, node, fresh(tampered), result.ivs) == got
         exact = all(value == result.ivs.values[key]
                     for key, value in got.items())
         assert exact == (node not in readers), node
@@ -388,9 +392,10 @@ def replace_message(transcript, i, message):
 
 
 def test_decode_sd_missing_message():
-    """Delete each message of Fano and of plane 3 in turn: alone and with
-    a shared memo, every reader raises MissingMessageError naming itself
-    and that message's key, and every other node decodes exactly."""
+    """Delete each message of Fano and of plane 3 in turn: alone and after
+    the nodes before it have filled the memo, every reader raises
+    MissingMessageError naming itself and that message's key, and every
+    other node decodes exactly."""
     for s in (fano_scheme(), SHARED_SD_SCHEMES["plane3"]()):
         check_missing_messages(s)
 
@@ -401,18 +406,15 @@ def check_missing_messages(s):
         truncated = replace_message(result.transcript, i, None)
         readers = sd_readers(s, m)
         assert readers
-        shared = {}
         for node in range(s.K):
-            for solved in (None, shared):
+            for transcript in (fresh(truncated), truncated):
                 if node in readers:
                     with pytest.raises(MissingMessageError) as caught:
-                        decode_sd(s, node, truncated, result.ivs,
-                                  solved=solved)
+                        decode_sd(s, node, transcript, result.ivs)
                     assert caught.value.node == node
                     assert caught.value.key == (m.sender, m.tag, m.meta)
                 else:
-                    assert decode_sd(s, node, truncated, result.ivs,
-                                     solved=solved) == \
+                    assert decode_sd(s, node, transcript, result.ivs) == \
                         needed_values(s, result.ivs, node)
 
 
@@ -421,9 +423,9 @@ def test_decode_sd_payload_range_checked(name):
     """A payload with a bit at m.bits would, packed unchecked, flip bit 0
     of the next sum and decode to a wrong value (or, past the last sum,
     be dropped).  Set that bit, or make the payload negative, in each
-    message in turn: every reader raises FieldError, alone and with a
-    shared memo, and every other node decodes exactly.  On Fano, message
-    0 is read by nodes 1-6."""
+    message in turn: every reader raises FieldError, alone and after the
+    nodes before it have filled the memo, and every other node decodes
+    exactly.  On Fano, message 0 is read by nodes 1-6."""
     s = SHARED_SD_SCHEMES[name]()
     result = run(s, 0, choose_T(s))
     if name == "fano":
@@ -435,16 +437,14 @@ def test_decode_sd_payload_range_checked(name):
         for payload in (m.payload | 1 << m.bits, -1 - m.payload):
             bad = replace_message(result.transcript, i,
                                   dataclasses.replace(m, payload=payload))
-            shared = {}
             for node in range(s.K):
                 if node not in readers:
-                    assert decode_sd(s, node, bad, result.ivs,
-                                     solved=shared) == \
+                    assert decode_sd(s, node, bad, result.ivs) == \
                         needed_values(s, result.ivs, node)
                     continue
-                for solved in (None, shared):
+                for transcript in (fresh(bad), bad):
                     with pytest.raises(FieldError):
-                        decode_sd(s, node, bad, result.ivs, solved=solved)
+                        decode_sd(s, node, transcript, result.ivs)
 
 
 SHARED_ADS_SCHEMES = {
@@ -457,23 +457,30 @@ SHARED_ADS_SCHEMES = {
 
 
 def ads_group(message):
-    """The memo key of the message group a message belongs to."""
+    """The message group a message belongs to: (tag, q, n)."""
     return (message.tag,) + message.meta[:2]
 
 
 @pytest.mark.parametrize("name", sorted(SHARED_ADS_SCHEMES))
 def test_decode_ads_shared_memo_match_per_node(name):
-    """One memo across every node decodes exactly what each node decodes
-    alone, and ends up holding each message group of the run once."""
+    """Decodes sharing one transcript's memo decode exactly what each node
+    decodes alone, and the memo ends up holding each message group of the
+    run once, keyed by the group, its senders and T."""
     s = SHARED_ADS_SCHEMES[name]()
     result = run(s, 1, choose_T(s))
-    shared = {}
+    shared = fresh(result.transcript)
     for node in range(s.K):
-        got = decode_ads(s, node, result.transcript, result.ivs)
-        assert decode_ads(s, node, result.transcript, result.ivs,
-                          joined=shared) == got == \
+        got = decode_ads(s, node, fresh(result.transcript), result.ivs)
+        assert decode_ads(s, node, shared, result.ivs) == got == \
             needed_values(s, result.ivs, node)
-    assert set(shared) == {ads_group(m) for m in result.transcript.messages}
+    groups = {ads_group(m) for m in result.transcript.messages}
+    assert len(shared.memo) == len(groups)
+    assert {key[:3] for key in shared.memo} == groups
+    for tag, q, n, senders, T in shared.memo:
+        assert T == result.ivs.T
+        assert senders == tuple(
+            m.sender for m in result.transcript.messages
+            if ads_group(m) == (tag, q, n))
 
 
 @pytest.mark.parametrize("name", sorted(SHARED_ADS_SCHEMES))
@@ -486,12 +493,11 @@ def test_decode_ads_shared_memo_keeps_nodes_apart(name):
     ivs = result.ivs
     doctored = IVTable(T=ivs.T, values={key: value ^ 1
                                         for key, value in ivs.values.items()})
-    shared = {}
+    shared = fresh(result.transcript)
     for node in range(s.K):
-        decode_ads(s, node, result.transcript, doctored, joined=shared)
+        decode_ads(s, node, shared, doctored)
     for node in range(s.K):
-        assert decode_ads(s, node, result.transcript, ivs, joined=shared) == \
-            needed_values(s, ivs, node)
+        assert decode_ads(s, node, shared, ivs) == needed_values(s, ivs, node)
 
 
 def ads_readers(s, message):
@@ -508,9 +514,10 @@ def ads_readers(s, message):
 @given(st.sampled_from(sorted(SHARED_ADS_SCHEMES)), st.integers(0, 3),
        st.data())
 def test_decode_ads_under_tampering(name, seed, data):
-    """Flip one payload bit of one message: shared-memo and stand-alone
-    decodes agree everywhere, every reader of that message decodes a
-    wrong value, and every other node decodes exactly."""
+    """Flip one payload bit of one message and decode the nodes in a drawn
+    order: each decode sharing the memo agrees with the node's decode
+    alone, every reader of that message decodes a wrong value, and every
+    other node decodes exactly."""
     s = SHARED_ADS_SCHEMES[name]()
     result = run(s, seed, choose_T(s))
     messages = list(result.transcript.messages)
@@ -522,10 +529,9 @@ def test_decode_ads_under_tampering(name, seed, data):
                           total_bits=result.transcript.total_bits)
     readers = ads_readers(s, m)
     assert readers and m.sender not in readers
-    shared = {}
-    for node in range(s.K):
+    for node in data.draw(st.permutations(range(s.K))):
         got = decode_ads(s, node, tampered, result.ivs)
-        assert decode_ads(s, node, tampered, result.ivs, joined=shared) == got
+        assert decode_ads(s, node, fresh(tampered), result.ivs) == got
         exact = all(value == result.ivs.values[key]
                     for key, value in got.items())
         assert exact == (node not in readers), node
@@ -534,9 +540,10 @@ def test_decode_ads_under_tampering(name, seed, data):
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(sorted(SHARED_ADS_SCHEMES)), st.data())
 def test_decode_ads_missing_message(name, data):
-    """Delete one message: alone and with a shared memo, every reader
-    raises MissingMessageError naming itself and that message's key, and
-    every other node decodes exactly."""
+    """Delete one message: alone and after the nodes before it have
+    filled the memo, every reader raises MissingMessageError naming
+    itself and that message's key, and every other node decodes
+    exactly."""
     s = SHARED_ADS_SCHEMES[name]()
     result = run(s, 0, choose_T(s))
     messages = list(result.transcript.messages)
@@ -545,18 +552,39 @@ def test_decode_ads_missing_message(name, data):
                            total_bits=result.transcript.total_bits - m.bits)
     readers = ads_readers(s, m)
     assert readers
-    shared = {}
     for node in range(s.K):
-        for joined in (None, shared):
+        for transcript in (fresh(truncated), truncated):
             if node in readers:
                 with pytest.raises(MissingMessageError) as caught:
-                    decode_ads(s, node, truncated, result.ivs, joined=joined)
+                    decode_ads(s, node, transcript, result.ivs)
                 assert caught.value.node == node
                 assert caught.value.key == (m.sender, m.tag, m.meta)
             else:
-                assert decode_ads(s, node, truncated, result.ivs,
-                                  joined=joined) == \
+                assert decode_ads(s, node, transcript, result.ivs) == \
                     needed_values(s, result.ivs, node)
+
+
+ANY_ORDER_SCHEMES = {**SHARED_SD_SCHEMES, **SHARED_ADS_SCHEMES}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(ANY_ORDER_SCHEMES)), st.integers(0, 3),
+       st.data())
+def test_decodes_share_the_memo_in_any_order(name, seed, data):
+    """Decode the nodes of a fresh transcript in a drawn order: each node
+    gets exactly the values it needs, and the memo ends as large as after
+    decode_all in node order."""
+    s = ANY_ORDER_SCHEMES[name]()
+    result = run(s, seed, choose_T(s))
+    ivs = result.ivs
+    decode = decode_sd if s.kind == "sd" else decode_ads
+    transcript = fresh(result.transcript)
+    for node in data.draw(st.permutations(range(s.K))):
+        assert decode(s, node, transcript, ivs) == needed_values(s, ivs, node)
+    in_order = fresh(result.transcript)
+    assert [node for node, _ in decode_all(s, in_order, ivs)] == \
+        list(range(s.K))
+    assert len(transcript.memo) == len(in_order.memo) > 0
 
 
 def test_ads_634_end_to_end():
