@@ -9,11 +9,11 @@ placement-delivery scheme on the same designs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .gf import is_prime
 
@@ -79,8 +79,7 @@ def ads_load(n: int, k: int, lam: int) -> Fraction:
     return Fraction(2 * (n - 1) - k * (k - 1), 2 * n)
 
 
-@dataclass(frozen=True)
-class InequalityCheck:
+class InequalityCheck(NamedTuple):
     """An integer inequality lhs > rhs with its verdict."""
 
     lhs: int
@@ -88,7 +87,8 @@ class InequalityCheck:
     holds: bool
 
 
-def _appendix_terms(p: int) -> List[int]:
+@lru_cache(maxsize=1)  # both checks of one p share the terms
+def _appendix_terms(p: int) -> Tuple[int, ...]:
     """a_ell = C((p-1)^2, ell)*C(p-1, ell) for ell = 0..p-1, stepped
     exactly from a_0 = 1 as
     a_{ell+1} = a_ell*((p-1)^2-ell)*(p-1-ell) // (ell+1)^2."""
@@ -96,7 +96,7 @@ def _appendix_terms(p: int) -> List[int]:
     for ell in range(p):
         terms.append(a)
         a = a * (m - ell) * (p - 1 - ell) // ((ell + 1) * (ell + 1))
-    return terms
+    return tuple(terms)
 
 
 def li_lower_bound_inequality(p: int) -> InequalityCheck:
@@ -115,8 +115,7 @@ def li_lower_bound_inequality(p: int) -> InequalityCheck:
     return InequalityCheck(lhs=lhs, rhs=rhs, holds=lhs > rhs)
 
 
-@dataclass(frozen=True)
-class StepChecks:
+class StepChecks(NamedTuple):
     """The chain of elementary steps that proves the master inequality."""
 
     dominance: InequalityCheck
@@ -142,7 +141,9 @@ def li_lower_bound_steps(p: int) -> StepChecks:
     Since C(p-1, p-1-ell) = C(p-1, ell), d_ell = (p-3-ell)*a_ell over the
     terms of _appendix_terms, and with m = (p-1)^2 each ratio is a
     Fraction of small integers: d_ell/d_{ell+1}
-    = (p-3-ell)*(ell+1)^2 / ((p-4-ell)*(m-ell)*(p-1-ell)).
+    = (p-3-ell)*(ell+1)^2 / ((p-4-ell)*(m-ell)*(p-1-ell)).  Both ratio
+    verdicts compare these numerator/denominator pairs by integer
+    cross-multiplication; every denominator is positive.
     """
     if p < 5:
         raise AnalysisDomainError(f"defined for p >= 5, got {p}")
@@ -153,19 +154,19 @@ def li_lower_bound_steps(p: int) -> StepChecks:
     dominance = InequalityCheck(lhs=top, rhs=last, holds=top > last)
     tail = InequalityCheck(lhs=2 * last, rhs=deficit,
                            holds=2 * last > deficit)
-    ratios = tuple(
-        Fraction((p - 3 - ell) * (ell + 1) ** 2,
-                 (p - 4 - ell) * (m - ell) * (p - 1 - ell))
-        for ell in range(p - 4))
-    increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
-    below_half = not ratios or ratios[-1] < Fraction(1, 2)
+    pairs = [((p - 3 - ell) * (ell + 1) ** 2,
+              (p - 4 - ell) * (m - ell) * (p - 1 - ell))
+             for ell in range(p - 4)]
+    increasing = all(a * d < c * b
+                     for (a, b), (c, d) in zip(pairs, pairs[1:]))
+    below_half = not pairs or 2 * pairs[-1][0] < pairs[-1][1]
+    ratios = tuple(Fraction(a, b) for a, b in pairs)
     return StepChecks(dominance=dominance, tail_bound=tail, ratios=ratios,
                       ratios_increasing=increasing,
                       last_ratio_below_half=below_half)
 
 
-@dataclass(frozen=True)
-class Sandwich:
+class Sandwich(NamedTuple):
     """lower < value < upper with its verdict."""
 
     lower: Fraction
@@ -186,8 +187,7 @@ def li_sandwich(p: int) -> Sandwich:
                     holds=lower < value < upper)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One comparison row: design parameters plus the three loads."""
 
     family: str

@@ -7,6 +7,11 @@ bound).  All output is canonical and byte-stable for a given invocation.
 
 Exit codes: 0 success, 2 verification failure, 3 valid but unsupported
 parameters, 64 usage error.
+
+Each command imports only the modules it runs: design loads designs and
+gf, compare and check-appendix load analysis and gf, and only simulate
+loads scheme and shuffle.  Check a command's start-up with
+python -X importtime -m cdcsim <command> ...
 """
 
 from __future__ import annotations
@@ -15,19 +20,10 @@ import argparse
 import functools
 import json
 import sys
-from typing import Iterable, List, Optional, Union
+from typing import TYPE_CHECKING, Iterable, List, Optional, Union
 
-from .analysis import (AnalysisDomainError, ads_load, li_lower_bound_inequality,
-                       li_lower_bound_steps, li_sandwich, ours_sd_load, sweep,
-                       sweep_csv)
-from .designs import (AlmostDifferenceSet, DesignParameterError,
-                      DesignVerificationError, SymmetricDesign, ads_from_doc,
-                      design_from_doc, develop, export_ads, export_design,
-                      projective_plane, ruzsa_ads)
-from .gf import FieldError, is_prime
-from .scheme import (SchemeParameterError, build_scheme_ads, build_scheme_sd,
-                     choose_T, choose_sd_T, scheme_to_json)
-from .shuffle import run, transcript_lines
+if TYPE_CHECKING:
+    from .designs import AlmostDifferenceSet, SymmetricDesign
 
 EX_OK = 0
 EX_VERIFY = 2
@@ -80,6 +76,10 @@ def _source(args, path: Optional[str], scheme: Optional[str] = None,
     of the other kind is a usage error, reported before anything is built
     or verified.
     """
+    from .designs import (DesignVerificationError, ads_from_doc,
+                          design_from_doc, projective_plane, ruzsa_ads)
+    from .gf import is_prime
+
     if args.ads is not None and args.n is None:
         raise _UsageError("--ads requires --n")
     if args.n is not None and args.ads is None:
@@ -113,6 +113,7 @@ def _source(args, path: Optional[str], scheme: Optional[str] = None,
         if scheme == "sd" and is_prime(args.plane):
             # a plane of order b is a (b^2+b+1, b+1, 1) design: meet the
             # width rule before building one
+            from .scheme import choose_sd_T
             choose_sd_T(args.plane + 1, 1, args.scale)
         return projective_plane(args.plane)
     if args.ruzsa is not None:
@@ -123,6 +124,8 @@ def _source(args, path: Optional[str], scheme: Optional[str] = None,
 
 
 def cmd_design(args) -> int:
+    from .designs import SymmetricDesign, export_ads, export_design
+
     source = _source(args, args.verify)
     _write_out(export_design(source) if isinstance(source, SymmetricDesign)
                else export_ads(source), args.out)
@@ -130,6 +133,12 @@ def cmd_design(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .analysis import ads_load, ours_sd_load
+    from .designs import AlmostDifferenceSet, SymmetricDesign, develop
+    from .scheme import (build_scheme_ads, build_scheme_sd, choose_T,
+                         scheme_to_json)
+    from .shuffle import run, transcript_lines
+
     source = _source(args, args.design, args.scheme)
     if isinstance(source, SymmetricDesign):
         s = build_scheme_sd(source)
@@ -155,6 +164,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .analysis import sweep, sweep_csv
+
     if args.min > args.max:
         raise _UsageError(f"--min {args.min} exceeds --max {args.max}")
     rows = sweep(args.family, args.min, args.max)
@@ -166,6 +177,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_check_appendix(args) -> int:
+    from .analysis import (li_lower_bound_inequality, li_lower_bound_steps,
+                           li_sandwich)
+
     min_p, max_p = args.min_p, args.max_p
     if min_p < 5:
         print(f"warning: clamping --min-p {min_p} to 5, checks are defined "
@@ -273,13 +287,22 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(str(e), file=sys.stderr)
         return EX_USAGE
-    except DesignVerificationError as e:
-        print(f"verification failed: {e}", file=sys.stderr)
-        return EX_VERIFY
-    except (DesignParameterError, SchemeParameterError, FieldError,
-            AnalysisDomainError) as e:
-        print(f"unsupported: {e}", file=sys.stderr)
-        return EX_UNSUPPORTED
+    except ValueError as e:
+        # every mapped error is a ValueError; importing the classes only
+        # here keeps a command from loading modules it does not run
+        from .analysis import AnalysisDomainError
+        from .designs import DesignParameterError, DesignVerificationError
+        from .gf import FieldError
+        from .scheme import SchemeParameterError
+
+        if isinstance(e, DesignVerificationError):
+            print(f"verification failed: {e}", file=sys.stderr)
+            return EX_VERIFY
+        if isinstance(e, (DesignParameterError, SchemeParameterError,
+                          FieldError, AnalysisDomainError)):
+            print(f"unsupported: {e}", file=sys.stderr)
+            return EX_UNSUPPORTED
+        raise
 
 
 def entry() -> None:

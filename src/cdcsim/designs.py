@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .gf import is_prime
 
@@ -25,8 +24,7 @@ class DesignParameterError(ValueError):
     """Construction parameters outside what this library supports."""
 
 
-@dataclass(frozen=True)
-class DesignViolation:
+class DesignViolation(NamedTuple):
     """First invariant a candidate design violates, with a witness."""
 
     invariant: str
@@ -45,8 +43,7 @@ class DesignVerificationError(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class SymmetricDesign:
+class SymmetricDesign(NamedTuple):
     """(v, t, lam) symmetric design: v points, v blocks of size t."""
 
     v: int
@@ -55,8 +52,7 @@ class SymmetricDesign:
     blocks: Tuple[Tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class AlmostDifferenceSet:
+class AlmostDifferenceSet(NamedTuple):
     """k-subset D of Z_n whose difference function takes lam mu times.
 
     Over the n-1 nonzero shifts, diff_D takes the value lam exactly mu
@@ -70,8 +66,7 @@ class AlmostDifferenceSet:
     D: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AdsReport:
+class AdsReport(NamedTuple):
     """Why a subset is not an almost difference set."""
 
     n: int
@@ -84,8 +79,7 @@ class AdsReport:
         return f"{self.message} (difference histogram {{{hist}}})"
 
 
-@dataclass(frozen=True)
-class Development:
+class Development(NamedTuple):
     """The n translates D + r of an ADS, in translate order r = 0..n-1."""
 
     source: AlmostDifferenceSet

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Tuple, Union
+from typing import Dict, NamedTuple, Tuple, Union
 
 from .designs import Development, SymmetricDesign, blocks_through
 from .gf import BinaryField
@@ -38,19 +37,20 @@ class IncompleteRecoveryError(RuntimeError):
         self.n = n
 
 
-@dataclass(frozen=True)
 class Scheme:
-    """Placement and reduce assignment for one Map/Reduce run."""
+    """Placement and reduce assignment for one Map/Reduce run.
 
-    kind: str
-    K: int
-    N: int
-    Q: int
-    r: int
-    s: int
-    placement: Tuple[Tuple[int, ...], ...]
-    assignment: Tuple[Tuple[int, ...], ...]
-    design: Union[SymmetricDesign, Development]
+    The incidence maps below are computed on first use, once per scheme.
+    """
+
+    def __init__(self, kind: str, K: int, N: int, Q: int, r: int, s: int,
+                 placement: Tuple[Tuple[int, ...], ...],
+                 assignment: Tuple[Tuple[int, ...], ...],
+                 design: Union[SymmetricDesign, Development]):
+        self.kind, self.K, self.N, self.Q, self.r, self.s = kind, K, N, Q, r, s
+        self.placement = placement
+        self.assignment = assignment
+        self.design = design
 
     @cached_property
     def point_blocks(self) -> Tuple[Tuple[int, ...], ...]:
@@ -107,16 +107,14 @@ class Scheme:
         return tuple(table)
 
 
-@dataclass(frozen=True)
-class IVTable:
+class IVTable(NamedTuple):
     """All Q*N intermediate values of one run, each T bits."""
 
     T: int
     values: Dict[Tuple[int, int], int]
 
 
-@dataclass(frozen=True)
-class NodeView:
+class NodeView(NamedTuple):
     """The (q, n) pairs one node still needs to reduce."""
 
     node: int

@@ -48,9 +48,8 @@ the memo holds nothing but transcript bits.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 from .gf import (FieldError, apply_plan, pack_lanes, power_sum_plan,
                  solve_plan, unpack_lanes)
@@ -68,8 +67,7 @@ class MissingMessageError(RuntimeError):
         self.key = key
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class Message(NamedTuple):
     """One multicast: sender node, routing tag and meta, payload of bits bits."""
 
     sender: int
@@ -79,7 +77,6 @@ class Message:
     payload: int
 
 
-@dataclass(frozen=True)
 class Transcript:
     """All shuffle messages of one run, canonically ordered.
 
@@ -89,21 +86,17 @@ class Transcript:
     messages, so any caller may decode the nodes in any order.
     """
 
-    messages: Tuple[Message, ...]
-    total_bits: int
-    by_key: Dict[Tuple, Message] = field(init=False, repr=False,
-                                         compare=False)
-    memo: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        by_key = {}
-        for m in self.messages:
+    def __init__(self, messages: Tuple[Message, ...], total_bits: int):
+        by_key: Dict[Tuple, Message] = {}
+        for m in messages:
             key = (m.sender, m.tag, m.meta)
             if key in by_key:
                 raise ValueError(f"two messages share the key {key}")
             by_key[key] = m
-        object.__setattr__(self, "by_key", by_key)
-        object.__setattr__(self, "memo", {})
+        self.messages = messages
+        self.total_bits = total_bits
+        self.by_key = by_key
+        self.memo: dict = {}
 
 
 def split_bits(value: int, width: int, parts: int) -> List[int]:
@@ -333,8 +326,7 @@ def measure_load(s: Scheme, transcript: Transcript, T: int) -> Fraction:
     return Fraction(transcript.total_bits, s.Q * s.N * T)
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     """One simulated run: the values, the wire traffic and the verdict."""
 
     ivs: IVTable
@@ -352,7 +344,8 @@ def run(s: Scheme, seed: int, T: int) -> RunResult:
     matches the centralized oracle.  A node's decode is checked by its
     key count and its values alone: with as many keys as needed, a key
     not needed means a needed one is missing, and reduce_outputs raises
-    IncompleteRecoveryError naming it.
+    IncompleteRecoveryError naming it.  The transcript comes back with an
+    empty memo, so the decodes' shared work is freed once they end.
     """
     ivs = generate_ivs(s, seed, T)
     transcript = (shuffle_sd if s.kind == "sd" else shuffle_ads)(s, ivs)
@@ -368,6 +361,7 @@ def run(s: Scheme, seed: int, T: int) -> RunResult:
         if any(value != oracle[q] for q, value in outputs.items()):
             decode_ok = False
         del got  # hold one node's decode at a time
+    transcript.memo.clear()  # callers keep the transcript, not the solves
     return RunResult(ivs=ivs, transcript=transcript, decode_ok=decode_ok,
                      load=measure_load(s, transcript, T))
 

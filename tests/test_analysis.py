@@ -196,8 +196,13 @@ def test_step_checks():
     assert (steps.tail_bound.lhs, steps.tail_bound.rhs) == (128, 66)
     assert steps.ratios == (Fraction(1, 32),)
     assert steps.all_hold
-    for p in range(5, 32):
-        assert li_lower_bound_steps(p).all_hold
+    for p in range(5, 61):  # both verdicts agree with Fraction comparisons
+        steps = li_lower_bound_steps(p)
+        ratios = steps.ratios
+        assert steps.ratios_increasing == all(
+            a < b for a, b in zip(ratios, ratios[1:])), p
+        assert steps.last_ratio_below_half == (ratios[-1] < Fraction(1, 2))
+        assert steps.all_hold, p
 
 
 def test_sandwich():

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -15,7 +14,7 @@ from cdcsim.designs import (classify_ads, complement_ads, develop,
                             ruzsa_ads)
 from cdcsim.gf import BinaryField, FieldError
 from cdcsim import shuffle
-from cdcsim.scheme import (IncompleteRecoveryError, IVTable,
+from cdcsim.scheme import (IncompleteRecoveryError, IVTable, Scheme,
                            SchemeParameterError, build_scheme_ads,
                            build_scheme_sd, centralized_outputs, choose_T,
                            generate_ivs, node_view, reduce_outputs)
@@ -51,9 +50,11 @@ def needed_values(s, ivs, node):
 
 
 def run_end_to_end(s, seed=0, scale=1):
-    """Run the pipeline, then decode every node again and re-check each
-    decode and its reduce; returns (load, transcript, ivs)."""
+    """Run the pipeline, then decode every node again from the transcript
+    run() returns, its memo freed, and re-check each decode and its
+    reduce; returns (load, transcript, ivs)."""
     result = run(s, seed, choose_T(s, scale))
+    assert result.transcript.memo == {}
     ivs = result.ivs
     oracle = centralized_outputs(s, ivs)
     nodes = []
@@ -366,7 +367,7 @@ def test_decode_sd_shared_solves_under_tampering(name, seed, data):
     i = data.draw(st.integers(0, len(messages) - 1))
     m = messages[i]
     bit = data.draw(st.integers(0, m.bits - 1))
-    messages[i] = dataclasses.replace(m, payload=m.payload ^ (1 << bit))
+    messages[i] = m._replace(payload=m.payload ^ (1 << bit))
     tampered = Transcript(messages=tuple(messages),
                           total_bits=result.transcript.total_bits)
     readers = sd_readers(s, m)
@@ -436,7 +437,7 @@ def test_decode_sd_payload_range_checked(name):
         readers = sd_readers(s, m)
         for payload in (m.payload | 1 << m.bits, -1 - m.payload):
             bad = replace_message(result.transcript, i,
-                                  dataclasses.replace(m, payload=payload))
+                                  m._replace(payload=payload))
             for node in range(s.K):
                 if node not in readers:
                     assert decode_sd(s, node, bad, result.ivs) == \
@@ -524,7 +525,7 @@ def test_decode_ads_under_tampering(name, seed, data):
     i = data.draw(st.integers(0, len(messages) - 1))
     m = messages[i]
     bit = data.draw(st.integers(0, m.bits - 1))
-    messages[i] = dataclasses.replace(m, payload=m.payload ^ (1 << bit))
+    messages[i] = m._replace(payload=m.payload ^ (1 << bit))
     tampered = Transcript(messages=tuple(messages),
                           total_bits=result.transcript.total_bits)
     readers = ads_readers(s, m)
@@ -615,8 +616,9 @@ def test_ads_census_names_a_broken_development():
     good = ads_scheme([0, 1, 3], 6)
     blocks = list(good.placement)
     blocks[1] = blocks[0]
-    s = dataclasses.replace(good, placement=tuple(blocks),
-                            assignment=tuple(blocks))
+    s = Scheme(kind=good.kind, K=good.K, N=good.N, Q=good.Q, r=good.r,
+               s=good.s, placement=tuple(blocks), assignment=tuple(blocks),
+               design=good.design)
     lam = s.design.source.lam
     counts = {(x, y): len(s.pair_blocks.get((x, y), ()))
               for x in range(s.N) for y in range(x + 1, s.N)}
