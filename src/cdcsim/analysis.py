@@ -120,9 +120,13 @@ class StepChecks(NamedTuple):
 
     dominance: InequalityCheck
     tail_bound: InequalityCheck
-    ratios: Tuple[Fraction, ...]
+    ratio_pairs: Tuple[Tuple[int, int], ...]  # (numerator, denominator)
     ratios_increasing: bool
     last_ratio_below_half: bool
+
+    @property
+    def ratios(self) -> Tuple[Fraction, ...]:  # built on access
+        return tuple(Fraction(a, b) for a, b in self.ratio_pairs)
 
     @property
     def all_hold(self) -> bool:
@@ -140,10 +144,10 @@ def li_lower_bound_steps(p: int) -> StepChecks:
 
     Since C(p-1, p-1-ell) = C(p-1, ell), d_ell = (p-3-ell)*a_ell over the
     terms of _appendix_terms, and with m = (p-1)^2 each ratio is a
-    Fraction of small integers: d_ell/d_{ell+1}
+    quotient of small integers: d_ell/d_{ell+1}
     = (p-3-ell)*(ell+1)^2 / ((p-4-ell)*(m-ell)*(p-1-ell)).  Both ratio
-    verdicts compare these numerator/denominator pairs by integer
-    cross-multiplication; every denominator is positive.
+    verdicts compare these stored pairs by integer cross-multiplication;
+    every denominator is positive.
     """
     if p < 5:
         raise AnalysisDomainError(f"defined for p >= 5, got {p}")
@@ -154,14 +158,13 @@ def li_lower_bound_steps(p: int) -> StepChecks:
     dominance = InequalityCheck(lhs=top, rhs=last, holds=top > last)
     tail = InequalityCheck(lhs=2 * last, rhs=deficit,
                            holds=2 * last > deficit)
-    pairs = [((p - 3 - ell) * (ell + 1) ** 2,
-              (p - 4 - ell) * (m - ell) * (p - 1 - ell))
-             for ell in range(p - 4)]
+    pairs = tuple(((p - 3 - ell) * (ell + 1) ** 2,
+                   (p - 4 - ell) * (m - ell) * (p - 1 - ell))
+                  for ell in range(p - 4))
     increasing = all(a * d < c * b
                      for (a, b), (c, d) in zip(pairs, pairs[1:]))
     below_half = not pairs or 2 * pairs[-1][0] < pairs[-1][1]
-    ratios = tuple(Fraction(a, b) for a, b in pairs)
-    return StepChecks(dominance=dominance, tail_bound=tail, ratios=ratios,
+    return StepChecks(dominance=dominance, tail_bound=tail, ratio_pairs=pairs,
                       ratios_increasing=increasing,
                       last_ratio_below_half=below_half)
 

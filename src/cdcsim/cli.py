@@ -195,13 +195,9 @@ def cmd_check_appendix(args) -> int:
         holds = main_check.holds and steps.all_hold and sandwich.holds
         checks.append({
             "p": p,
-            "main": {"lhs": main_check.lhs, "rhs": main_check.rhs,
-                     "holds": main_check.holds},
-            "dominance": {"lhs": steps.dominance.lhs,
-                          "rhs": steps.dominance.rhs,
-                          "holds": steps.dominance.holds},
-            "tail": {"lhs": steps.tail_bound.lhs, "rhs": steps.tail_bound.rhs,
-                     "holds": steps.tail_bound.holds},
+            "main": main_check._asdict(),
+            "dominance": steps.dominance._asdict(),
+            "tail": steps.tail_bound._asdict(),
             "ratios_increasing": steps.ratios_increasing,
             "final_ratio_below_half": steps.last_ratio_below_half,
             "sandwich": {"lower": str(sandwich.lower),

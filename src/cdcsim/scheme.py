@@ -37,6 +37,11 @@ class IncompleteRecoveryError(RuntimeError):
         self.n = n
 
 
+def _complements(blocks, N: int) -> Tuple[Tuple[int, ...], ...]:
+    """Each block's complement in range(N), ascending."""
+    return tuple(tuple(sorted(set(range(N)).difference(b))) for b in blocks)
+
+
 class Scheme:
     """Placement and reduce assignment for one Map/Reduce run.
 
@@ -51,6 +56,11 @@ class Scheme:
         self.placement = placement
         self.assignment = assignment
         self.design = design
+
+    @cached_property
+    def lacking(self) -> Tuple[Tuple[int, ...], ...]:
+        """Files each node does not store, ascending."""
+        return _complements(self.placement, self.N)
 
     @cached_property
     def point_blocks(self) -> Tuple[Tuple[int, ...], ...]:
@@ -131,12 +141,9 @@ def build_scheme_sd(design: SymmetricDesign) -> Scheme:
         raise SchemeParameterError(
             f"need t > lam+1, got t={design.t}, lam={design.lam}")
     v = design.v
-    assignment = tuple(
-        tuple(x for x in range(v) if x not in set(block))
-        for block in design.blocks)
     return Scheme(kind="sd", K=v, N=v, Q=v, r=design.t, s=v - design.t,
-                  placement=design.blocks, assignment=assignment,
-                  design=design)
+                  placement=design.blocks,
+                  assignment=_complements(design.blocks, v), design=design)
 
 
 def build_scheme_ads(dev: Development) -> Scheme:
@@ -244,13 +251,11 @@ def generate_ivs(s: Scheme, seed: int, T: int) -> IVTable:
 
 
 def node_view(s: Scheme, node: int) -> NodeView:
-    """Needed (q, n) pairs for one node: its outputs over files it lacks."""
+    """Needed (q, n) pairs for one node: assignment x lacking."""
     if not 0 <= node < s.K:
         raise SchemeParameterError(f"node {node} outside [0, {s.K})")
-    stored = set(s.placement[node])
-    needed = frozenset((q, n) for q in s.assignment[node]
-                       for n in range(s.N) if n not in stored)
-    return NodeView(node=node, needed=needed)
+    return NodeView(node=node, needed=frozenset(
+        (q, n) for q in s.assignment[node] for n in s.lacking[node]))
 
 
 def centralized_outputs(s: Scheme, ivs: IVTable) -> Dict[int, int]:
@@ -278,8 +283,7 @@ def reduce_outputs(
     values = ivs.values
     out: Dict[int, Dict[int, int]] = {}
     for node, got in recovered.items():
-        stored = s.placement[node]
-        lacking = sorted(set(range(s.N)).difference(stored))
+        stored, lacking = s.placement[node], s.lacking[node]
         results = {}
         for q in s.assignment[node]:
             acc = 0

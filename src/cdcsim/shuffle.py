@@ -1,5 +1,10 @@
 """Shuffle-phase encoding, decoding, and load measurement.
 
+Node k stores the files of its block: value (q, n) is its own iff file
+n is stored, and only own values are read from the table.  It needs
+(q, n) iff q is assigned to it and n is in Scheme.lacking[k].  Decoders
+apply this rule key by key, never building a set of pairs.
+
 Bit conventions used throughout:
 
 * An intermediate value is a T-bit integer.  split_bits cuts it into equal
@@ -49,13 +54,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import product
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 from .gf import (FieldError, apply_plan, pack_lanes, power_sum_plan,
                  solve_plan, unpack_lanes)
 from .scheme import (IVTable, Scheme, SchemeParameterError,
-                     centralized_outputs, generate_ivs, node_view,
-                     reduce_outputs)
+                     centralized_outputs, generate_ivs, reduce_outputs)
 
 
 class MissingMessageError(RuntimeError):
@@ -130,13 +135,6 @@ def _pair_key(x: int, y: int) -> Tuple[int, int]:
     return (x, y) if x < y else (y, x)
 
 
-def _local_values(s: Scheme, node: int,
-                  ivs: IVTable) -> Dict[Tuple[int, int], int]:
-    """The only part of the table a decoder sees: values of stored files."""
-    return {(q, n): ivs.values[(q, n)]
-            for n in s.placement[node] for q in range(s.Q)}
-
-
 def _payloads(transcript: Transcript, node: int,
               keys: Iterable[Tuple]) -> List[int]:
     """The payloads of the messages under keys, in order; the first key
@@ -174,9 +172,11 @@ def decode_sd(s: Scheme, node: int, transcript: Transcript,
               ivs: IVTable) -> Dict[Tuple[int, int], int]:
     """Recover every intermediate value node needs, from messages alone.
 
-    Only the node's locally stored values are read from the table.  Each
-    group of another sender that holds a needed value reduces, once the
-    local terms are subtracted, to a square power-sum system.  Its
+    An sd node reduces the complement of its block, so it reads another
+    sender's group iff some member's q is not stored (t > lam + 1 then
+    leaves a member whose n is not stored too); the members whose n is
+    not stored are the unknowns it needs.  Subtracting its own terms
+    leaves a square power-sum system.  Its
     right-hand side is packed into one int, lane p holding sum p, and
     every payload is range-checked before it is packed, so no bit spills
     into the next lane.
@@ -189,15 +189,14 @@ def decode_sd(s: Scheme, node: int, transcript: Transcript,
     """
     if s.kind != "sd":
         raise SchemeParameterError(f"expected an sd scheme, got {s.kind}")
-    T, solved = ivs.T, transcript.memo
-    local = _local_values(s, node, ivs)
-    needed = node_view(s, node).needed
-    out = dict.fromkeys(needed, 0)
+    T, values, solved = ivs.T, ivs.values, transcript.memo
+    stored = set(s.placement[node])
+    out: Dict[Tuple[int, int], int] = {}
     for u, groups in enumerate(s.sd_groups):
         if u == node:
             continue
         for message_keys, segments, keys, indices in groups:
-            if needed.isdisjoint(keys):
+            if all(q in stored for q, _ in keys):
                 continue
             width, count = T // segments, len(message_keys)
             mask = (1 << width) - 1
@@ -208,13 +207,13 @@ def decode_sd(s: Scheme, node: int, transcript: Transcript,
             rhs = pack_lanes(payloads, width)
             unknown = []
             for j, key in enumerate(keys):
-                value = local.get(key)
-                if value is None:
-                    unknown.append(j)
-                else:
+                if key[1] in stored:
                     rhs ^= apply_plan(
                         power_sum_plan(width, j, count),
-                        value >> (segments - 1 - indices[j]) * width & mask)
+                        values[key] >> (segments - 1 - indices[j]) * width
+                        & mask)
+                else:
+                    unknown.append(j)
             system = (width, tuple(unknown), rhs)
             solution = solved.get(system)
             if solution is None:
@@ -225,7 +224,8 @@ def decode_sd(s: Scheme, node: int, transcript: Transcript,
                 out.update(zip([keys[j] for j in unknown], solution))
                 continue
             for j, segment in zip(unknown, solution):
-                out[keys[j]] |= segment << (segments - 1 - indices[j]) * width
+                out[keys[j]] = out.get(keys[j], 0) | segment << (
+                    segments - 1 - indices[j]) * width
     return out
 
 
@@ -277,10 +277,11 @@ def decode_ads(s: Scheme, node: int, transcript: Transcript,
                ivs: IVTable) -> Dict[Tuple[int, int], int]:
     """Recover every intermediate value node needs in an ADS scheme.
 
-    Only the node's locally stored values are read from the table.  The
-    joined pair-sum payloads of a pair are v_{q,n} ^ v_{n,q}, unmasked
-    with the stored opposite orientation; segment messages join to the
-    value itself.
+    The node needs s.assignment[node] x s.lacking[node], in that order.
+    An ADS node reduces its own block, so for each (q, n) the opposite
+    orientation (n, q) is its own, the only value read from the table:
+    the joined pair-sum payloads of a pair are v_{q,n} ^ v_{n,q},
+    unmasked with it; segment messages join to the value itself.
 
     The transcript's memo holds each joined message group, keyed by
     (tag, q, n, its senders, T), so the decodes of one transcript read
@@ -289,15 +290,14 @@ def decode_ads(s: Scheme, node: int, transcript: Transcript,
     """
     if s.kind != "ads":
         raise SchemeParameterError(f"expected an ads scheme, got {s.kind}")
-    T, joined = ivs.T, transcript.memo
+    T, values, joined = ivs.T, ivs.values, transcript.memo
     through, pairs = s.point_blocks, s.pair_blocks
-    local = _local_values(s, node, ivs)
     out = {}
-    for q, n in node_view(s, node).needed:
+    for q, n in product(s.assignment[node], s.lacking[node]):
         x, y = _pair_key(q, n)
         senders = pairs.get((x, y))
         if senders:
-            group, mask = ("ADS-pairsum", x, y, senders, T), local[(n, q)]
+            group, mask = ("ADS-pairsum", x, y, senders, T), values[n, q]
         else:
             group, mask = ("ADS-segment", q, n, through[n], T), 0
         value = joined.get(group)
@@ -350,16 +350,12 @@ def run(s: Scheme, seed: int, T: int) -> RunResult:
     ivs = generate_ivs(s, seed, T)
     transcript = (shuffle_sd if s.kind == "sd" else shuffle_ads)(s, ivs)
     oracle = centralized_outputs(s, ivs)
-    values = ivs.values
     decode_ok = True
     for node, got in decode_all(s, transcript, ivs):
-        count = len(s.assignment[node]) * (s.N - len(s.placement[node]))
-        if len(got) != count or any(values.get(key) != value
-                                    for key, value in got.items()):
-            decode_ok = False
+        count = len(s.assignment[node]) * len(s.lacking[node])
         outputs = reduce_outputs(s, ivs, {node: got})[node]
-        if any(value != oracle[q] for q, value in outputs.items()):
-            decode_ok = False
+        decode_ok &= (len(got) == count and got.items() <= ivs.values.items()
+                      and outputs.items() <= oracle.items())
         del got  # hold one node's decode at a time
     transcript.memo.clear()  # callers keep the transcript, not the solves
     return RunResult(ivs=ivs, transcript=transcript, decode_ok=decode_ok,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdcsim.analysis import (AnalysisDomainError, CSV_HEADER,
-                             InequalityCheck, StepChecks, ads_load,
+                             InequalityCheck, ads_load,
                              jiang_load, li_load, li_lower_bound_inequality,
                              li_lower_bound_steps, li_sandwich, ours_sd_load,
                              sweep, sweep_csv)
@@ -69,7 +69,8 @@ def reference_inequality(p):
 
 def reference_steps(p):
     """The step chain with one binomial per deficit term and each ratio
-    taken of two deficit terms, kept separate on purpose."""
+    taken of two deficit terms, kept separate on purpose: dominance, tail
+    bound, ratios as Fractions and the two ratio verdicts."""
     m = (p - 1) ** 2
     d = [(p - 3 - ell) * comb(p - 1, p - 1 - ell) * comb(m, ell)
          for ell in range(p - 3)]
@@ -81,9 +82,7 @@ def reference_steps(p):
     ratios = tuple(Fraction(d[ell], d[ell + 1]) for ell in range(p - 4))
     increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
     below_half = not ratios or ratios[-1] < Fraction(1, 2)
-    return StepChecks(dominance=dominance, tail_bound=tail, ratios=ratios,
-                      ratios_increasing=increasing,
-                      last_ratio_below_half=below_half)
+    return dominance, tail, ratios, increasing, below_half
 
 
 def test_appendix_matches_reference():
@@ -91,7 +90,10 @@ def test_appendix_matches_reference():
     binomial per term gives."""
     for p in range(5, 151):
         assert li_lower_bound_inequality(p) == reference_inequality(p), p
-        assert li_lower_bound_steps(p) == reference_steps(p), p
+        steps = li_lower_bound_steps(p)
+        assert (steps.dominance, steps.tail_bound, steps.ratios,
+                steps.ratios_increasing, steps.last_ratio_below_half) == \
+            reference_steps(p), p
 
 
 def test_li_load_matches_reference_at_scale():

@@ -126,6 +126,30 @@ def test_node_view_ads():
         node_view(s, 6)
 
 
+LACKING_SCHEMES = {
+    "fano": fano_scheme,
+    "plane3": lambda: build_scheme_sd(projective_plane(3)),
+    "paley11": lambda: build_scheme_sd(require_symmetric_design(
+        11, [tuple(sorted((d + r) % 11 for d in (1, 3, 4, 5, 9)))
+             for r in range(11)])),
+    "ads-634": lambda: build_scheme_ads(develop(classify_ads([0, 1, 3], 6))),
+    "ruzsa5": lambda: build_scheme_ads(develop(ruzsa_ads(5))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LACKING_SCHEMES))
+def test_lacking_is_the_complement_of_each_block(name):
+    """Scheme.lacking[node] lists, ascending, the files the node's block
+    leaves out, and the needed pairs are its outputs over exactly those."""
+    s = LACKING_SCHEMES[name]()
+    assert len(s.lacking) == s.K
+    for node, block in enumerate(s.placement):
+        assert s.lacking[node] == tuple(n for n in range(s.N)
+                                        if n not in block)
+        assert node_view(s, node).needed == {
+            (q, n) for q in s.assignment[node] for n in s.lacking[node]}
+
+
 def test_reduce_outputs_with_perfect_recovery():
     s = fano_scheme()
     ivs = generate_ivs(s, 5, 6)

@@ -283,17 +283,22 @@ def test_sd_lambda_at_least_two_end_to_end(params, make_blocks, scale):
 ], ids=["sd-fano", "ads-634", "ads-620"])
 def test_decode_sd_uses_only_local_values(make_scheme, decode):
     """Zeroing every non-local table entry must not change any decode,
-    each node decoding alone from an empty memo."""
+    each node decoding alone from an empty memo; nor must dropping those
+    entries, so that a non-local read would raise KeyError."""
     s = make_scheme()
     result = run(s, 4, choose_T(s))
     ivs = result.ivs
     for node in range(s.K):
         stored = set(s.placement[node])
-        doctored = IVTable(T=ivs.T, values={
+        zeroed = IVTable(T=ivs.T, values={
             key: value if key[1] in stored else 0
             for key, value in ivs.values.items()})
-        assert decode(s, node, fresh(result.transcript), doctored) == \
-            needed_values(s, ivs, node)
+        local = IVTable(T=ivs.T, values={
+            key: value for key, value in ivs.values.items()
+            if key[1] in stored})
+        for doctored in (zeroed, local):
+            assert decode(s, node, fresh(result.transcript), doctored) == \
+                needed_values(s, ivs, node)
 
 
 SHARED_SD_SCHEMES = {
@@ -608,6 +613,24 @@ def test_ads_pair_widths_match_common_blocks():
     for widths in per_pair.values():
         assert sum(widths) == T
         assert len(set(widths)) == 1
+
+
+@pytest.mark.parametrize("make_scheme,wrong", [
+    (fano_scheme, (shuffle_ads, decode_ads)),
+    (lambda: ads_scheme([0, 1, 3], 6), (shuffle_sd, decode_sd)),
+], ids=["sd-scheme", "ads-scheme"])
+def test_coders_reject_the_other_kind(make_scheme, wrong):
+    """Each encoder and decoder takes only its own kind of scheme."""
+    s = make_scheme()
+    result = run(s, 0, choose_T(s))
+    encode, decode = wrong
+    expected = "ads" if s.kind == "sd" else "sd"
+    with pytest.raises(SchemeParameterError,
+                       match=f"expected an {expected} scheme, got {s.kind}"):
+        encode(s, result.ivs)
+    with pytest.raises(SchemeParameterError,
+                       match=f"expected an {expected} scheme, got {s.kind}"):
+        decode(s, 0, fresh(result.transcript), result.ivs)
 
 
 def test_ads_census_names_a_broken_development():
