@@ -83,7 +83,7 @@ class Scheme:
     @cached_property
     def sd_groups(self) -> Tuple[Tuple[tuple, ...], ...]:
         """Each sd sender's coding groups, in wire order, independent of
-        the bit width T: (message keys, segments, keys, indices).
+        the bit width T: (message key, count, segments, keys, indices).
 
         Node u with block (x_0 < ... < x_{t-1}) codes the diagonal group,
         v_{x_j,x_j} at point j in t segments, then for each x of its block
@@ -91,15 +91,13 @@ class Scheme:
         among the others) in lam segments.  Member j is segment indices[j]
         of value keys[j], the one u holds: its position in the blocks
         through x, or through x and y.  A group of g members goes out as
-        g - lam power sums, each T // segments bits wide, power p under
-        message key (u, tag, meta) message_keys[p].
+        one message under key (u, tag, meta), meta () or (x,): its
+        count = g - lam power sums, each T // segments bits wide.
         """
         t, lam = self.design.t, self.design.lam
 
-        def group(u, tag, prefix, segments, keys, holders):
-            message_keys = tuple((u, tag, prefix + (p,))
-                                 for p in range(len(keys) - lam))
-            return (message_keys, segments, tuple(keys),
+        def group(u, tag, meta, segments, keys, holders):
+            return ((u, tag, meta), len(keys) - lam, segments, tuple(keys),
                     tuple(blocks.index(u) for blocks in holders))
 
         table = []
@@ -190,11 +188,12 @@ def _check_T(rule: _Rule, T: int) -> None:
             f"T={T} must be divisible by each of {counts}")
     for segments, points in codes:
         degree = T // segments
+        # FieldError past gf.MAX_DEGREE, before 2 ** degree can grow huge
+        BinaryField(degree)
         if 2 ** degree < points:
             raise SchemeParameterError(
                 f"T={T} gives only {2 ** degree} coefficients for "
                 f"{points}-point encoding")
-        BinaryField(degree)  # raises FieldError past gf.MAX_DEGREE
 
 
 def _choose_T(rule: _Rule, scale: int) -> int:

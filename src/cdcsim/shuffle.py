@@ -23,19 +23,19 @@ groups for encoder and decoder alike, independent of T: the diagonal
 group (v_{x_j,x_j} at point j of GF(2^(T/t))) and, for each local file
 x, an off-diagonal group (v_{x,y} at point j of GF(2^(T/lam)), j the
 position of y among the others), each member being the segment u holds.
-A group of g members goes out as the g - lam power sums
-sum_j j^p * seg_j, p = 0..g-lam-1.  Sums travel packed as lanes of one
-int, and the GF(2^m) arithmetic runs on gf's packed bit matrices, by
-XORs alone: power_sum_plan maps a segment to its packed sums, solve_plan
-maps packed sums to the packed unknowns.  A receiver cuts each local
-segment it needs with a shift and a mask, XORs its terms out of the
-packed payloads and is left with a square power-sum system at distinct
-points; solved segments are in range by construction and are placed
-into the values with shifts.  The decodes of a transcript share its memo
-of solved systems, keyed by (width, unknown points, the receiver's own
-packed right-hand side): receivers lacking the same points of a group
-pose the same system and solve it once, in any node order, and none
-ever reads another node's values.
+A group of g members goes out as one message, the g - lam power sums
+sum_j j^p * seg_j packed as lanes of its payload, lane p lowest first.
+The GF(2^m) arithmetic runs on gf's packed bit matrices, by XORs alone:
+power_sum_plan maps a segment to its packed sums, solve_plan maps packed
+sums to the packed unknowns.  A receiver reads a group with one lookup,
+cuts each local segment it needs with a shift and a mask, XORs its terms
+out of the payload and is left with a square power-sum system at
+distinct points; solved segments are in range by construction and are
+placed into the values with shifts.  The decodes of a transcript share
+its memo of solved systems, keyed by (width, unknown points, the
+receiver's own packed right-hand side): receivers lacking the same
+points of a group pose the same system and solve it once, in any node
+order, and none ever reads another node's values.
 
 ADS scheme: one encoder, shuffle_ads, serves every lam.  A pair x < y lies
 in c common blocks, c = lam or lam + 1.  When c >= 1 the pair shares both
@@ -57,8 +57,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
-from .gf import (FieldError, apply_plan, pack_lanes, power_sum_plan,
-                 solve_plan, unpack_lanes)
+from .gf import (FieldError, apply_plan, power_sum_plan, solve_plan,
+                 unpack_lanes)
 from .scheme import (IVTable, Scheme, SchemeParameterError,
                      centralized_outputs, generate_ivs, reduce_outputs)
 
@@ -73,7 +73,8 @@ class MissingMessageError(RuntimeError):
 
 
 class Message(NamedTuple):
-    """One multicast: sender node, routing tag and meta, payload of bits bits."""
+    """One multicast, one sender's whole share of one coding group: sender
+    node, routing tag and meta, payload of bits bits."""
 
     sender: int
     tag: str
@@ -86,12 +87,13 @@ class Transcript:
     """All shuffle messages of one run, canonically ordered.
 
     No two messages share a (sender, tag, meta) key; by_key maps each key
-    to its message.  memo starts empty and is shared by every decode of
-    the transcript; each entry's key names all it depends on beyond the
-    messages, so any caller may decode the nodes in any order.
+    to its message, and total_bits sums their bits.  memo starts empty
+    and is shared by every decode of the transcript; each entry's key
+    names all it depends on beyond the messages, so any caller may decode
+    the nodes in any order.
     """
 
-    def __init__(self, messages: Tuple[Message, ...], total_bits: int):
+    def __init__(self, messages: Tuple[Message, ...]):
         by_key: Dict[Tuple, Message] = {}
         for m in messages:
             key = (m.sender, m.tag, m.meta)
@@ -99,7 +101,7 @@ class Transcript:
                 raise ValueError(f"two messages share the key {key}")
             by_key[key] = m
         self.messages = messages
-        self.total_bits = total_bits
+        self.total_bits = sum(m.bits for m in messages)
         self.by_key = by_key
         self.memo: dict = {}
 
@@ -126,9 +128,8 @@ def join_bits(parts: Iterable[int], width: int) -> int:
 
 
 def _finish(messages: List[Message]) -> Transcript:
-    ordered = tuple(sorted(messages, key=lambda m: (m.sender, m.tag, m.meta)))
-    return Transcript(messages=ordered,
-                      total_bits=sum(m.bits for m in ordered))
+    return Transcript(tuple(sorted(
+        messages, key=lambda m: (m.sender, m.tag, m.meta))))
 
 
 def _pair_key(x: int, y: int) -> Tuple[int, int]:
@@ -153,18 +154,15 @@ def shuffle_sd(s: Scheme, ivs: IVTable) -> Transcript:
     T, values = ivs.T, ivs.values
     messages = []
     for groups in s.sd_groups:
-        for message_keys, segments, keys, indices in groups:
-            width, count = T // segments, len(message_keys)
+        for (u, tag, meta), count, segments, keys, indices in groups:
+            width = T // segments
             mask = (1 << width) - 1
             sums = 0  # lane p holds power sum p
             for j, (key, i) in enumerate(zip(keys, indices)):
                 segment = values[key] >> (segments - 1 - i) * width & mask
                 sums ^= apply_plan(power_sum_plan(width, j, count), segment)
-            messages.extend(
-                Message(sender=u, tag=tag, meta=meta, bits=width,
-                        payload=payload)
-                for (u, tag, meta), payload in zip(
-                    message_keys, unpack_lanes(sums, width, count)))
+            messages.append(Message(sender=u, tag=tag, meta=meta,
+                                    bits=count * width, payload=sums))
     return _finish(messages)
 
 
@@ -176,10 +174,10 @@ def decode_sd(s: Scheme, node: int, transcript: Transcript,
     sender's group iff some member's q is not stored (t > lam + 1 then
     leaves a member whose n is not stored too); the members whose n is
     not stored are the unknowns it needs.  Subtracting its own terms
-    leaves a square power-sum system.  Its
-    right-hand side is packed into one int, lane p holding sum p, and
-    every payload is range-checked before it is packed, so no bit spills
-    into the next lane.
+    from the group's one payload, lane p holding sum p, leaves a square
+    power-sum system.  The payload must lie in [0, 2^(count * width)),
+    else FieldError: apply_plan would drop the bits past the last lane
+    and misread a negative payload.
 
     The transcript's memo holds those systems' solutions, keyed by
     (width, unknown points, this node's packed right-hand side), so the
@@ -190,21 +188,23 @@ def decode_sd(s: Scheme, node: int, transcript: Transcript,
     if s.kind != "sd":
         raise SchemeParameterError(f"expected an sd scheme, got {s.kind}")
     T, values, solved = ivs.T, ivs.values, transcript.memo
-    stored = set(s.placement[node])
+    by_key, stored = transcript.by_key, set(s.placement[node])
     out: Dict[Tuple[int, int], int] = {}
     for u, groups in enumerate(s.sd_groups):
         if u == node:
             continue
-        for message_keys, segments, keys, indices in groups:
+        for message_key, count, segments, keys, indices in groups:
             if all(q in stored for q, _ in keys):
                 continue
-            width, count = T // segments, len(message_keys)
+            width = T // segments
             mask = (1 << width) - 1
-            payloads = _payloads(transcript, node, message_keys)
-            if min(payloads) < 0 or max(payloads) > mask:
-                raise FieldError(f"a payload of {message_keys} is outside "
-                                 f"[0, {mask + 1})")
-            rhs = pack_lanes(payloads, width)
+            message = by_key.get(message_key)
+            if message is None:
+                raise MissingMessageError(node, message_key)
+            rhs = message.payload
+            if not 0 <= rhs < 1 << count * width:
+                raise FieldError(f"the payload of {message_key} is outside "
+                                 f"[0, 2^{count * width})")
             unknown = []
             for j, key in enumerate(keys):
                 if key[1] in stored:

@@ -295,6 +295,27 @@ def test_simulate_golomb_with_artifacts(capsys, tmp_path):
     assert again.read_text() == transcript.read_text()
 
 
+def test_simulate_sd_transcript(capsys, tmp_path):
+    """An sd transcript holds one line per coding group: each of the K
+    nodes sends its diagonal group and one group per file of its block,
+    K * (1 + t) = 28 lines for Fano, whose bits sum to total_bits."""
+    transcript = tmp_path / "shuffle.jsonl"
+    code, out, _ = run(capsys, "simulate", "--scheme", "sd", "--plane", "2",
+                       "--transcript", str(transcript))
+    assert code == EX_OK
+    docs = [json.loads(line)
+            for line in transcript.read_text().splitlines()]
+    assert len(docs) == 7 * (1 + 3)
+    assert all(set(doc) == {"sender", "tag", "meta", "bits", "payload"}
+               for doc in docs)
+    assert sum(doc["bits"] for doc in docs) == \
+        json.loads(out)["total_bits"] == 154
+    again = tmp_path / "again.jsonl"
+    run(capsys, "simulate", "--scheme", "sd", "--plane", "2",
+        "--transcript", str(again))
+    assert again.read_bytes() == transcript.read_bytes()
+
+
 def test_simulate_from_design_file(capsys, tmp_path):
     _, out, _ = run(capsys, "design", "--plane", "2")
     path = tmp_path / "fano.json"
@@ -333,6 +354,11 @@ def test_simulate_unsupported(capsys):
     code, _, err = run(capsys, "simulate", "--scheme", "sd", "--plane", "31")
     assert code == EX_UNSUPPORTED
     assert err
+    # a width scaled past it, refused before any field element is built
+    code, out, err = run(capsys, "simulate", "--scheme", "sd", "--plane", "2",
+                         "--scale", "100000000")
+    assert code == EX_UNSUPPORTED
+    assert out == "" and "got 200000000" in err
 
 
 def test_compare_csv(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -74,6 +75,20 @@ def test_choose_sd_T_meets_the_field_bound():
         choose_sd_T(32, 1)
     with pytest.raises(SchemeParameterError):
         choose_sd_T(3, 1, scale=0)
+
+
+def test_choose_T_meets_the_field_bound_before_the_coefficients():
+    """A huge scale fails on the field degree without building 2 ** degree:
+    at scale 10^8 the Fano width is 6 * 10^8 bits, a power of 2 of 25 MB
+    per check."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(FieldError, match="got 200000000"):
+            choose_T(fano_scheme(), scale=10 ** 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_choose_T_rejects_bad_scale():

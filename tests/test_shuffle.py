@@ -40,8 +40,7 @@ def transcript_for(s, seed):
 
 def fresh(transcript):
     """A copy of transcript whose decode memo is empty."""
-    return Transcript(messages=transcript.messages,
-                      total_bits=transcript.total_bits)
+    return Transcript(transcript.messages)
 
 
 def needed_values(s, ivs, node):
@@ -91,8 +90,9 @@ def test_fano_end_to_end():
     assert load == Fraction(11, 21)
     assert load == ours_sd_load(7, 3)
     assert transcript.total_bits == 154
+    # one message per coding group: the diagonal one and one per file
     for node in range(7):
-        assert sum(m.sender == node for m in transcript.messages) == 5
+        assert sum(m.sender == node for m in transcript.messages) == 4
 
 
 def test_fano_payload_goldens():
@@ -103,50 +103,93 @@ def test_fano_payload_goldens():
     # block 0 is (0,1,3); it is block 0 of the lists through 0, 1, and 3,
     # so it holds segment 0 of each diagonal value
     segs = [split_bits(ivs.values[(x, x)], T, 3)[0] for x in (0, 1, 3)]
-    assert by_key[(0, "SD-diagonal", (0,))].payload == segs[0] ^ segs[1] ^ segs[2]
+    diagonal = by_key[(0, "SD-diagonal", ())]
+    assert diagonal.bits == 2 * (T // 3)
+    # lane p, lowest first, holds power sum p
+    sum0, sum1 = split_bits(diagonal.payload, diagonal.bits, 2)[::-1]
+    assert sum0 == segs[0] ^ segs[1] ^ segs[2]
     f = BinaryField(T // 3)
-    assert by_key[(0, "SD-diagonal", (1,))].payload == \
-        segs[1] ^ f.mul(2, segs[2])
-    # lam = 1: off-diagonal rows carry whole values, power 0 is a plain XOR
-    assert by_key[(0, "SD-offdiagonal", (0, 0))].payload == \
-        ivs.values[(0, 1)] ^ ivs.values[(0, 3)]
-    assert by_key[(0, "SD-offdiagonal", (1, 0))].payload == \
-        ivs.values[(1, 0)] ^ ivs.values[(1, 3)]
+    assert sum1 == segs[1] ^ f.mul(2, segs[2])
+    # lam = 1: off-diagonal rows carry whole values in one lane, power 0,
+    # a plain XOR
+    for x, others in ((0, (1, 3)), (1, (0, 3))):
+        m = by_key[(0, "SD-offdiagonal", (x,))]
+        assert m.bits == T
+        assert m.payload == ivs.values[(x, others[0])] ^ \
+            ivs.values[(x, others[1])]
 
 
-@pytest.mark.parametrize("make_scheme,scale,digest", [
+def split_sd_lanes(s, transcript):
+    """The transcript with each sd message split into its count lanes,
+    lane p (lowest first) under meta + (p,) with bits = width; count is
+    g - lam for a group of g members, read off the design."""
+    if s.kind != "sd":
+        return transcript
+    t, lam = s.design.t, s.design.lam
+    messages = []
+    for m in transcript.messages:
+        count = t - lam - (m.tag == "SD-offdiagonal")
+        width = m.bits // count
+        assert width * count == m.bits
+        lanes = split_bits(m.payload, m.bits, count)[::-1]
+        messages += [m._replace(meta=m.meta + (p,), bits=width, payload=lane)
+                     for p, lane in enumerate(lanes)]
+    return Transcript(tuple(messages))
+
+
+def sha256_jsonl(transcript):
+    return hashlib.sha256(transcript_to_jsonl(transcript).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("make_scheme,scale,lanes_digest,digest", [
     (lambda: build_scheme_sd(projective_plane(2)), 1,
-     "e0c788373ccf805593f2027fed0ee1136eb371b125ba63fadba9f32e1a6d6171"),
+     "e0c788373ccf805593f2027fed0ee1136eb371b125ba63fadba9f32e1a6d6171",
+     "5e00635f4a691deb71ac73c737a0fc29ad5d9d085940ad24413c4f970b149dcc"),
     (lambda: build_scheme_sd(projective_plane(3)), 1,
-     "790f67c298dae0e825eaf6f881f787d208c0fa976210fed32fb205aef952c20c"),
+     "790f67c298dae0e825eaf6f881f787d208c0fa976210fed32fb205aef952c20c",
+     "03b70a21cea37c0ff1e86321e152a0dab4050ed17d320f3509c924d8ca2b2c5e"),
     (lambda: build_scheme_sd(projective_plane(3)), 4,
-     "fcf1a90bae9cf2473afd07ecee4da5fa08057430e235a6681d375c824bd28233"),
+     "fcf1a90bae9cf2473afd07ecee4da5fa08057430e235a6681d375c824bd28233",
+     "6dc7df5128840339c143ce33b12ccb0cfa7e4536019e8e010cc48bdc9f04ce13"),
     (lambda: build_scheme_sd(projective_plane(7)), 1,
-     "2a77cae7a1dc0fe50eb5d88bdc6c036774ae2b213d3ee6e5869d2b58b33fddfb"),
+     "2a77cae7a1dc0fe50eb5d88bdc6c036774ae2b213d3ee6e5869d2b58b33fddfb",
+     "1690aa3465f04f0ffaeea29a39d4459abca8f02a47b37c2649322ae5d157b7f6"),
     (lambda: build_scheme_sd(require_symmetric_design(
         7, complement_blocks(7, CYCLIC_FANO))), 1,
-     "be1d8316dadf70c2b657b7d0370d7d862574474de7c9de262245132af3a26454"),
+     "be1d8316dadf70c2b657b7d0370d7d862574474de7c9de262245132af3a26454",
+     "6afd9837676869bddc8b7ad99b46f1c5e176754a1ed5e37605c3d771843a8af9"),
     (lambda: build_scheme_sd(require_symmetric_design(
         11, cyclic_blocks(quadratic_residues(11), 11))), 1,
-     "f04ab3b986bec72402cf23bba47924871621ec0b6b9be4c7844b8b7bfae189c2"),
+     "f04ab3b986bec72402cf23bba47924871621ec0b6b9be4c7844b8b7bfae189c2",
+     "7975caba4a5ec51f7d51221e1d6ef135b567d30c6ab8516b1f5acf7daf230317"),
     (lambda: ads_scheme([0, 1, 3], 6), 1,
-     "f709f5018a5cfa8076479a5ee7b4564b4d9707917af7f8427c2f0c1feb8a6488"),
+     "f709f5018a5cfa8076479a5ee7b4564b4d9707917af7f8427c2f0c1feb8a6488",
+     None),
     (lambda: ads_scheme([0, 1], 6), 1,
-     "2a242a5695a98410884c9421b621214e1a62ac70525fb6b8ffcef37feafbf033"),
+     "2a242a5695a98410884c9421b621214e1a62ac70525fb6b8ffcef37feafbf033",
+     None),
     (lambda: build_scheme_ads(develop(ruzsa_ads(7))), 1,
-     "0ea47df4a3f2b30f30181bc48fd63baab266a239e919c3f9c66e8c80e041c741"),
+     "0ea47df4a3f2b30f30181bc48fd63baab266a239e919c3f9c66e8c80e041c741",
+     None),
     (lambda: build_scheme_ads(develop(complement_ads(ruzsa_ads(5)))), 1,
-     "ec2130f77fd8c80557576dabd0fb07fb62e584c3e41b91ebe9809357ab6d55c3"),
+     "ec2130f77fd8c80557576dabd0fb07fb62e584c3e41b91ebe9809357ab6d55c3",
+     None),
     (lambda: build_scheme_ads(develop(ruzsa_ads(5))), 1,
-     "3c6e229cb93f478abfc6925a058ae2a05fca039fde799b34b29773f0e739d95a"),
+     "3c6e229cb93f478abfc6925a058ae2a05fca039fde799b34b29773f0e739d95a",
+     None),
     (lambda: build_scheme_ads(develop(complement_ads(ruzsa_ads(3)))), 1,
-     "ea1dc215a0d1060cef1b4643943ed547a27e1971725d0c977cad2b1021217d07"),
+     "ea1dc215a0d1060cef1b4643943ed547a27e1971725d0c977cad2b1021217d07",
+     None),
 ], ids=["plane2", "plane3", "plane3-scale4", "plane7", "fano-complement",
         "paley11", "ads-634", "ads-620",
         "ruzsa7", "ruzsa5-complement", "ruzsa5", "ruzsa3-complement"])
-def test_sd_transcript_goldens(make_scheme, scale, digest):
+def test_sd_transcript_goldens(make_scheme, scale, lanes_digest, digest):
     """Every wire byte at seed 0, pinned, for both scheme kinds, and every
-    node's decode re-checked.
+    node's decode re-checked.  lanes_digest pins the transcript with each
+    sd message split into its power-sum lanes, the bytes sd transcripts
+    had when every power sum was its own message, so every coded bit is
+    as before; digest pins the wire itself (None: as lanes_digest, since
+    ADS messages do not split).
 
     Plane 3 at scale 4 codes over GF(2^8) and GF(2^32); plane 7 over
     GF(2^3) and GF(2^24); the complement of Fano (7,4,2) and the Paley
@@ -154,9 +197,12 @@ def test_sd_transcript_goldens(make_scheme, scale, digest):
     sends pair sums and plain segments; the complements of ruzsa 3 and 5
     have pairs in 2 and 3, and in 12 and 13, common blocks.
     """
-    _, transcript, _ = run_end_to_end(make_scheme(), seed=0, scale=scale)
-    text = transcript_to_jsonl(transcript)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    s = make_scheme()
+    _, transcript, _ = run_end_to_end(s, seed=0, scale=scale)
+    lanes = split_sd_lanes(s, transcript)
+    assert lanes.total_bits == transcript.total_bits
+    assert sha256_jsonl(lanes) == lanes_digest
+    assert sha256_jsonl(transcript) == (digest or lanes_digest)
 
 
 def test_plane_13_end_to_end():
@@ -373,8 +419,7 @@ def test_decode_sd_shared_solves_under_tampering(name, seed, data):
     m = messages[i]
     bit = data.draw(st.integers(0, m.bits - 1))
     messages[i] = m._replace(payload=m.payload ^ (1 << bit))
-    tampered = Transcript(messages=tuple(messages),
-                          total_bits=result.transcript.total_bits)
+    tampered = Transcript(tuple(messages))
     readers = sd_readers(s, m)
     assert readers
     for node in data.draw(st.permutations(range(s.K))):
@@ -385,6 +430,37 @@ def test_decode_sd_shared_solves_under_tampering(name, seed, data):
         assert exact == (node not in readers), node
 
 
+class LoggedKeys(dict):
+    """A transcript's by_key table that logs every key looked up."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.looked_up = []
+
+    def __getitem__(self, key):
+        self.looked_up.append(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.looked_up.append(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_SD_SCHEMES))
+def test_decode_sd_reads_each_group_with_one_lookup(name):
+    """A node looks up exactly the messages of the groups it reads, each
+    once: one message holds a sender's whole share of a group."""
+    s = SHARED_SD_SCHEMES[name]()
+    result = run(s, 0, choose_T(s))
+    transcript = fresh(result.transcript)
+    for node in range(s.K):
+        logged = transcript.by_key = LoggedKeys(result.transcript.by_key)
+        decode_sd(s, node, transcript, result.ivs)
+        assert sorted(logged.looked_up) == sorted(
+            (m.sender, m.tag, m.meta) for m in result.transcript.messages
+            if node in sd_readers(s, m))
+
+
 def replace_message(transcript, i, message):
     """The transcript with message i replaced, or deleted when message is
     None."""
@@ -393,8 +469,7 @@ def replace_message(transcript, i, message):
         del messages[i]
     else:
         messages[i] = message
-    return Transcript(messages=tuple(messages),
-                      total_bits=sum(m.bits for m in messages))
+    return Transcript(tuple(messages))
 
 
 def test_decode_sd_missing_message():
@@ -426,17 +501,18 @@ def check_missing_messages(s):
 
 @pytest.mark.parametrize("name", ["fano", "plane3"])
 def test_decode_sd_payload_range_checked(name):
-    """A payload with a bit at m.bits would, packed unchecked, flip bit 0
-    of the next sum and decode to a wrong value (or, past the last sum,
-    be dropped).  Set that bit, or make the payload negative, in each
-    message in turn: every reader raises FieldError, alone and after the
-    nodes before it have filled the memo, and every other node decodes
-    exactly.  On Fano, message 0 is read by nodes 1-6."""
+    """A payload holds a group's power sums, count lanes of width bits in
+    m.bits = count * width.  Unchecked, apply_plan would silently drop a
+    bit at m.bits or past it and misread a negative payload.  Set that
+    bit, or make the payload negative, in each message in turn: every
+    reader raises FieldError, alone and after the nodes before it have
+    filled the memo, and every other node decodes exactly.  On Fano,
+    message 0 is read by nodes 1-6."""
     s = SHARED_SD_SCHEMES[name]()
     result = run(s, 0, choose_T(s))
     if name == "fano":
         m = result.transcript.messages[0]
-        assert (m.sender, m.tag, m.meta) == (0, "SD-diagonal", (0,))
+        assert (m.sender, m.tag, m.meta) == (0, "SD-diagonal", ())
         assert sd_readers(s, m) == set(range(1, 7))
     for i, m in enumerate(result.transcript.messages):
         readers = sd_readers(s, m)
@@ -531,8 +607,7 @@ def test_decode_ads_under_tampering(name, seed, data):
     m = messages[i]
     bit = data.draw(st.integers(0, m.bits - 1))
     messages[i] = m._replace(payload=m.payload ^ (1 << bit))
-    tampered = Transcript(messages=tuple(messages),
-                          total_bits=result.transcript.total_bits)
+    tampered = Transcript(tuple(messages))
     readers = ads_readers(s, m)
     assert readers and m.sender not in readers
     for node in data.draw(st.permutations(range(s.K))):
@@ -554,8 +629,8 @@ def test_decode_ads_missing_message(name, data):
     result = run(s, 0, choose_T(s))
     messages = list(result.transcript.messages)
     m = messages.pop(data.draw(st.integers(0, len(messages) - 1)))
-    truncated = Transcript(messages=tuple(messages),
-                           total_bits=result.transcript.total_bits - m.bits)
+    truncated = Transcript(tuple(messages))
+    assert truncated.total_bits == result.transcript.total_bits - m.bits
     readers = ads_readers(s, m)
     assert readers
     for node in range(s.K):
@@ -713,7 +788,7 @@ def test_transcript_jsonl_round_trip():
 
 
 @pytest.mark.parametrize("make_scheme,tags,meta_lengths", [
-    (fano_scheme, {"SD-diagonal", "SD-offdiagonal"}, {1, 2}),
+    (fano_scheme, {"SD-diagonal", "SD-offdiagonal"}, {0, 1}),
     (lambda: ads_scheme([0, 1], 6), {"ADS-pairsum", "ADS-segment"}, {3}),
 ], ids=["fano", "golomb-620"])
 def test_transcript_lines_match_json_dumps(make_scheme, tags, meta_lengths):
@@ -740,4 +815,13 @@ def test_transcript_rejects_duplicate_keys():
     second = Message(sender=0, tag="ADS-pairsum", meta=(0, 1, 0), bits=2,
                      payload=2)
     with pytest.raises(ValueError, match="share the key"):
-        Transcript(messages=(first, second), total_bits=4)
+        Transcript((first, second))
+
+
+def test_transcript_counts_its_bits():
+    """total_bits is worked out from the messages, so no transcript can
+    disagree with them."""
+    messages = tuple(Message(sender=0, tag="ADS-pairsum", meta=(0, 1, j),
+                             bits=3 + j, payload=0) for j in range(3))
+    assert Transcript(messages).total_bits == 12
+    assert Transcript(()).total_bits == 0
