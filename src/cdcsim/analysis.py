@@ -125,10 +125,6 @@ class StepChecks(NamedTuple):
     last_ratio_below_half: bool
 
     @property
-    def ratios(self) -> Tuple[Fraction, ...]:  # built on access
-        return tuple(Fraction(a, b) for a, b in self.ratio_pairs)
-
-    @property
     def all_hold(self) -> bool:
         return (self.dominance.holds and self.tail_bound.holds
                 and self.ratios_increasing and self.last_ratio_below_half)

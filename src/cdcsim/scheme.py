@@ -1,9 +1,10 @@
 """Map/Reduce scheme construction on top of a design.
 
 A Scheme fixes the file placement and reduce assignment for K nodes over N
-files and Q output functions.  Both constructions here use K = N = Q: the
-symmetric-design scheme stores block B at node B and reduces the
-complement, the ADS scheme stores and reduces translate D + r at node r.
+files and Q output functions, and all of them follow from its design
+alone.  Both constructions here use K = N = Q: the symmetric-design scheme
+stores block B at node B and reduces the complement, the ADS scheme
+stores and reduces translate D + r at node r.
 
 Intermediate values are T-bit integers drawn from a keyed hash stream, so
 every run is reproducible from (seed, T) alone and a centralized
@@ -18,7 +19,7 @@ from functools import cached_property
 from typing import Dict, NamedTuple, Tuple, Union
 
 from .designs import Development, SymmetricDesign, blocks_through
-from .gf import BinaryField
+from .gf import MAX_DEGREE, BinaryField
 
 
 class SchemeParameterError(ValueError):
@@ -37,30 +38,34 @@ class IncompleteRecoveryError(RuntimeError):
         self.n = n
 
 
-def _complements(blocks, N: int) -> Tuple[Tuple[int, ...], ...]:
-    """Each block's complement in range(N), ascending."""
-    return tuple(tuple(sorted(set(range(N)).difference(b))) for b in blocks)
-
-
 class Scheme:
-    """Placement and reduce assignment for one Map/Reduce run.
-
-    The incidence maps below are computed on first use, once per scheme.
+    """Placement and reduce assignment for one Map/Reduce run, all worked
+    out from its design: a SymmetricDesign gives an sd scheme, a
+    Development an ads one.  Node u stores block u, so K = N = Q = the
+    block count and r = the block size; s is the size of a node's reduce
+    set, its block's complement (sd) or its block (ads).  An sd scheme
+    needs t > lam + 1, so that every node both sends and decodes coded
+    signals.  The incidence maps below are computed once, on first use.
     """
 
-    def __init__(self, kind: str, K: int, N: int, Q: int, r: int, s: int,
-                 placement: Tuple[Tuple[int, ...], ...],
-                 assignment: Tuple[Tuple[int, ...], ...],
-                 design: Union[SymmetricDesign, Development]):
-        self.kind, self.K, self.N, self.Q, self.r, self.s = kind, K, N, Q, r, s
-        self.placement = placement
-        self.assignment = assignment
+    def __init__(self, design: Union[SymmetricDesign, Development]):
+        sd = isinstance(design, SymmetricDesign)
+        if sd and design.t <= design.lam + 1:
+            raise SchemeParameterError(
+                f"need t > lam+1, got t={design.t}, lam={design.lam}")
         self.design = design
+        self.kind = "sd" if sd else "ads"
+        self.placement = design.blocks
+        self.K = self.N = self.Q = len(design.blocks)
+        self.r = len(design.blocks[0])
+        self.assignment = self.lacking if sd else design.blocks
+        self.s = len(self.assignment[0])
 
     @cached_property
     def lacking(self) -> Tuple[Tuple[int, ...], ...]:
         """Files each node does not store, ascending."""
-        return _complements(self.placement, self.N)
+        return tuple(tuple(sorted(set(range(self.N)).difference(b)))
+                     for b in self.placement)
 
     @cached_property
     def point_blocks(self) -> Tuple[Tuple[int, ...], ...]:
@@ -130,25 +135,15 @@ class NodeView(NamedTuple):
 
 
 def build_scheme_sd(design: SymmetricDesign) -> Scheme:
-    """Scheme on a symmetric design: node B maps B, reduces its complement.
-
-    Computation load r = t, cascade factor s = v - t.  Requires t > lam+1,
-    the regime where every node both sends and decodes coded signals.
-    """
-    if design.t <= design.lam + 1:
-        raise SchemeParameterError(
-            f"need t > lam+1, got t={design.t}, lam={design.lam}")
-    v = design.v
-    return Scheme(kind="sd", K=v, N=v, Q=v, r=design.t, s=v - design.t,
-                  placement=design.blocks,
-                  assignment=_complements(design.blocks, v), design=design)
+    """Scheme(design) on a symmetric design: node B maps B, reduces its
+    complement, so r = t and s = v - t.  Requires t > lam + 1."""
+    return Scheme(design)
 
 
 def build_scheme_ads(dev: Development) -> Scheme:
-    """Scheme on an ADS development: node r maps and reduces block D + r."""
-    n, k = dev.source.n, dev.source.k
-    return Scheme(kind="ads", K=n, N=n, Q=n, r=k, s=k,
-                  placement=dev.blocks, assignment=dev.blocks, design=dev)
+    """Scheme(dev) on an ADS development: node r maps and reduces block
+    D + r, so r = s = k."""
+    return Scheme(dev)
 
 
 # (segment counts, power-sum codes as (segments, coding points))
@@ -206,6 +201,10 @@ def _choose_T(rule: _Rule, scale: int) -> int:
         T += base
     T *= scale
     _check_T(rule, T)
+    if T > MAX_DEGREE * base:  # implied for sd by the field checks
+        raise SchemeParameterError(
+            f"T={T} exceeds {MAX_DEGREE * base} bits, {MAX_DEGREE} times "
+            f"the lcm {base} of the segment counts {counts}")
     return T
 
 
@@ -214,7 +213,9 @@ def choose_T(s: Scheme, scale: int = 1) -> int:
 
     For the symmetric-design scheme the width must also give each of the
     two binary extension fields enough distinct coefficients for its
-    coding points.
+    coding points.  The width may not pass MAX_DEGREE times the least
+    common multiple of the segment counts, so an ADS scale is at most 64;
+    past it SchemeParameterError is raised before any value is drawn.
     """
     return _choose_T(_rule(s), scale)
 
@@ -227,15 +228,15 @@ def choose_sd_T(t: int, lam: int, scale: int = 1) -> int:
 
 
 def _stream_bits(seed: int, q: int, n: int, nbits: int) -> int:
-    out = b""
+    key = seed.to_bytes(8, "big")
+    prefix = q.to_bytes(8, "big") + n.to_bytes(8, "big")
+    digests = []  # joined once: growing bytes would be quadratic in nbits
     counter = 0
-    while 8 * len(out) < nbits:
-        h = hashlib.blake2b(
-            q.to_bytes(8, "big") + n.to_bytes(8, "big")
-            + counter.to_bytes(8, "big"),
-            key=seed.to_bytes(8, "big"))
-        out += h.digest()
+    while 512 * counter < nbits:  # a BLAKE2b digest is 512 bits
+        digests.append(hashlib.blake2b(
+            prefix + counter.to_bytes(8, "big"), key=key).digest())
         counter += 1
+    out = b"".join(digests)
     return int.from_bytes(out, "big") >> (8 * len(out) - nbits)
 
 

@@ -84,24 +84,24 @@ class Message(NamedTuple):
 
 
 class Transcript:
-    """All shuffle messages of one run, canonically ordered.
+    """All shuffle messages of one run, given in any order and kept in the
+    canonical one: sorted by their (sender, tag, meta) keys.
 
-    No two messages share a (sender, tag, meta) key; by_key maps each key
-    to its message, and total_bits sums their bits.  memo starts empty
-    and is shared by every decode of the transcript; each entry's key
-    names all it depends on beyond the messages, so any caller may decode
-    the nodes in any order.
+    No two messages share a key; by_key maps each key to its message, and
+    total_bits sums their bits.  memo starts empty and is shared by every
+    decode of the transcript; each entry's key names all it depends on
+    beyond the messages, so any caller may decode the nodes in any order.
     """
 
-    def __init__(self, messages: Tuple[Message, ...]):
+    def __init__(self, messages: Iterable[Message]):
         by_key: Dict[Tuple, Message] = {}
         for m in messages:
             key = (m.sender, m.tag, m.meta)
             if key in by_key:
                 raise ValueError(f"two messages share the key {key}")
             by_key[key] = m
-        self.messages = messages
-        self.total_bits = sum(m.bits for m in messages)
+        self.messages = tuple(by_key[key] for key in sorted(by_key))
+        self.total_bits = sum(m.bits for m in self.messages)
         self.by_key = by_key
         self.memo: dict = {}
 
@@ -125,11 +125,6 @@ def join_bits(parts: Iterable[int], width: int) -> int:
             raise ValueError(f"segment does not fit in {width} bits")
         out = (out << width) | part
     return out
-
-
-def _finish(messages: List[Message]) -> Transcript:
-    return Transcript(tuple(sorted(
-        messages, key=lambda m: (m.sender, m.tag, m.meta))))
 
 
 def _pair_key(x: int, y: int) -> Tuple[int, int]:
@@ -163,7 +158,7 @@ def shuffle_sd(s: Scheme, ivs: IVTable) -> Transcript:
                 sums ^= apply_plan(power_sum_plan(width, j, count), segment)
             messages.append(Message(sender=u, tag=tag, meta=meta,
                                     bits=count * width, payload=sums))
-    return _finish(messages)
+    return Transcript(messages)
 
 
 def decode_sd(s: Scheme, node: int, transcript: Transcript,
@@ -266,7 +261,7 @@ def shuffle_ads(s: Scheme, ivs: IVTable) -> Transcript:
                         Message(sender=u, tag="ADS-segment", meta=(q, n, i),
                                 bits=T // k, payload=segs[i])
                         for i, u in enumerate(s.point_blocks[n]))
-    return _finish(messages)
+    return Transcript(messages)
 
 
 # the names of the former lam-specific encoders, for callers that import them

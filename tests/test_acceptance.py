@@ -123,7 +123,7 @@ def test_criterion_07_lower_bound_checks():
     for p in range(5, 32):
         steps = li_lower_bound_steps(p)
         ok = (ok and li_lower_bound_inequality(p).holds and steps.all_hold
-              and steps.ratios[-1] < Fraction(1, 2)
+              and Fraction(*steps.ratio_pairs[-1]) < Fraction(1, 2)
               and li_sandwich(p).holds)
     elapsed = time.perf_counter() - start
     verdict("criterion 7: master inequality, step inequalities, ratio "

@@ -91,7 +91,8 @@ def test_appendix_matches_reference():
     for p in range(5, 151):
         assert li_lower_bound_inequality(p) == reference_inequality(p), p
         steps = li_lower_bound_steps(p)
-        assert (steps.dominance, steps.tail_bound, steps.ratios,
+        ratios = tuple(Fraction(a, b) for a, b in steps.ratio_pairs)
+        assert (steps.dominance, steps.tail_bound, ratios,
                 steps.ratios_increasing, steps.last_ratio_below_half) == \
             reference_steps(p), p
 
@@ -196,11 +197,12 @@ def test_step_checks():
     steps = li_lower_bound_steps(5)
     assert (steps.dominance.lhs, steps.dominance.rhs) == (1820, 64)
     assert (steps.tail_bound.lhs, steps.tail_bound.rhs) == (128, 66)
-    assert steps.ratios == (Fraction(1, 32),)
+    assert tuple(Fraction(a, b) for a, b in steps.ratio_pairs) == \
+        (Fraction(1, 32),)
     assert steps.all_hold
     for p in range(5, 61):  # both verdicts agree with Fraction comparisons
         steps = li_lower_bound_steps(p)
-        ratios = steps.ratios
+        ratios = [Fraction(a, b) for a, b in steps.ratio_pairs]
         assert steps.ratios_increasing == all(
             a < b for a, b in zip(ratios, ratios[1:])), p
         assert steps.last_ratio_below_half == (ratios[-1] < Fraction(1, 2))

@@ -361,6 +361,33 @@ def test_simulate_unsupported(capsys):
     assert out == "" and "got 200000000" in err
 
 
+def test_simulate_refuses_a_wide_ads_scale(capsys):
+    """An ADS width is at most 64 times the lcm of its segment counts:
+    scale 10^8 exits 3 before any value is drawn."""
+    code, out, err = run(capsys, "simulate", "--scheme", "ads", "--ads",
+                         "0,1,3", "--n", "6", "--scale", "100000000")
+    assert code == EX_UNSUPPORTED
+    assert out == "" and "T=200000000 exceeds 128 bits" in err
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("--scheme sd --plane 3",
+     "11a98e7faed6f3cdab191fe7237d2d9b593fc28566a14319772e3df2757ac0d9"),
+    ("--scheme ads --ruzsa 5",
+     "5027d0d79129f2bd922aad441b4091a613add3ad830fb096dbf2fd155beaed6b"),
+    ("--scheme ads --ads 0,1,3 --n 6",
+     "dd05ad05dc69629c4239562e8bcd1b5058a0179351608f3a21631c317b944b23"),
+], ids=["plane3", "ruzsa5", "ads634"])
+def test_dump_scheme_goldens(capsys, tmp_path, argv, digest):
+    """Every byte of --dump-scheme, pinned: each field it prints is worked
+    out from the design, so none may move."""
+    path = tmp_path / "scheme.json"
+    code, _, _ = run(capsys, "simulate", *argv.split(),
+                     "--dump-scheme", str(path))
+    assert code == EX_OK
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_compare_csv(capsys, tmp_path):
     code, out1, _ = run(capsys, "compare", "--family", "plane",
                         "--min", "2", "--max", "5")

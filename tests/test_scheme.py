@@ -91,6 +91,23 @@ def test_choose_T_meets_the_field_bound_before_the_coefficients():
     assert peak < 1 << 20, peak
 
 
+def test_choose_T_bounds_an_ads_scale():
+    """No width passes MAX_DEGREE times the lcm of the segment counts, so
+    (6,3,1,4), counts (1, 2), takes scale 64 at most.  Scale 10^8 is
+    refused from the parameters alone, drawing no value."""
+    s = build_scheme_ads(develop(classify_ads([0, 1, 3], 6)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemeParameterError,
+                           match="T=200000000 exceeds 128 bits"):
+            choose_T(s, scale=10 ** 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert choose_T(s, scale=64) == 128
+
+
 def test_choose_T_rejects_bad_scale():
     with pytest.raises(SchemeParameterError):
         choose_T(fano_scheme(), scale=0)

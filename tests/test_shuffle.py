@@ -714,9 +714,7 @@ def test_ads_census_names_a_broken_development():
     good = ads_scheme([0, 1, 3], 6)
     blocks = list(good.placement)
     blocks[1] = blocks[0]
-    s = Scheme(kind=good.kind, K=good.K, N=good.N, Q=good.Q, r=good.r,
-               s=good.s, placement=tuple(blocks), assignment=tuple(blocks),
-               design=good.design)
+    s = Scheme(good.design._replace(blocks=tuple(blocks)))
     lam = s.design.source.lam
     counts = {(x, y): len(s.pair_blocks.get((x, y), ()))
               for x in range(s.N) for y in range(x + 1, s.N)}
@@ -758,6 +756,19 @@ def test_ruzsa_complement_end_to_end(p):
     assert load == ads_load(a.n, a.k, a.lam) == Fraction(a.n - 1, 2 * a.n)
 
 
+@pytest.mark.parametrize("D,n", [([0, 1, 3], 6), ([0, 1], 6)],
+                         ids=["lam1", "lam0"])
+def test_ads_widest_scale_decodes(D, n):
+    """Scale 64, the widest an ADS width goes, still decodes exactly at
+    the formula's load; scale 65 is refused."""
+    s = ads_scheme(D, n)
+    a = s.design.source
+    load, _, _ = run_end_to_end(s, seed=3, scale=64)
+    assert load == ads_load(a.n, a.k, a.lam)
+    with pytest.raises(SchemeParameterError):
+        choose_T(s, 65)
+
+
 def test_scaled_width_keeps_load():
     s = build_scheme_sd(require_symmetric_design(7, CYCLIC_FANO))
     load, _, _ = run_end_to_end(s, seed=2, scale=4)
@@ -768,6 +779,16 @@ def test_transcript_canonical_order():
     transcript = transcript_for(ads_scheme([0, 1], 6), 0)
     keys = [(m.sender, m.tag, m.meta) for m in transcript.messages]
     assert keys == sorted(keys)
+
+
+def test_transcript_orders_its_messages():
+    """A transcript built from its messages in any order keeps them in the
+    canonical (sender, tag, meta) order, under the same keys."""
+    for s in (fano_scheme(), ads_scheme([0, 1, 3], 6)):
+        transcript = transcript_for(s, 0)
+        reversed_ = Transcript(transcript.messages[::-1])
+        assert reversed_.messages == transcript.messages
+        assert reversed_.by_key == transcript.by_key
 
 
 def test_transcript_jsonl_round_trip():
