@@ -222,7 +222,7 @@ def _build_parser() -> _Parser:
         "design", help="build or verify a design and print it canonically")
     source = p_design.add_mutually_exclusive_group(required=True)
     source.add_argument("--plane", type=int, metavar="B",
-                        help="projective plane of prime order B")
+                        help="projective plane of prime order B <= 101")
     source.add_argument("--ruzsa", type=int, metavar="P",
                         help="lam = 0 almost difference set for prime P")
     source.add_argument("--ads", metavar="CSV",

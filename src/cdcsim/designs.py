@@ -19,6 +19,11 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .gf import is_prime
 
+# The largest projective plane order built.  The verifier holds v masks of
+# v bits, b^4 / 8 bytes: design --plane 101 peaks at about 60 MiB and
+# takes about 1.2 s on a 2-vCPU VM.
+MAX_PLANE_ORDER = 101
+
 
 class DesignParameterError(ValueError):
     """Construction parameters outside what this library supports."""
@@ -121,6 +126,8 @@ def _first_unequal_meet(rows: Sequence[Sequence[int]],
     compared with lam repeated; digits are decoded only in a row that
     differs.  A column is packed just before the first row holding it, so
     a check that fails early packs only the columns it has reached.
+    At lam = 1, _first_pair_not_once gives the same answer from one bit
+    per row instead of B bytes; this pass serves every other lam.
     """
     n = len(rows)
     B = max(1, (max(map(len, rows)).bit_length() + 7) // 8)
@@ -142,6 +149,40 @@ def _first_unequal_meet(rows: Sequence[Sequence[int]],
     return None
 
 
+def _first_pair_not_once(rows: Sequence[Sequence[int]],
+                         columns: Sequence[Sequence[int]]
+                         ) -> Optional[Tuple[int, int, int]]:
+    """_first_unequal_meet(rows, columns, 1), by bit masks.
+
+    Each column c is packed as one len(rows)-bit mask, bit j set when row
+    j holds c, just before the first row holding it.  For row i, the masks
+    of the columns it holds fold into seen (the rows meeting row i at
+    least once) and twice (at least twice); row i meets every later row
+    exactly once when the bits past i of twice | ~seen are all zero.
+    Otherwise the lowest such bit j is the first failing pair, and its
+    meet is counted from the masks.
+    """
+    n = len(rows)
+    full = (1 << n) - 1
+    masks: List[Optional[int]] = [None] * len(columns)
+    for i, row in enumerate(rows):
+        seen = twice = 0
+        for c in row:
+            m = masks[c]
+            if m is None:
+                bits = bytearray((n + 7) // 8)
+                for j in columns[c]:
+                    bits[j >> 3] |= 1 << (j & 7)
+                m = masks[c] = int.from_bytes(bits, "little")
+            twice |= seen & m
+            seen |= m
+        off = (twice | (full ^ seen)) >> (i + 1)
+        if off:
+            j = i + (off & -off).bit_length()
+            return i, j, sum(masks[c] >> j & 1 for c in row)
+    return None
+
+
 def verify_symmetric_design(
         v: int, blocks: Sequence[Sequence[int]]
 ) -> Union[SymmetricDesign, DesignViolation]:
@@ -151,9 +192,12 @@ def verify_symmetric_design(
     symmetric design has b = v and N N^T = N^T N = (t - lam) I + lam J.
     Checks, in order: well-formed blocks, block count = v, uniform block
     size t >= 2, and constant pair multiplicity lam (off the diagonal of
-    N N^T).  The last is one Gram pass over the rows of points, the blocks
-    through each point: each Gram row is one packed integer sum, and a
-    pair is decoded from it only where the row is off.  Returns a
+    N N^T).  The last reads lam from the pair (0, 1) and runs over the
+    rows of points, the blocks through each point.  At lam = 1 each row
+    folds the bit masks of its blocks (_first_pair_not_once); at any other
+    lam it is one Gram pass, each Gram row one packed integer sum
+    (_first_unequal_meet).  Either way a pair is decoded only where a row
+    is off, and the first failing pair is the same.  Returns a
     SymmetricDesign (blocks canonically sorted) on success, otherwise a
     DesignViolation for the first failure.
 
@@ -189,7 +233,8 @@ def verify_symmetric_design(
 
     through = blocks_through(normalized, v)
     lam = len(set(through[0]).intersection(through[1]))  # pair (0, 1) sets lam
-    bad_pair = _first_unequal_meet(through, normalized, lam)
+    bad_pair = (_first_pair_not_once(through, normalized) if lam == 1
+                else _first_unequal_meet(through, normalized, lam))
     if bad_pair is not None:
         x, y, count = bad_pair
         return DesignViolation(
@@ -212,41 +257,38 @@ def projective_plane(b: int) -> SymmetricDesign:
 
     Points are the 1-dimensional subspaces of GF(b)^3, named by their
     normalized representative (first nonzero coordinate 1) in
-    lexicographic order; blocks collect the points on each line a.x = 0.
-    Each line's b+1 points are listed directly: with u, w two independent
-    solutions of a.x = 0, they are u and c*u + w for c in [0, b).
-    The result is re-verified by brute force before being returned.
+    lexicographic order: (0,0,1) is 0, (0,1,z) is 1 + z and (1,y,z) is
+    1 + b + b*y + z.  Blocks collect the points on each line a.x = 0, and
+    each line's points are named by index arithmetic:
+    - a2 = 0: the line holds point 0 and the b points (0,1,z) (a = (1,0,0))
+      or the b points (1,y,z) of one y (y = -a0/a1), a run of indices;
+    - a2 != 0: the line is z = c0 + c1*y with c0 = -a0/a2, c1 = -a1/a2,
+      holding (0,1,c1) and (1, y, c0 + c1*y) for each y.  For one c1, the
+      b lines c0 = 0..b-1 are the columns of the rows (1, y, .) each
+      rotated left by c1*y.
+    Every entry is taken from one list of the v point ints, so a point is
+    one int object however many lines hold it.  The blocks come out in
+    canonical order, and the result is re-verified by brute force before
+    being returned.  Orders above MAX_PLANE_ORDER are refused before any
+    list is built.
     """
     if not is_prime(b):
         raise DesignParameterError(
             f"projective planes are built for prime orders only, got {b}")
-    reps = ([(0, 0, 1)] + [(0, 1, z) for z in range(b)]
-            + [(1, y, z) for y in range(b) for z in range(b)])
-    index = {x: i for i, x in enumerate(reps)}
-    inverse = [0] + [pow(c, -1, b) for c in range(1, b)]
-
-    def point(x0: int, x1: int, x2: int) -> int:
-        """Index of the point spanned by the nonzero vector (x0, x1, x2)."""
-        x0, x1, x2 = x0 % b, x1 % b, x2 % b
-        if x0:
-            scale = inverse[x0]
-            return index[(1, x1 * scale % b, x2 * scale % b)]
-        if x1:
-            return index[(0, 1, x2 * inverse[x1] % b)]
-        return index[(0, 0, 1)]
-
-    unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    blocks = []
-    for a in reps:
-        pivot = a.index(1)  # the first nonzero coordinate
-        # e_f - a_f e_pivot for the two coordinates f other than the pivot
-        (u0, u1, u2), (w0, w1, w2) = (
-            [e - a[f] * p for e, p in zip(unit[f], unit[pivot])]
-            for f in range(3) if f != pivot)
-        line = [point(u0, u1, u2)] + [
-            point(c * u0 + w0, c * u1 + w1, c * u2 + w2) for c in range(b)]
-        blocks.append(tuple(sorted(line)))
-    design = verify_symmetric_design(len(reps), blocks)
+    if b > MAX_PLANE_ORDER:
+        raise DesignParameterError(
+            f"projective planes are built up to order {MAX_PLANE_ORDER}, "
+            f"got {b}")
+    v = b * b + b + 1
+    points = list(range(v))
+    rows = [points[1 + b + b * y:1 + 2 * b + b * y] for y in range(b)]
+    blocks = [tuple(points[:1 + b])] + [(points[0], *row) for row in rows]
+    for c1 in range(b):
+        rotated = [row[c1 * y % b:] + row[:c1 * y % b]
+                   for y, row in enumerate(rows)]
+        head = (points[1 + c1],)
+        blocks.extend(head + line for line in zip(*rotated))
+    design = verify_symmetric_design(v, blocks)
     if not isinstance(design, SymmetricDesign):
         raise AssertionError(f"plane construction for b={b} is broken: {design}")
     return design

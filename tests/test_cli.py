@@ -82,6 +82,37 @@ def test_design_unsupported_parameters(capsys):
     assert code == EX_UNSUPPORTED
 
 
+def test_design_plane_past_the_order_cap(capsys):
+    """The smallest prime past MAX_PLANE_ORDER exits 3 and prints
+    nothing."""
+    code, out, err = run(capsys, "design", "--plane", "103")
+    assert (code, out) == (EX_UNSUPPORTED, "")
+    assert "up to order 101, got 103" in err
+
+
+def test_design_plane_stdout_goldens(capsys, tmp_path):
+    """Every stdout byte of design --plane 31 and 43, and of design
+    --verify of the plane-31 document, pinned: a change to how lines are
+    listed or pairs checked must not move one."""
+    digests = {}
+    for b in ("31", "43"):
+        code, out, err = run(capsys, "design", "--plane", b)
+        assert (code, err) == (EX_OK, "")
+        digests[b] = hashlib.sha256(out.encode()).hexdigest()
+        if b == "31":
+            path = tmp_path / "plane31.json"
+            path.write_text(out)
+            code, out, err = run(capsys, "design", "--verify", str(path))
+            assert (code, err) == (EX_OK, "")
+            digests["verify31"] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == {
+        "31": "35f98458efa41f95c06d8129f0d444d8c184d526274c4af615714c62a40d0ba0",
+        "43": "4198d90fc569325d99fbd5670156ce57b8ac4eb4f2f5f3572764470fbd8ee5d9",
+        "verify31":
+            "35f98458efa41f95c06d8129f0d444d8c184d526274c4af615714c62a40d0ba0",
+    }
+
+
 def test_design_verify_file(capsys, tmp_path):
     code, out, _ = run(capsys, "design", "--plane", "3")
     path = tmp_path / "plane.json"

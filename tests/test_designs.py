@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import tracemalloc
 from typing import Dict, Sequence, Tuple, Union
 
@@ -9,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdcsim.cli import EX_VERIFY, main
-from cdcsim.designs import (AdsReport, AlmostDifferenceSet,
-                            DesignParameterError, DesignVerificationError,
-                            DesignViolation, SymmetricDesign, ads_from_doc,
-                            classify_ads, complement_ads, develop,
+from cdcsim.designs import (MAX_PLANE_ORDER, AdsReport,
+                            AlmostDifferenceSet, DesignParameterError,
+                            DesignVerificationError, DesignViolation,
+                            SymmetricDesign, ads_from_doc, classify_ads,
+                            complement_ads, develop,
                             export_ads, export_design, import_design,
                             projective_plane, ruzsa_ads,
                             smallest_primitive_root, verify_symmetric_design)
@@ -162,6 +164,20 @@ def test_plane_needs_prime_order():
         projective_plane(4)
     with pytest.raises(DesignParameterError):
         projective_plane(1)
+
+
+def test_plane_order_is_capped_before_anything_is_built():
+    """A prime past MAX_PLANE_ORDER is refused before the b^2 points are
+    listed: plane 10007 would hold 10^8 points."""
+    assert MAX_PLANE_ORDER == 101
+    tracemalloc.start()
+    try:
+        with pytest.raises(DesignParameterError, match="up to order 101"):
+            projective_plane(10007)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
 
 
 def test_verify_fano():
@@ -466,6 +482,53 @@ def test_verify_packs_columns_as_rows_reach_them():
         "pair-multiplicity", (0, 2, 0),
         "pair (0,2) lies in 0 blocks, expected 1")
     assert peak < 4 * 2 ** 20, peak
+
+
+_MULTI_WORD_PLANES = {b: projective_plane(b) for b in (7, 11, 13)}
+
+
+@pytest.mark.parametrize("b", sorted(_MULTI_WORD_PLANES))
+def test_verify_multi_word_planes_match_reference(b):
+    """Planes of 57, 133 and 183 points, whose point masks span several
+    machine words, verify as the reference verifies them."""
+    d = _MULTI_WORD_PLANES[b]
+    assert verify_symmetric_design(d.v, d.blocks) == d
+    assert reference_verify(d.v, d.blocks) == d
+
+
+def _edited_plane(b: int, edit: str, seed: int) -> Tuple[int, list]:
+    """Plane b with one seeded edit: a point of one block changed to one
+    it lacks, one block repeated in place of another, or two points
+    swapped between two blocks, each leaving a point it lacks."""
+    rng = random.Random(seed)
+    d = _MULTI_WORD_PLANES[b]
+    blocks = [list(block) for block in d.blocks]
+    i, k = rng.sample(range(d.v), 2)
+    if edit == "point":
+        block = blocks[i]
+        block[rng.randrange(len(block))] = rng.choice(
+            sorted(set(range(d.v)) - set(block)))
+    elif edit == "duplicate":
+        blocks[k] = list(blocks[i])
+    else:
+        x = rng.choice(sorted(set(blocks[i]) - set(blocks[k])))
+        y = rng.choice(sorted(set(blocks[k]) - set(blocks[i])))
+        blocks[i][blocks[i].index(x)] = y
+        blocks[k][blocks[k].index(y)] = x
+    return d.v, blocks
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("edit", ["point", "duplicate", "swap"])
+@pytest.mark.parametrize("b", [7, 11])
+def test_verify_edited_multi_word_planes_match_reference(b, edit, seed):
+    """Each edit breaks pair multiplicity at lam = 1, and the mask check
+    reports the reference's first violation on masks of several words."""
+    v, blocks = _edited_plane(b, edit, seed)
+    report = verify_symmetric_design(v, blocks)
+    assert isinstance(report, DesignViolation)
+    assert report.message.endswith("expected 1")
+    assert report == reference_verify(v, blocks)
 
 
 _VALID_DOCUMENTS = {
