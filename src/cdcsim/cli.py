@@ -74,11 +74,11 @@ def _source(args, path: Optional[str], scheme: Optional[str] = None,
     --plane, --ruzsa and --ads (with --n) build; otherwise the document at
     path is read and told apart by its keys.  With scheme given, a source
     of the other kind is a usage error, reported before anything is built
-    or verified.
+    or verified.  Nothing here sizes a run: simulate leaves that to
+    choose_T, whatever the source.
     """
     from .designs import (DesignVerificationError, ads_from_doc,
                           design_from_doc, projective_plane, ruzsa_ads)
-    from .gf import is_prime
 
     if args.ads is not None and args.n is None:
         raise _UsageError("--ads requires --n")
@@ -110,11 +110,6 @@ def _source(args, path: Optional[str], scheme: Optional[str] = None,
     if scheme is not None and scheme != kind:
         raise _UsageError(f"{what}, got --scheme {scheme}")
     if args.plane is not None:
-        if scheme == "sd" and is_prime(args.plane):
-            # a plane of order b is a (b^2+b+1, b+1, 1) design: meet the
-            # width rule before building one
-            from .scheme import choose_sd_T
-            choose_sd_T(args.plane + 1, 1, args.scale)
         return projective_plane(args.plane)
     if args.ruzsa is not None:
         return ruzsa_ads(args.ruzsa)

@@ -43,9 +43,11 @@ class Scheme:
     out from its design: a SymmetricDesign gives an sd scheme, a
     Development an ads one.  Node u stores block u, so K = N = Q = the
     block count and r = the block size; s is the size of a node's reduce
-    set, its block's complement (sd) or its block (ads).  An sd scheme
-    needs t > lam + 1, so that every node both sends and decodes coded
-    signals.  The incidence maps below are computed once, on first use.
+    set, its block's complement (sd, s = N - r) or its block (ads, s = r).
+    An sd scheme needs t > lam + 1, so that every node both sends and
+    decodes coded signals.  Building one costs O(1): the reduce sets and
+    incidence maps below are computed once, on first use, so choose_T can
+    refuse a run before anything of size N^2 exists.
     """
 
     def __init__(self, design: Union[SymmetricDesign, Development]):
@@ -58,8 +60,13 @@ class Scheme:
         self.placement = design.blocks
         self.K = self.N = self.Q = len(design.blocks)
         self.r = len(design.blocks[0])
-        self.assignment = self.lacking if sd else design.blocks
-        self.s = len(self.assignment[0])
+        self.s = self.N - self.r if sd else self.r
+
+    @cached_property
+    def assignment(self) -> Tuple[Tuple[int, ...], ...]:
+        """Outputs each node reduces, ascending: the files it lacks (sd)
+        or the files it stores (ads)."""
+        return self.lacking if self.kind == "sd" else self.placement
 
     @cached_property
     def lacking(self) -> Tuple[Tuple[int, ...], ...]:
@@ -149,15 +156,12 @@ def build_scheme_ads(dev: Development) -> Scheme:
 # (segment counts, power-sum codes as (segments, coding points))
 _Rule = Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]
 
-
-def _sd_rule(t: int, lam: int) -> _Rule:
-    """Width rule of the sd scheme on any (v, t, lam) design.
-
-    Diagonal values are cut into t segments and coded at t points over
-    GF(2^(T/t)); off-diagonal ones into lam segments, coded at t - 1
-    points over GF(2^(T/lam)).
-    """
-    return (t, lam), ((t, t), (lam, t - 1))
+# Most intermediate values, Q*N, a run may draw.  Each is a Python int held
+# in dicts by the IV table, the transcript and the decodes.  On 2 shared
+# vCPUs under CPython 3.11, ruzsa 19 (116 964 values) runs in 7 s at
+# 131 MiB max RSS and ruzsa 23 (256 036) in 21 s at 267 MiB.  At about
+# 1 KiB a value, the 10^8 values of ruzsa 101 cannot fit in memory.
+MAX_VALUES = 1 << 17
 
 
 def _rule(s: Scheme) -> _Rule:
@@ -165,11 +169,15 @@ def _rule(s: Scheme) -> _Rule:
 
     Every segment count must divide T.  A code (segments, points) works
     over GF(2^(T/segments)) and needs at least points elements there.
-    Only the sd scheme codes; the ADS scheme cuts a pair into its lam or
-    lam + 1 common blocks or, when lam = 0, a value into k plain segments.
+    The sd scheme on a (v, t, lam) design cuts diagonal values into t
+    segments, coded at t points over GF(2^(T/t)), and off-diagonal ones
+    into lam segments, coded at t - 1 points over GF(2^(T/lam)).  The
+    ADS scheme does not code: it cuts a pair into its lam or lam + 1
+    common blocks or, when lam = 0, a value into k plain segments.
     """
     if s.kind == "sd":
-        return _sd_rule(s.design.t, s.design.lam)
+        t, lam = s.design.t, s.design.lam
+        return (t, lam), ((t, t), (lam, t - 1))
     lam, k = s.design.source.lam, s.design.source.k
     return ((lam, lam + 1) if lam >= 1 else (k,)), ()
 
@@ -191,9 +199,22 @@ def _check_T(rule: _Rule, T: int) -> None:
                 f"{points}-point encoding")
 
 
-def _choose_T(rule: _Rule, scale: int) -> int:
+def choose_T(s: Scheme, scale: int = 1) -> int:
+    """Smallest bit width every segment count divides, times scale.
+
+    The one check that sizes or refuses a run, from the design's
+    parameters alone: it reads no table of the scheme.  For the
+    symmetric-design scheme the width must also give each of the two
+    binary extension fields enough distinct coefficients for its coding
+    points (FieldError past gf.MAX_DEGREE).  The width may not pass
+    MAX_DEGREE times the least common multiple of the segment counts, so
+    an ADS scale is at most 64, and the Q*N value table may hold at most
+    MAX_VALUES values; past either SchemeParameterError is raised before
+    any value is drawn.
+    """
     if not isinstance(scale, int) or scale < 1:
         raise SchemeParameterError(f"scale must be a positive integer, got {scale}")
+    rule = _rule(s)
     counts, codes = rule
     base = math.lcm(*counts)
     T = base
@@ -205,26 +226,10 @@ def _choose_T(rule: _Rule, scale: int) -> int:
         raise SchemeParameterError(
             f"T={T} exceeds {MAX_DEGREE * base} bits, {MAX_DEGREE} times "
             f"the lcm {base} of the segment counts {counts}")
+    if s.Q * s.N > MAX_VALUES:
+        raise SchemeParameterError(
+            f"Q*N={s.Q * s.N} intermediate values exceed {MAX_VALUES}")
     return T
-
-
-def choose_T(s: Scheme, scale: int = 1) -> int:
-    """Smallest bit width every segment count divides, times scale.
-
-    For the symmetric-design scheme the width must also give each of the
-    two binary extension fields enough distinct coefficients for its
-    coding points.  The width may not pass MAX_DEGREE times the least
-    common multiple of the segment counts, so an ADS scale is at most 64;
-    past it SchemeParameterError is raised before any value is drawn.
-    """
-    return _choose_T(_rule(s), scale)
-
-
-def choose_sd_T(t: int, lam: int, scale: int = 1) -> int:
-    """choose_T of the sd scheme on a (v, t, lam) design, t > lam + 1,
-    from the parameters alone, so a width past the field bound is met
-    before the design is built."""
-    return _choose_T(_sd_rule(t, lam), scale)
 
 
 def _stream_bits(seed: int, q: int, n: int, nbits: int) -> int:

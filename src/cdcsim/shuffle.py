@@ -127,21 +127,6 @@ def join_bits(parts: Iterable[int], width: int) -> int:
     return out
 
 
-def _pair_key(x: int, y: int) -> Tuple[int, int]:
-    return (x, y) if x < y else (y, x)
-
-
-def _payloads(transcript: Transcript, node: int,
-              keys: Iterable[Tuple]) -> List[int]:
-    """The payloads of the messages under keys, in order; the first key
-    with no message raises MissingMessageError for node."""
-    by_key = transcript.by_key
-    try:
-        return [by_key[key].payload for key in keys]
-    except KeyError as missing:
-        raise MissingMessageError(node, missing.args[0]) from None
-
-
 def shuffle_sd(s: Scheme, ivs: IVTable) -> Transcript:
     """Coded shuffle for the symmetric-design scheme."""
     if s.kind != "sd":
@@ -286,10 +271,10 @@ def decode_ads(s: Scheme, node: int, transcript: Transcript,
     if s.kind != "ads":
         raise SchemeParameterError(f"expected an ads scheme, got {s.kind}")
     T, values, joined = ivs.T, ivs.values, transcript.memo
-    through, pairs = s.point_blocks, s.pair_blocks
+    by_key, through, pairs = transcript.by_key, s.point_blocks, s.pair_blocks
     out = {}
     for q, n in product(s.assignment[node], s.lacking[node]):
-        x, y = _pair_key(q, n)
+        x, y = (q, n) if q < n else (n, q)
         senders = pairs.get((x, y))
         if senders:
             group, mask = ("ADS-pairsum", x, y, senders, T), values[n, q]
@@ -298,10 +283,12 @@ def decode_ads(s: Scheme, node: int, transcript: Transcript,
         value = joined.get(group)
         if value is None:
             tag, a, b, senders, _ = group
-            message_keys = [(u, tag, (a, b, j))
+            try:
+                payloads = [by_key[u, tag, (a, b, j)].payload
                             for j, u in enumerate(senders)]
-            value = joined[group] = join_bits(
-                _payloads(transcript, node, message_keys), T // len(senders))
+            except KeyError as missing:  # the first key with no message
+                raise MissingMessageError(node, missing.args[0]) from None
+            value = joined[group] = join_bits(payloads, T // len(senders))
         out[(q, n)] = value ^ mask
     return out
 

@@ -390,6 +390,12 @@ def test_simulate_unsupported(capsys):
                          "--scale", "100000000")
     assert code == EX_UNSUPPORTED
     assert out == "" and "got 200000000" in err
+    # a prime order past MAX_PLANE_ORDER, refused by the cap as design
+    # --plane refuses it
+    code, out, err = run(capsys, "simulate", "--scheme", "sd",
+                         "--plane", "103")
+    assert (code, out) == (EX_UNSUPPORTED, "")
+    assert "up to order 101, got 103" in err
 
 
 def test_simulate_refuses_a_wide_ads_scale(capsys):
@@ -399,6 +405,28 @@ def test_simulate_refuses_a_wide_ads_scale(capsys):
                          "0,1,3", "--n", "6", "--scale", "100000000")
     assert code == EX_UNSUPPORTED
     assert out == "" and "T=200000000 exceeds 128 bits" in err
+
+
+def test_simulate_refuses_a_plane_document_as_its_order(capsys, tmp_path):
+    """The plane-43 document and --plane 43 are refused by the same width
+    check, with the same message and no output."""
+    path = tmp_path / "plane43.json"
+    assert main(["design", "--plane", "43", "--out", str(path)]) == EX_OK
+    refusals = [run(capsys, "simulate", "--scheme", "sd", *source)
+                for source in (("--design", str(path)), ("--plane", "43"))]
+    assert refusals[0] == refusals[1]
+    code, out, err = refusals[0]
+    assert (code, out) == (EX_UNSUPPORTED, "")
+    assert "extension degree must be in 1..64, got 264" in err
+
+
+def test_simulate_refuses_a_large_ads_value_table(capsys):
+    """Ruzsa 23 has 506 nodes, so 256 036 intermediate values, past
+    MAX_VALUES: it exits 3 before any value is drawn."""
+    code, out, err = run(capsys, "simulate", "--scheme", "ads",
+                         "--ruzsa", "23")
+    assert (code, out) == (EX_UNSUPPORTED, "")
+    assert "Q*N=256036 intermediate values exceed 131072" in err
 
 
 @pytest.mark.parametrize("argv, digest", [

@@ -1,14 +1,17 @@
 import json
+import math
 import tracemalloc
 
 import pytest
 
-from cdcsim.designs import (classify_ads, develop, projective_plane,
-                            require_symmetric_design, ruzsa_ads)
+from cdcsim import scheme
+from cdcsim.designs import (classify_ads, complement_ads, develop,
+                            projective_plane, require_symmetric_design,
+                            ruzsa_ads)
 from cdcsim.gf import FieldError
-from cdcsim.scheme import (IncompleteRecoveryError, SchemeParameterError,
-                           build_scheme_ads, build_scheme_sd,
-                           centralized_outputs, choose_sd_T, choose_T,
+from cdcsim.scheme import (IncompleteRecoveryError, Scheme,
+                           SchemeParameterError, build_scheme_ads,
+                           build_scheme_sd, centralized_outputs, choose_T,
                            generate_ivs, node_view, reduce_outputs,
                            scheme_to_json)
 
@@ -52,6 +55,16 @@ def test_choose_T_values():
     assert choose_T(fano_scheme(), scale=3) == 18
 
 
+def choose_sd_T(t, lam, scale=1):
+    """Reference sd width from (t, lam) alone, by brute force: the least
+    multiple T of lcm(t, lam) with 2^(T/t) >= t diagonal points and
+    2^(T/lam) >= t - 1 off-diagonal ones, times scale."""
+    T = math.lcm(t, lam)
+    while 2 ** (T // t) < t or 2 ** (T // lam) < t - 1:
+        T += math.lcm(t, lam)
+    return T * scale
+
+
 @pytest.mark.parametrize("make_design", [
     lambda: require_symmetric_design(7, CYCLIC_FANO),
     lambda: projective_plane(3),
@@ -62,19 +75,35 @@ def test_choose_T_values():
 ], ids=["fano", "plane3", "plane5", "paley11"])
 @pytest.mark.parametrize("scale", [1, 3])
 def test_choose_sd_T_is_choose_T(make_design, scale):
-    """The width from (t, lam) alone is the width of the built scheme."""
+    """The width of the built scheme is the reference width from
+    (t, lam) alone."""
     d = make_design()
     assert choose_sd_T(d.t, d.lam, scale) == \
         choose_T(build_scheme_sd(d), scale)
 
 
-def test_choose_sd_T_meets_the_field_bound():
-    """Plane 31 needs GF(2^160); the rule says so without a design."""
-    assert choose_sd_T(14, 1) == 56  # plane 13: GF(2^4) and GF(2^56)
+def test_choose_T_meets_the_field_bound():
+    """Plane 13 needs GF(2^4) and GF(2^56); plane 31 needs GF(2^160)."""
+    assert choose_T(Scheme(projective_plane(13))) == 56
     with pytest.raises(FieldError, match="got 160"):
-        choose_sd_T(32, 1)
+        choose_T(Scheme(projective_plane(31)))
     with pytest.raises(SchemeParameterError):
-        choose_sd_T(3, 1, scale=0)
+        choose_T(Scheme(projective_plane(2)), scale=0)
+
+
+def test_choose_T_refuses_a_large_plane_before_any_table():
+    """Building a scheme and refusing its width reads no v x v table:
+    plane 43 (1 893 points) needs GF(2^264), and choose_T says so within
+    2 MiB of the built design."""
+    d = projective_plane(43)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FieldError, match="got 264"):
+            choose_T(Scheme(d))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
 
 
 def test_choose_T_meets_the_field_bound_before_the_coefficients():
@@ -106,6 +135,48 @@ def test_choose_T_bounds_an_ads_scale():
         tracemalloc.stop()
     assert peak < 1 << 20, peak
     assert choose_T(s, scale=64) == 128
+
+
+def test_choose_T_bounds_the_value_table():
+    """Q*N values may not pass MAX_VALUES: ruzsa 23 (506 nodes, 256 036
+    values) is refused from its parameters alone, while ruzsa 19
+    (116 964 values), ruzsa 17 and the complement of ruzsa 7 at scale 64
+    are still sized."""
+    tracemalloc.start()
+    try:
+        s = Scheme(develop(ruzsa_ads(23)))
+        with pytest.raises(SchemeParameterError,
+                           match=r"Q\*N=256036 intermediate values exceed "
+                                 r"131072"):
+            choose_T(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert choose_T(Scheme(develop(ruzsa_ads(19)))) == 18
+    assert choose_T(Scheme(develop(ruzsa_ads(17)))) == 16
+    assert choose_T(Scheme(develop(complement_ads(ruzsa_ads(7)))),
+                    scale=64) == 59520
+
+
+def test_choose_T_value_bound_is_inclusive_and_last(monkeypatch):
+    """A table of exactly MAX_VALUES values is accepted and one more is
+    not, for either kind; a width refused on its field or its scale keeps
+    that message whatever the table size."""
+    ads, fano = Scheme(develop(ruzsa_ads(5))), fano_scheme()
+    monkeypatch.setattr(scheme, "MAX_VALUES", 400)
+    assert choose_T(ads) == 4
+    monkeypatch.setattr(scheme, "MAX_VALUES", 399)
+    with pytest.raises(SchemeParameterError, match="Q\\*N=400"):
+        choose_T(ads)
+    with pytest.raises(SchemeParameterError, match="exceeds 256 bits"):
+        choose_T(ads, scale=65)
+    monkeypatch.setattr(scheme, "MAX_VALUES", 48)
+    with pytest.raises(SchemeParameterError, match="Q\\*N=49"):
+        choose_T(fano)
+    monkeypatch.setattr(scheme, "MAX_VALUES", 0)
+    with pytest.raises(FieldError, match="got 160"):
+        choose_T(Scheme(projective_plane(31)))
 
 
 def test_choose_T_rejects_bad_scale():
