@@ -180,9 +180,16 @@ def sha256_jsonl(transcript):
     (lambda: build_scheme_ads(develop(complement_ads(ruzsa_ads(3)))), 1,
      "ea1dc215a0d1060cef1b4643943ed547a27e1971725d0c977cad2b1021217d07",
      None),
+    (lambda: build_scheme_ads(develop(ruzsa_ads(11))), 1,
+     "a6ce4258e92bec5348d6633e1d7e187d981f20600749a0e21d61af69ac43efb0",
+     None),
+    (lambda: build_scheme_ads(develop(complement_ads(ruzsa_ads(7)))), 1,
+     "0518ff4f7ff60f66cbe0a2aed66b894da9ea00abc5e0a56b832bc8d46ccace01",
+     None),
 ], ids=["plane2", "plane3", "plane3-scale4", "plane7", "fano-complement",
         "paley11", "ads-634", "ads-620",
-        "ruzsa7", "ruzsa5-complement", "ruzsa5", "ruzsa3-complement"])
+        "ruzsa7", "ruzsa5-complement", "ruzsa5", "ruzsa3-complement",
+        "ruzsa11", "ruzsa7-complement"])
 def test_sd_transcript_goldens(make_scheme, scale, lanes_digest, digest):
     """Every wire byte at seed 0, pinned, for both scheme kinds, and every
     node's decode re-checked.  lanes_digest pins the transcript with each
@@ -195,7 +202,8 @@ def test_sd_transcript_goldens(make_scheme, scale, lanes_digest, digest):
     GF(2^3) and GF(2^24); the complement of Fano (7,4,2) and the Paley
     design (11,5,2) send off-diagonal values in lam = 2 segments; (6,2,0)
     sends pair sums and plain segments; the complements of ruzsa 3 and 5
-    have pairs in 2 and 3, and in 12 and 13, common blocks.
+    have pairs in 2 and 3, and in 12 and 13, common blocks.  Ruzsa 11 and
+    the complement of ruzsa 7 are the benchmark's two largest ADS runs.
     """
     s = make_scheme()
     _, transcript, _ = run_end_to_end(s, seed=0, scale=scale)
