@@ -163,6 +163,12 @@ _Rule = Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]
 # 1 KiB a value, the 10^8 values of ruzsa 101 cannot fit in memory.
 MAX_VALUES = 1 << 17
 
+# Most bits, Q*N*T, the value table may hold: 32 MiB of value bits, which
+# the transcript's payloads and the decodes' joined groups about double.
+# The complement of ruzsa 7 at scale 64 holds 1.05 * 10^8 bits; that of
+# ruzsa 13 at scale 64 would hold 2.7 * 10^10 (3.2 GiB).
+MAX_VALUE_BITS = 1 << 28
+
 
 def _rule(s: Scheme) -> _Rule:
     """(segment counts, power-sum codes) that constrain the bit width T.
@@ -209,8 +215,8 @@ def choose_T(s: Scheme, scale: int = 1) -> int:
     points (FieldError past gf.MAX_DEGREE).  The width may not pass
     MAX_DEGREE times the least common multiple of the segment counts, so
     an ADS scale is at most 64, and the Q*N value table may hold at most
-    MAX_VALUES values; past either SchemeParameterError is raised before
-    any value is drawn.
+    MAX_VALUES values of MAX_VALUE_BITS bits in all; past any of these
+    SchemeParameterError is raised before any value is drawn.
     """
     if not isinstance(scale, int) or scale < 1:
         raise SchemeParameterError(f"scale must be a positive integer, got {scale}")
@@ -229,29 +235,43 @@ def choose_T(s: Scheme, scale: int = 1) -> int:
     if s.Q * s.N > MAX_VALUES:
         raise SchemeParameterError(
             f"Q*N={s.Q * s.N} intermediate values exceed {MAX_VALUES}")
+    if s.Q * s.N * T > MAX_VALUE_BITS:
+        raise SchemeParameterError(
+            f"Q*N*T={s.Q * s.N * T} bits of intermediate values exceed "
+            f"{MAX_VALUE_BITS}")
     return T
 
 
-def _stream_bits(seed: int, q: int, n: int, nbits: int) -> int:
-    key = seed.to_bytes(8, "big")
-    prefix = q.to_bytes(8, "big") + n.to_bytes(8, "big")
-    digests = []  # joined once: growing bytes would be quadratic in nbits
-    counter = 0
-    while 512 * counter < nbits:  # a BLAKE2b digest is 512 bits
-        digests.append(hashlib.blake2b(
-            prefix + counter.to_bytes(8, "big"), key=key).digest())
-        counter += 1
-    out = b"".join(digests)
-    return int.from_bytes(out, "big") >> (8 * len(out) - nbits)
-
-
 def generate_ivs(s: Scheme, seed: int, T: int) -> IVTable:
-    """Deterministic T-bit intermediate values for all (q, n) pairs."""
+    """Deterministic T-bit intermediate values for all (q, n) pairs.
+
+    Value (q, n) is the top T bits of the BLAKE2b digests, keyed by seed,
+    of q, n and a counter 0, 1, ..., each an 8-byte big-endian word, one
+    512-bit digest per counter.  The keyed state, the words and the shift
+    are made once per table, and T <= 512 takes a single digest.
+    """
     if not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
         raise SchemeParameterError(f"seed must be in [0, 2^64), got {seed}")
     _check_T(_rule(s), T)
-    values = {(q, n): _stream_bits(seed, q, n, T)
-              for q in range(s.Q) for n in range(s.N)}
+    keyed = hashlib.blake2b(key=seed.to_bytes(8, "big"))
+    count = -(-T // 512)  # digests per value
+    shift, from_bytes = 512 * count - T, int.from_bytes
+    words = [i.to_bytes(8, "big") for i in range(max(s.Q, s.N, count))]
+    counters = words[:count]
+
+    def digest(message: bytes) -> bytes:
+        h = keyed.copy()
+        h.update(message)
+        return h.digest()
+
+    if count == 1:
+        tails = [word + counters[0] for word in words[:s.N]]
+        values = {(q, n): from_bytes(digest(words[q] + tail), "big") >> shift
+                  for q in range(s.Q) for n, tail in enumerate(tails)}
+    else:  # joined once: growing bytes would be quadratic in T
+        values = {(q, n): from_bytes(b"".join([
+            digest(words[q] + words[n] + counter) for counter in counters]),
+            "big") >> shift for q in range(s.Q) for n in range(s.N)}
     return IVTable(T=T, values=values)
 
 

@@ -45,16 +45,19 @@ orientation goes out as k plain T/k-bit segments, one per block through
 the file.  Splitting commutes with XOR, so joining a pair's payloads gives
 v_{x,y} ^ v_{y,x} whole, and a node holding one orientation unmasks the
 other with one XOR.  The transcript's memo holds each joined message
-group, keyed by ("ADS-pairsum", x, y) or ("ADS-segment", q, n) with its
-senders and T: each group is read and joined once per transcript, and
-the memo holds nothing but transcript bits.
+group inside one scope entry keyed by (T, the scheme's placement), which
+fix every group's senders and segment widths: a pair sum under its pair
+(x, y), a plain segment group under its orientation (q, n).  Each group
+is read and joined once per transcript, and the memo holds nothing but
+transcript bits.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 from .gf import (FieldError, apply_plan, power_sum_plan, solve_plan,
@@ -83,25 +86,33 @@ class Message(NamedTuple):
     payload: int
 
 
+_message_key = itemgetter(0, 1, 2)  # (sender, tag, meta)
+_message_bits = itemgetter(3)
+
+
 class Transcript:
     """All shuffle messages of one run, given in any order and kept in the
     canonical one: sorted by their (sender, tag, meta) keys.
 
     No two messages share a key; by_key maps each key to its message, and
-    total_bits sums their bits.  memo starts empty and is shared by every
-    decode of the transcript; each entry's key names all it depends on
-    beyond the messages, so any caller may decode the nodes in any order.
+    total_bits sums their bits.  Both come from passes that run in C over
+    the sorted messages, the one full-length sequence kept beside by_key;
+    messages given in canonical order sort in one linear pass.  memo
+    starts empty and is shared by every decode of the transcript; each
+    entry's key names all it depends on beyond the messages, so any
+    caller may decode the nodes in any order.
     """
 
     def __init__(self, messages: Iterable[Message]):
-        by_key: Dict[Tuple, Message] = {}
-        for m in messages:
-            key = (m.sender, m.tag, m.meta)
-            if key in by_key:
-                raise ValueError(f"two messages share the key {key}")
-            by_key[key] = m
-        self.messages = tuple(by_key[key] for key in sorted(by_key))
-        self.total_bits = sum(m.bits for m in self.messages)
+        # distinct keys never tie, so whole messages sort by their keys
+        ordered = tuple(sorted(messages))
+        by_key = dict(zip(map(_message_key, ordered), ordered))
+        if len(by_key) < len(ordered):  # equal keys sort side by side
+            key = next(_message_key(a) for a, b in zip(ordered, ordered[1:])
+                       if _message_key(a) == _message_key(b))
+            raise ValueError(f"two messages share the key {key}")
+        self.messages = ordered
+        self.total_bits = sum(map(_message_bits, ordered))
         self.by_key = by_key
         self.memo: dict = {}
 
@@ -218,35 +229,43 @@ def shuffle_ads(s: Scheme, ivs: IVTable) -> Transcript:
     falls back to plain segments, the i-th block through the file sending
     the i-th T/k-bit segment of each orientation.  A pair in any other
     number of blocks is no ADS development: SchemeParameterError.
+
+    Each sender's messages are collected in key order, pair sums by pair
+    and then plain segments by orientation, so the transcript's sort
+    finds them already in canonical order.
     """
     if s.kind != "ads":
         raise SchemeParameterError(f"expected an ads scheme, got {s.kind}")
     lam, k = s.design.source.lam, s.design.source.k
-    T = ivs.T
-    messages = []
+    T, values, pairs = ivs.T, ivs.values, s.pair_blocks
+    sent: List[List[Message]] = [[] for _ in range(s.K)]
+    plain = []  # the orientations of the pairs in no common block
     for x in range(s.N):
         for y in range(x + 1, s.N):
-            common = s.pair_blocks.get((x, y), ())
+            common = pairs.get((x, y), ())
             c = len(common)
             if c not in (lam, lam + 1):
                 raise SchemeParameterError(
                     f"pair ({x},{y}) lies in {c} blocks, expected "
                     f"{lam} or {lam + 1}")
-            if c:
-                sums = split_bits(ivs.values[(x, y)] ^ ivs.values[(y, x)],
-                                  T, c)
-                messages.extend(
-                    Message(sender=u, tag="ADS-pairsum", meta=(x, y, j),
-                            bits=T // c, payload=sums[j])
-                    for j, u in enumerate(common))
+            if c == 1:  # one segment: the pair sum itself
+                u, = common
+                sent[u].append(Message(u, "ADS-pairsum", (x, y, 0), T,
+                                       values[x, y] ^ values[y, x]))
+            elif c:
+                sums = split_bits(values[x, y] ^ values[y, x], T, c)
+                for j, u in enumerate(common):
+                    sent[u].append(
+                        Message(u, "ADS-pairsum", (x, y, j), T // c, sums[j]))
             else:
-                for q, n in ((x, y), (y, x)):
-                    segs = split_bits(ivs.values[(q, n)], T, k)
-                    messages.extend(
-                        Message(sender=u, tag="ADS-segment", meta=(q, n, i),
-                                bits=T // k, payload=segs[i])
-                        for i, u in enumerate(s.point_blocks[n]))
-    return Transcript(messages)
+                plain += (x, y), (y, x)
+    plain.sort()
+    for q, n in plain:
+        segs = split_bits(values[q, n], T, k)
+        for i, u in enumerate(s.point_blocks[n]):
+            sent[u].append(
+                Message(u, "ADS-segment", (q, n, i), T // k, segs[i]))
+    return Transcript(chain.from_iterable(sent))
 
 
 # the names of the former lam-specific encoders, for callers that import them
@@ -263,33 +282,42 @@ def decode_ads(s: Scheme, node: int, transcript: Transcript,
     the joined pair-sum payloads of a pair are v_{q,n} ^ v_{n,q},
     unmasked with it; segment messages join to the value itself.
 
-    The transcript's memo holds each joined message group, keyed by
-    (tag, q, n, its senders, T), so the decodes of one transcript read
-    each message once.  It holds only transcript bits, never a node's
-    stored values.
+    The transcript's memo holds each joined message group once, in one
+    scope entry keyed by (T, s.placement): a pair sum under its pair
+    (x, y), x < y, and a plain segment group under its orientation
+    (q, n).  The placement fixes which groups exist and their senders,
+    and T their segment widths, so the decodes of one transcript read
+    each message once.  The memo holds only transcript bits, never a
+    node's stored values.
     """
     if s.kind != "ads":
         raise SchemeParameterError(f"expected an ads scheme, got {s.kind}")
-    T, values, joined = ivs.T, ivs.values, transcript.memo
-    by_key, through, pairs = transcript.by_key, s.point_blocks, s.pair_blocks
+    T, values, by_key = ivs.T, ivs.values, transcript.by_key
+    through, pairs = s.point_blocks, s.pair_blocks
+    joined = transcript.memo.setdefault((T, s.placement), {})
+
+    def join(tag, a, b, senders):
+        try:
+            payloads = [by_key[u, tag, (a, b, j)].payload
+                        for j, u in enumerate(senders)]
+        except KeyError as missing:  # the first key with no message
+            raise MissingMessageError(node, missing.args[0]) from None
+        return join_bits(payloads, T // len(senders))
+
     out = {}
     for q, n in product(s.assignment[node], s.lacking[node]):
-        x, y = (q, n) if q < n else (n, q)
-        senders = pairs.get((x, y))
+        pair = (q, n) if q < n else (n, q)
+        senders = pairs.get(pair)
         if senders:
-            group, mask = ("ADS-pairsum", x, y, senders, T), values[n, q]
+            value = joined.get(pair)
+            if value is None:
+                value = joined[pair] = join("ADS-pairsum", *pair, senders)
+            out[q, n] = value ^ values[n, q]
         else:
-            group, mask = ("ADS-segment", q, n, through[n], T), 0
-        value = joined.get(group)
-        if value is None:
-            tag, a, b, senders, _ = group
-            try:
-                payloads = [by_key[u, tag, (a, b, j)].payload
-                            for j, u in enumerate(senders)]
-            except KeyError as missing:  # the first key with no message
-                raise MissingMessageError(node, missing.args[0]) from None
-            value = joined[group] = join_bits(payloads, T // len(senders))
-        out[(q, n)] = value ^ mask
+            value = joined.get((q, n))
+            if value is None:
+                value = joined[q, n] = join("ADS-segment", q, n, through[n])
+            out[q, n] = value
     return out
 
 

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdcsim import scheme
 from cdcsim.cli import EX_OK, EX_UNSUPPORTED, EX_USAGE, EX_VERIFY, main
+from cdcsim.designs import complement_ads, export_ads, ruzsa_ads
 
 # well-formed JSON of the wrong shape: a design or ADS document whose
 # fields have the wrong types
@@ -427,6 +429,21 @@ def test_simulate_refuses_a_large_ads_value_table(capsys):
                          "--ruzsa", "23")
     assert (code, out) == (EX_UNSUPPORTED, "")
     assert "Q*N=256036 intermediate values exceed 131072" in err
+
+
+def test_simulate_refuses_a_value_table_past_its_bits(capsys, tmp_path,
+                                                     monkeypatch):
+    """A value table past MAX_VALUE_BITS exits 3 with no output, for a
+    --design document too.  The bound is lowered here so that a broken
+    check costs one small run: the complement of ruzsa 7 holds 1764
+    values of 930 bits."""
+    path = tmp_path / "comp7.json"
+    path.write_text(export_ads(complement_ads(ruzsa_ads(7))))
+    monkeypatch.setattr(scheme, "MAX_VALUE_BITS", 10 ** 6)
+    code, out, err = run(capsys, "simulate", "--scheme", "ads",
+                         "--design", str(path))
+    assert (code, out) == (EX_UNSUPPORTED, "")
+    assert "Q*N*T=1640520 bits of intermediate values exceed 1000000" in err
 
 
 @pytest.mark.parametrize("argv, digest", [

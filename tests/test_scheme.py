@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -179,6 +180,49 @@ def test_choose_T_value_bound_is_inclusive_and_last(monkeypatch):
         choose_T(Scheme(projective_plane(31)))
 
 
+def test_choose_T_bounds_the_value_bits():
+    """Q*N*T bits may not pass MAX_VALUE_BITS: the complements of ruzsa 13
+    and 17 at scale 64 (2.7 * 10^10 and 2.7 * 10^11 bits, 3.2 and 32 GiB)
+    are refused from their parameters alone, drawing no value, while the
+    complement of ruzsa 7 at scale 64 (1.05 * 10^8 bits), ruzsa 17 and
+    plane 13 are still sized.  Plane 17's 8.5 * 10^6 bits fit; it is
+    refused on its field alone."""
+    wide = [Scheme(develop(complement_ads(ruzsa_ads(p)))) for p in (13, 17)]
+    tracemalloc.start()
+    try:
+        for s, bits in zip(wide, (27343540224, 273871011840)):
+            with pytest.raises(SchemeParameterError,
+                               match=rf"Q\*N\*T={bits} bits of intermediate "
+                                     r"values exceed 268435456"):
+                choose_T(s, scale=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert choose_T(Scheme(develop(complement_ads(ruzsa_ads(7)))),
+                    scale=64) == 59520
+    assert choose_T(Scheme(develop(ruzsa_ads(17)))) == 16
+    assert choose_T(Scheme(projective_plane(13))) == 56
+    plane17 = Scheme(projective_plane(17))
+    assert plane17.Q * plane17.N * 90 == 8482410 <= scheme.MAX_VALUE_BITS
+    with pytest.raises(FieldError, match="got 90"):
+        choose_T(plane17)
+
+
+def test_choose_T_bits_bound_is_inclusive_and_last(monkeypatch):
+    """A table of exactly MAX_VALUE_BITS bits is accepted and one bit more
+    is not; a table refused on its value count keeps that message."""
+    ads = Scheme(develop(ruzsa_ads(5)))  # 400 values of 4 bits
+    monkeypatch.setattr(scheme, "MAX_VALUE_BITS", 1600)
+    assert choose_T(ads) == 4
+    monkeypatch.setattr(scheme, "MAX_VALUE_BITS", 1599)
+    with pytest.raises(SchemeParameterError, match="Q\\*N\\*T=1600 bits"):
+        choose_T(ads)
+    monkeypatch.setattr(scheme, "MAX_VALUES", 399)
+    with pytest.raises(SchemeParameterError, match="Q\\*N=400 "):
+        choose_T(ads)
+
+
 def test_choose_T_rejects_bad_scale():
     with pytest.raises(SchemeParameterError):
         choose_T(fano_scheme(), scale=0)
@@ -201,6 +245,29 @@ def test_generate_ivs_long_width():
     a = generate_ivs(s, 7, 600)
     assert a == generate_ivs(s, 7, 600)
     assert any(value >= 1 << 512 for value in a.values.values())
+
+
+def reference_value(seed, q, n, T):
+    """Value (q, n) of the table, drawn digest by digest: the top T bits
+    of the BLAKE2b digests, keyed by seed, of q, n and a counter, each an
+    8-byte big-endian word."""
+    key = seed.to_bytes(8, "big")
+    stream = b"".join(
+        hashlib.blake2b(q.to_bytes(8, "big") + n.to_bytes(8, "big")
+                        + counter.to_bytes(8, "big"), key=key).digest()
+        for counter in range(-(-T // 512)))
+    return int.from_bytes(stream, "big") >> (8 * len(stream) - T)
+
+
+@pytest.mark.parametrize("T", [2, 6, 510, 512, 514, 1024, 1026, 1540])
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
+def test_generate_ivs_matches_the_digest_stream(seed, T):
+    """Every value equals its digest-by-digest reference, across one, two
+    and four digests and at each digest boundary."""
+    s = build_scheme_ads(develop(classify_ads([0, 1], 6)))
+    assert generate_ivs(s, seed, T).values == {
+        (q, n): reference_value(seed, q, n, T)
+        for q in range(s.Q) for n in range(s.N)}
 
 
 def test_generate_ivs_validates():

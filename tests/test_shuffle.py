@@ -554,8 +554,11 @@ def ads_group(message):
 @pytest.mark.parametrize("name", sorted(SHARED_ADS_SCHEMES))
 def test_decode_ads_shared_memo_match_per_node(name):
     """Decodes sharing one transcript's memo decode exactly what each node
-    decodes alone, and the memo ends up holding each message group of the
-    run once, keyed by the group, its senders and T."""
+    decodes alone, and the memo ends up holding one scope, keyed by T and
+    the placement, with each message group of the run in it once: a pair
+    sum under its pair, a plain segment group under its orientation, each
+    entry the join of that group's payloads.  The placement fixes every
+    group's senders."""
     s = SHARED_ADS_SCHEMES[name]()
     result = run(s, 1, choose_T(s))
     shared = fresh(result.transcript)
@@ -563,14 +566,21 @@ def test_decode_ads_shared_memo_match_per_node(name):
         got = decode_ads(s, node, fresh(result.transcript), result.ivs)
         assert decode_ads(s, node, shared, result.ivs) == got == \
             needed_values(s, result.ivs, node)
-    groups = {ads_group(m) for m in result.transcript.messages}
-    assert len(shared.memo) == len(groups)
-    assert {key[:3] for key in shared.memo} == groups
-    for tag, q, n, senders, T in shared.memo:
-        assert T == result.ivs.T
-        assert senders == tuple(
-            m.sender for m in result.transcript.messages
-            if ads_group(m) == (tag, q, n))
+    assert list(shared.memo) == [(result.ivs.T, s.placement)]
+    joined = shared.memo[result.ivs.T, s.placement]
+    groups = {}
+    for m in result.transcript.messages:
+        groups.setdefault(ads_group(m), []).append(m)
+    assert len(joined) == len(groups)
+    assert set(joined) == {(q, n) for _, q, n in groups}
+    for (tag, q, n), members in groups.items():
+        members.sort(key=lambda m: m.meta[2])
+        assert [m.meta[2] for m in members] == list(range(len(members)))
+        assert tuple(m.sender for m in members) == (
+            s.pair_blocks[q, n] if tag == "ADS-pairsum"
+            else s.point_blocks[n])
+        assert joined[q, n] == join_bits([m.payload for m in members],
+                                         members[0].bits)
 
 
 @pytest.mark.parametrize("name", sorted(SHARED_ADS_SCHEMES))
@@ -673,7 +683,16 @@ def test_decodes_share_the_memo_in_any_order(name, seed, data):
     in_order = fresh(result.transcript)
     assert [node for node, _ in decode_all(s, in_order, ivs)] == \
         list(range(s.K))
-    assert len(transcript.memo) == len(in_order.memo) > 0
+    assert memo_entries(s, transcript) == memo_entries(s, in_order) > 0
+
+
+def memo_entries(s, transcript):
+    """Entries in a transcript's decode memo: its solved systems (sd), or
+    the joined message groups inside its one scope (ads)."""
+    if s.kind == "sd":
+        return len(transcript.memo)
+    (scope,) = transcript.memo.values()
+    return len(scope)
 
 
 def test_ads_634_end_to_end():
