@@ -163,11 +163,14 @@ _Rule = Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]
 # 1 KiB a value, the 10^8 values of ruzsa 101 cannot fit in memory.
 MAX_VALUES = 1 << 17
 
-# Most bits, Q*N*T, the value table may hold: 32 MiB of value bits, which
-# the transcript's payloads and the decodes' joined groups about double.
-# The complement of ruzsa 7 at scale 64 holds 1.05 * 10^8 bits; that of
-# ruzsa 13 at scale 64 would hold 2.7 * 10^10 (3.2 GiB).
-MAX_VALUE_BITS = 1 << 28
+# Most bits, Q*N*T, the value table may hold: 64 MiB of value bits.  Max
+# RSS grows by about 30 MiB per 10^8 bits, the table, its payloads and the
+# joined groups together: the complement of ruzsa 11 at scale 1, 2, 4 and
+# 5 (0.99 to 4.95 * 10^8 bits) runs at 217, 235, 307 and 336 MiB, in 3.4
+# to 5.7 s.  The complement of ruzsa 13 at scale 1 (4.3 * 10^8 bits, but
+# 1.6 * 10^6 messages) runs in 11 s at 646 MiB; at scale 64 it would hold
+# 2.7 * 10^10 bits (3.2 GiB).  Same machine as MAX_VALUES.
+MAX_VALUE_BITS = 1 << 29
 
 
 def _rule(s: Scheme) -> _Rule:
@@ -247,8 +250,8 @@ def generate_ivs(s: Scheme, seed: int, T: int) -> IVTable:
 
     Value (q, n) is the top T bits of the BLAKE2b digests, keyed by seed,
     of q, n and a counter 0, 1, ..., each an 8-byte big-endian word, one
-    512-bit digest per counter.  The keyed state, the words and the shift
-    are made once per table, and T <= 512 takes a single digest.
+    512-bit digest per counter, so T <= 512 takes a single digest.  The
+    keyed state, the words and the shift are made once per table.
     """
     if not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
         raise SchemeParameterError(f"seed must be in [0, 2^64), got {seed}")
@@ -264,14 +267,10 @@ def generate_ivs(s: Scheme, seed: int, T: int) -> IVTable:
         h.update(message)
         return h.digest()
 
-    if count == 1:
-        tails = [word + counters[0] for word in words[:s.N]]
-        values = {(q, n): from_bytes(digest(words[q] + tail), "big") >> shift
-                  for q in range(s.Q) for n, tail in enumerate(tails)}
-    else:  # joined once: growing bytes would be quadratic in T
-        values = {(q, n): from_bytes(b"".join([
-            digest(words[q] + words[n] + counter) for counter in counters]),
-            "big") >> shift for q in range(s.Q) for n in range(s.N)}
+    # each value joins its digests once: growing bytes would be quadratic
+    values = {(q, n): from_bytes(b"".join([
+        digest(words[q] + words[n] + counter) for counter in counters]),
+        "big") >> shift for q in range(s.Q) for n in range(s.N)}
     return IVTable(T=T, values=values)
 
 

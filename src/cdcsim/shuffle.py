@@ -96,7 +96,8 @@ class Transcript:
 
     No two messages share a key; by_key maps each key to its message, and
     total_bits sums their bits.  Both come from passes that run in C over
-    the sorted messages, the one full-length sequence kept beside by_key;
+    the sorted messages, the one full-length list kept beside by_key and
+    never copied, since a second copy holds its own pointer per message;
     messages given in canonical order sort in one linear pass.  memo
     starts empty and is shared by every decode of the transcript; each
     entry's key names all it depends on beyond the messages, so any
@@ -105,7 +106,7 @@ class Transcript:
 
     def __init__(self, messages: Iterable[Message]):
         # distinct keys never tie, so whole messages sort by their keys
-        ordered = tuple(sorted(messages))
+        ordered = sorted(messages)
         by_key = dict(zip(map(_message_key, ordered), ordered))
         if len(by_key) < len(ordered):  # equal keys sort side by side
             key = next(_message_key(a) for a, b in zip(ordered, ordered[1:])
@@ -265,7 +266,9 @@ def shuffle_ads(s: Scheme, ivs: IVTable) -> Transcript:
         for i, u in enumerate(s.point_blocks[n]):
             sent[u].append(
                 Message(u, "ADS-segment", (q, n, i), T // k, segs[i]))
-    return Transcript(chain.from_iterable(sent))
+    messages = chain.from_iterable(sent)
+    del sent  # freed once the sort drains it, before by_key is built
+    return Transcript(messages)
 
 
 # the names of the former lam-specific encoders, for callers that import them

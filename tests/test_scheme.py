@@ -184,16 +184,16 @@ def test_choose_T_bounds_the_value_bits():
     """Q*N*T bits may not pass MAX_VALUE_BITS: the complements of ruzsa 13
     and 17 at scale 64 (2.7 * 10^10 and 2.7 * 10^11 bits, 3.2 and 32 GiB)
     are refused from their parameters alone, drawing no value, while the
-    complement of ruzsa 7 at scale 64 (1.05 * 10^8 bits), ruzsa 17 and
-    plane 13 are still sized.  Plane 17's 8.5 * 10^6 bits fit; it is
-    refused on its field alone."""
+    complement of ruzsa 7 at scale 64 (1.05 * 10^8 bits), that of ruzsa 13
+    at scale 1 (4.3 * 10^8), ruzsa 17 and plane 13 are still sized.  Plane
+    17's 8.5 * 10^6 bits fit; it is refused on its field alone."""
     wide = [Scheme(develop(complement_ads(ruzsa_ads(p)))) for p in (13, 17)]
     tracemalloc.start()
     try:
         for s, bits in zip(wide, (27343540224, 273871011840)):
             with pytest.raises(SchemeParameterError,
                                match=rf"Q\*N\*T={bits} bits of intermediate "
-                                     r"values exceed 268435456"):
+                                     r"values exceed 536870912"):
                 choose_T(s, scale=64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -201,6 +201,7 @@ def test_choose_T_bounds_the_value_bits():
     assert peak < 1 << 20, peak
     assert choose_T(Scheme(develop(complement_ads(ruzsa_ads(7)))),
                     scale=64) == 59520
+    assert choose_T(wide[0]) == 17556  # 4.3 * 10^8 bits at scale 1
     assert choose_T(Scheme(develop(ruzsa_ads(17)))) == 16
     assert choose_T(Scheme(projective_plane(13))) == 56
     plane17 = Scheme(projective_plane(17))
