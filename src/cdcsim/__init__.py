@@ -32,7 +32,7 @@ _EXPORTS = {
         "IncompleteRecoveryError", "IVTable", "NodeView", "Scheme",
         "SchemeParameterError", "build_scheme_ads", "build_scheme_sd",
         "centralized_outputs", "choose_T", "generate_ivs", "node_view",
-        "reduce_outputs", "scheme_params", "scheme_to_json"),
+        "reduce_outputs", "scheme_to_json"),
     "shuffle": (
         "Message", "MissingMessageError", "RunResult", "Transcript",
         "decode_ads", "decode_all", "decode_sd", "join_bits", "measure_load",

@@ -130,17 +130,16 @@ def cmd_design(args) -> int:
 def cmd_simulate(args) -> int:
     from .analysis import ads_load, ours_sd_load
     from .designs import AlmostDifferenceSet, SymmetricDesign, develop
-    from .scheme import (build_scheme_ads, build_scheme_sd, choose_T,
-                         scheme_to_json)
+    from .scheme import Scheme, choose_T, scheme_to_json
     from .shuffle import run, transcript_lines
 
     source = _source(args, args.design, args.scheme)
     if isinstance(source, SymmetricDesign):
-        s = build_scheme_sd(source)
+        s = Scheme(source)
         formula = ours_sd_load(source.v, source.t)
     else:
         assert isinstance(source, AlmostDifferenceSet)
-        s = build_scheme_ads(develop(source))
+        s = Scheme(develop(source))
         formula = ads_load(source.n, source.k, source.lam)
     T = choose_T(s, args.scale)
     result = run(s, args.seed, T)

@@ -3,12 +3,11 @@
 Builders, brute-force verifiers, and JSON import/export for the two
 combinatorial structures the schemes are built from: (v, t, lambda)
 symmetric designs, and (n, k, lambda, mu) almost difference sets in Z_n
-together with their n-translate developments.
+together with the check that their n translates D + r form a development.
 
 Symmetric designs are stored canonically: each block ascending, the block
-list sorted lexicographically.  Developments instead keep translate order,
-block r being D + r, because the schemes built on them index nodes by the
-translate shift.
+list sorted lexicographically.  A development holds only its source: the
+ads Scheme builds the translates D + r in translate order r = 0..n-1.
 """
 
 from __future__ import annotations
@@ -23,6 +22,10 @@ from .gf import is_prime
 # v bits, b^4 / 8 bytes: design --plane 101 peaks at about 60 MiB and
 # takes about 1.2 s on a 2-vCPU VM.
 MAX_PLANE_ORDER = 101
+
+# Most differences, k(k - 1), an ADS classification counts: on the same VM
+# design --ruzsa 1021 takes 0.36 s at 97 MiB, --ruzsa 2003 1.9 s at 341 MiB.
+MAX_DIFFERENCES = 1 << 20
 
 
 class DesignParameterError(ValueError):
@@ -85,10 +88,9 @@ class AdsReport(NamedTuple):
 
 
 class Development(NamedTuple):
-    """The n translates D + r of an ADS, in translate order r = 0..n-1."""
+    """An ADS checked by develop; Scheme.placement builds its translates."""
 
     source: AlmostDifferenceSet
-    blocks: Tuple[Tuple[int, ...], ...]
 
 
 def blocks_through(blocks: Sequence[Sequence[int]],
@@ -319,12 +321,14 @@ def classify_ads(D: Sequence[int], n: int) -> Union[AlmostDifferenceSet, AdsRepo
             f"element {outside[0]} of D outside [0, {n})")
     if len(set(ordered)) != len(ordered):
         raise DesignVerificationError("repeated element in D")
+    k = len(ordered)
+    if k * (k - 1) > MAX_DIFFERENCES:
+        raise DesignParameterError(f"k(k-1)={k * (k - 1)} > {MAX_DIFFERENCES}")
     diff = Counter((a - b) % n for a in ordered for b in ordered if a != b)
     counts = Counter(diff.values())
     if len(diff) < n - 1:
         counts[0] = n - 1 - len(diff)
     support = sorted(counts)
-    k = len(ordered)
     if len(support) == 1:
         ads = AlmostDifferenceSet(n=n, k=k, lam=support[0], mu=n - 1, D=ordered)
     elif len(support) == 2 and support[1] == support[0] + 1:
@@ -384,6 +388,8 @@ def ruzsa_ads(p: int) -> AlmostDifferenceSet:
     """
     if not is_prime(p) or p < 3:
         raise DesignParameterError(f"need a prime p >= 3, got {p}")
+    if (p - 1) * (p - 2) > MAX_DIFFERENCES:
+        raise DesignParameterError(f"p={p} gives k(k-1) > {MAX_DIFFERENCES}")
     g = smallest_primitive_root(p)
     n = p * (p - 1)
     inv_p = pow(p, -1, p - 1)
@@ -407,27 +413,25 @@ def complement_ads(a: AlmostDifferenceSet) -> AlmostDifferenceSet:
 
 
 def develop(a: AlmostDifferenceSet) -> Development:
-    """All n translates D + r of an ADS, block r = D + r for r = 0..n-1.
-
-    Needs lam < k-1 so the translates are pairwise distinct and
-    1 <= mu <= n-2 so the result is a proper 1-design rather than a
-    2-design.  The pair (x, y) lies in the translates D + r with x - r and
-    y - r in D, exactly diff_D(y - x) of them, so the pair census is the
-    difference histogram: D is classified again, and parameters other
-    than a's raise AssertionError.  Then each point lies in k blocks, and
-    no two translates are equal, since diff_D never reaches k.
+    """Check that the n translates D + r of an ADS form a development;
+    Scheme.placement builds them.  Needs lam < k-1 so the translates are
+    pairwise distinct and 1 <= mu <= n-2 so the result is a proper
+    1-design rather than a 2-design.  The pair (x, y) lies in the
+    translates D + r with x - r and y - r in D, exactly diff_D(y - x) of
+    them, so the pair census is the difference histogram: D is classified
+    again, in O(k^2), and parameters other than a's raise AssertionError.
+    Then each point lies in k blocks, and no two translates are equal,
+    since diff_D never reaches k.
     """
-    n = a.n
     if a.lam >= a.k - 1:
         raise DesignParameterError(
             f"develop needs lam < k-1 for distinct translates, "
             f"got lam={a.lam}, k={a.k}")
-    if not 1 <= a.mu <= n - 2:
+    if not 1 <= a.mu <= a.n - 2:
         raise DesignParameterError(
-            f"degenerate mu={a.mu}: develop needs 1 <= mu <= {n - 2}")
-    _classified_as(a.D, (n, a.k, a.lam, a.mu), "D")
-    blocks = tuple(tuple(sorted((d + r) % n for d in a.D)) for r in range(n))
-    return Development(source=a, blocks=blocks)
+            f"degenerate mu={a.mu}: develop needs 1 <= mu <= {a.n - 2}")
+    _classified_as(a.D, (a.n, a.k, a.lam, a.mu), "D")
+    return Development(source=a)
 
 
 def export_design(design: SymmetricDesign) -> str:

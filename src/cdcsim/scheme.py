@@ -41,13 +41,13 @@ class IncompleteRecoveryError(RuntimeError):
 class Scheme:
     """Placement and reduce assignment for one Map/Reduce run, all worked
     out from its design: a SymmetricDesign gives an sd scheme, a
-    Development an ads one.  Node u stores block u, so K = N = Q = the
-    block count and r = the block size; s is the size of a node's reduce
-    set, its block's complement (sd, s = N - r) or its block (ads, s = r).
-    An sd scheme needs t > lam + 1, so that every node both sends and
-    decodes coded signals.  Building one costs O(1): the reduce sets and
-    incidence maps below are computed once, on first use, so choose_T can
-    refuse a run before anything of size N^2 exists.
+    Development an ads one.  Node u stores block u, so K = N = Q = v or n
+    and r = t or k; s is the size of a node's reduce set, its block's
+    complement (sd, s = N - r) or its block (ads, s = r).  An sd scheme
+    needs t > lam + 1, so that every node both sends and decodes coded
+    signals.  Building one costs O(1) for either kind: the placement,
+    reduce sets and incidence maps below are computed once, on first use,
+    so choose_T can refuse a run before any translate or N^2 table exists.
     """
 
     def __init__(self, design: Union[SymmetricDesign, Development]):
@@ -57,10 +57,17 @@ class Scheme:
                 f"need t > lam+1, got t={design.t}, lam={design.lam}")
         self.design = design
         self.kind = "sd" if sd else "ads"
-        self.placement = design.blocks
-        self.K = self.N = self.Q = len(design.blocks)
-        self.r = len(design.blocks[0])
+        self.K = self.N = self.Q = design.v if sd else design.source.n
+        self.r = design.t if sd else design.source.k
         self.s = self.N - self.r if sd else self.r
+
+    @cached_property
+    def placement(self) -> Tuple[Tuple[int, ...], ...]:
+        """Files each node stores, ascending: block u (sd) or D + u (ads)."""
+        if self.kind == "sd":
+            return self.design.blocks
+        n, D = self.N, self.design.source.D
+        return tuple(tuple(sorted((d + u) % n for d in D)) for u in range(n))
 
     @cached_property
     def assignment(self) -> Tuple[Tuple[int, ...], ...]:
@@ -323,22 +330,17 @@ def reduce_outputs(
     return out
 
 
-def scheme_params(s: Scheme) -> Dict[str, object]:
-    """Construction parameters as a plain dict (for reports and dumps)."""
-    if s.kind == "sd":
-        d = s.design
-        return {"v": d.v, "t": d.t, "lam": d.lam}
-    a = s.design.source
-    return {"n": a.n, "k": a.k, "lam": a.lam, "mu": a.mu, "D": list(a.D)}
-
-
 def scheme_to_json(s: Scheme) -> str:
     """Canonical JSON description of a scheme (byte-stable)."""
     import json
 
+    if s.kind == "sd":
+        params = {"v": s.design.v, "t": s.design.t, "lam": s.design.lam}
+    else:  # n, k, lam, mu and D, a JSON list
+        params = s.design.source._asdict()
     doc = {
         "kind": s.kind, "K": s.K, "N": s.N, "Q": s.Q, "r": s.r, "s": s.s,
-        "params": scheme_params(s),
+        "params": params,
         "placement": [list(b) for b in s.placement],
         "assignment": [list(b) for b in s.assignment],
     }

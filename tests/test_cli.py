@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdcsim import scheme
+from cdcsim import designs, scheme
 from cdcsim.cli import EX_OK, EX_UNSUPPORTED, EX_USAGE, EX_VERIFY, main
 from cdcsim.designs import complement_ads, export_ads, ruzsa_ads
 
@@ -64,6 +64,25 @@ def test_design_ads_in_a_huge_group(capsys, tmp_path):
     code, out, _ = run(capsys, "design", "--verify", str(path))
     assert code == EX_OK
     assert out == expected
+
+
+def test_design_refuses_a_classification_past_its_differences(capsys,
+                                                               monkeypatch):
+    """An ADS whose k(k - 1) differences pass MAX_DIFFERENCES exits 3 with
+    no output: --ruzsa before its D is built, --ads before its differences
+    are counted.  The bound is lowered here so that a broken check costs
+    one small run: ruzsa 11 counts 10 * 9 = 90 differences."""
+    D = ",".join(map(str, ruzsa_ads(11).D))
+    monkeypatch.setattr(designs, "MAX_DIFFERENCES", 89)
+    code, out, err = run(capsys, "design", "--ruzsa", "11")
+    assert (code, out) == (EX_UNSUPPORTED, "")
+    assert "p=11 gives k(k-1) > 89" in err
+    code, out, err = run(capsys, "design", "--ads", D, "--n", "110")
+    assert (code, out) == (EX_UNSUPPORTED, "")
+    assert "k(k-1)=90 > 89" in err
+    monkeypatch.setattr(designs, "MAX_DIFFERENCES", 90)  # inclusive
+    assert run(capsys, "design", "--ruzsa", "11")[0] == EX_OK
+    assert run(capsys, "design", "--ads", D, "--n", "110")[0] == EX_OK
 
 
 def test_design_rejects_non_ads(capsys):

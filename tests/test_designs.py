@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdcsim.cli import EX_VERIFY, main
-from cdcsim.designs import (MAX_PLANE_ORDER, AdsReport,
+from cdcsim.designs import (MAX_DIFFERENCES, MAX_PLANE_ORDER, AdsReport,
                             AlmostDifferenceSet, DesignParameterError,
                             DesignVerificationError, DesignViolation,
                             SymmetricDesign, ads_from_doc, classify_ads,
@@ -18,6 +18,7 @@ from cdcsim.designs import (MAX_PLANE_ORDER, AdsReport,
                             export_ads, export_design, import_design,
                             projective_plane, ruzsa_ads,
                             smallest_primitive_root, verify_symmetric_design)
+from cdcsim.scheme import Scheme
 
 FANO_BLOCKS = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6),
                (2, 3, 6), (2, 4, 5)]
@@ -304,22 +305,22 @@ def test_complement_examples():
 
 
 def test_develop_golden_blocks():
-    dev = develop(classify_ads([0, 1, 3], 6))
-    assert dev.blocks == ((0, 1, 3), (1, 2, 4), (2, 3, 5),
-                          (0, 3, 4), (1, 4, 5), (0, 2, 5))
+    blocks = Scheme(develop(classify_ads([0, 1, 3], 6))).placement
+    assert blocks == ((0, 1, 3), (1, 2, 4), (2, 3, 5),
+                      (0, 3, 4), (1, 4, 5), (0, 2, 5))
 
 
 def test_develop_census():
     for D, n in ([(0, 1, 3), 6], [(0, 1), 6], [(3, 14, 16, 17), 20]):
         a = classify_ads(D, n)
-        dev = develop(a)
-        assert len(dev.blocks) == n
+        blocks = Scheme(develop(a)).placement
+        assert len(blocks) == n
         for x in range(n):
-            assert sum(x in block for block in dev.blocks) == a.k
+            assert sum(x in block for block in blocks) == a.k
         lam_pairs = 0
         for x in range(n):
             for y in range(x + 1, n):
-                count = sum(x in block and y in block for block in dev.blocks)
+                count = sum(x in block and y in block for block in blocks)
                 assert count in (a.lam, a.lam + 1)
                 lam_pairs += count == a.lam
         assert 2 * lam_pairs == n * a.mu
@@ -337,12 +338,19 @@ def test_develop_census_matches_brute_force(make):
     function, is the one that counting the blocks through each pair gives:
     x < y lie together in diff_D(y - x) blocks."""
     a = make()
-    dev = develop(a)
-    sets = [set(block) for block in dev.blocks]
+    sets = [set(block) for block in Scheme(develop(a)).placement]
     for x in range(a.n):
         for y in range(x + 1, a.n):
             assert sum(x in block and y in block for block in sets) == \
                 diff_function(a.D, a.n, (y - x) % a.n), (x, y)
+
+
+def test_ruzsa_refuses_a_prime_past_the_difference_cap():
+    """Ruzsa 1021 counts 1020 * 1019 differences, within MAX_DIFFERENCES;
+    ruzsa 1031 (1030 * 1029) is refused before its D is built."""
+    assert 1020 * 1019 <= MAX_DIFFERENCES < 1030 * 1029
+    with pytest.raises(DesignParameterError, match=r"p=1031 gives k\(k-1\)"):
+        ruzsa_ads(1031)
 
 
 def test_develop_guards():
@@ -358,16 +366,17 @@ def test_develop_guards():
 
 def test_develop_in_a_large_group_stays_small():
     """develop checks a development through its difference histogram, so
-    n = 10 000 costs the n blocks alone.  A pair census from packed Gram
-    columns peaked at 53.7 MiB on this input."""
+    n = 10 000 costs the n blocks alone, built as the scheme's placement.
+    A pair census from packed Gram columns peaked at 53.7 MiB on this
+    input."""
     a = classify_ads([0, 1, 3], 10000)
     tracemalloc.start()
     try:
-        dev = develop(a)
+        blocks = Scheme(develop(a)).placement
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(dev.blocks) == 10000
+    assert len(blocks) == 10000
     assert peak < 5 * 2 ** 20
 
 

@@ -160,6 +160,23 @@ def test_choose_T_bounds_the_value_table():
                     scale=64) == 59520
 
 
+def test_choose_T_refuses_a_large_ads_group_before_any_translate():
+    """An ads scheme is sized from (n, k, lam) alone: the 10^5 translates
+    of (0, 1, 3), about 20 MiB, are never built when choose_T refuses its
+    10^10 values, and the refusal stays within 1 MiB."""
+    tracemalloc.start()
+    try:
+        s = Scheme(develop(classify_ads([0, 1, 3], 10 ** 5)))
+        with pytest.raises(SchemeParameterError,
+                           match=r"Q\*N=10000000000 intermediate values"):
+            choose_T(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert "placement" not in s.__dict__
+
+
 def test_choose_T_value_bound_is_inclusive_and_last(monkeypatch):
     """A table of exactly MAX_VALUES values is accepted and one more is
     not, for either kind; a width refused on its field or its scale keeps

@@ -14,7 +14,7 @@ from cdcsim.designs import (classify_ads, complement_ads, develop,
                             ruzsa_ads)
 from cdcsim.gf import BinaryField, FieldError
 from cdcsim import shuffle
-from cdcsim.scheme import (IncompleteRecoveryError, IVTable, Scheme,
+from cdcsim.scheme import (IncompleteRecoveryError, IVTable,
                            SchemeParameterError, build_scheme_ads,
                            build_scheme_sd, centralized_outputs, choose_T,
                            generate_ivs, node_view, reduce_outputs)
@@ -737,11 +737,12 @@ def test_coders_reject_the_other_kind(make_scheme, wrong):
 
 def test_ads_census_names_a_broken_development():
     """A placement that is no ADS development, block 1 of (6,3,1) replaced
-    by a copy of block 0, fails the pair census with a named error."""
-    good = ads_scheme([0, 1, 3], 6)
-    blocks = list(good.placement)
+    by a copy of block 0, fails the pair census with a named error.  The
+    placement is set before any incidence is read from it."""
+    s = ads_scheme([0, 1, 3], 6)
+    blocks = list(s.placement)
     blocks[1] = blocks[0]
-    s = Scheme(good.design._replace(blocks=tuple(blocks)))
+    s.placement = tuple(blocks)
     lam = s.design.source.lam
     counts = {(x, y): len(s.pair_blocks.get((x, y), ()))
               for x in range(s.N) for y in range(x + 1, s.N)}
