@@ -10,14 +10,23 @@ parameters, 64 usage error.
 
 Each command imports only the modules it runs: design loads designs and
 gf, compare and check-appendix load analysis and gf, and only simulate
-loads scheme and shuffle.  Check a command's start-up with
-python -X importtime -m cdcsim <command> ...
+loads scheme and shuffle.  No command loads hashlib, so none maps
+OpenSSL: the IV stream's keyed BLAKE2b is CPython's builtin _blake2.
+Check a command's start-up with python -X importtime -m cdcsim <command>.
+
+entry(), the console script and python -m cdcsim, runs main() with the
+cyclic garbage collector off.  A command's data (value table,
+transcript, decode memo, decodes, reduce outputs) holds no reference
+cycle, so reference counting frees all of it, and the collector's
+passes over it found nothing; the process exits when main() returns.
+Library callers of main() keep their collector as it is.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from typing import TYPE_CHECKING, Iterable, List, Optional, Union
@@ -296,4 +305,5 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    gc.disable()  # see the module docstring
     sys.exit(main())

@@ -75,7 +75,14 @@ def _is_irreducible(f: int) -> bool:
 
 @functools.cache
 def _smallest_irreducible(m: int) -> int:
-    return next(f for f in range(1 << m, 2 << m) if _is_irreducible(f))
+    """The smallest irreducible f of degree m.
+
+    For m >= 2, x divides an f without a constant term and x + 1 one with
+    an even number of terms (then f(1) = 0), so neither goes to the test.
+    """
+    return next(f for f in range(1 << m, 2 << m)
+                if (m == 1 or f & 1 and f.bit_count() & 1)
+                and _is_irreducible(f))
 
 
 class BinaryField:

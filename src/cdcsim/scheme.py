@@ -13,8 +13,9 @@ evaluation is available as an oracle for the shuffle/decode pipeline.
 
 from __future__ import annotations
 
-import hashlib
 import math
+# hashlib.blake2b is this builtin; importing hashlib would also map OpenSSL
+from _blake2 import blake2b
 from functools import cached_property
 from typing import Dict, NamedTuple, Tuple, Union
 
@@ -259,11 +260,13 @@ def generate_ivs(s: Scheme, seed: int, T: int) -> IVTable:
     of q, n and a counter 0, 1, ..., each an 8-byte big-endian word, one
     512-bit digest per counter, so T <= 512 takes a single digest.  The
     keyed state, the words and the shift are made once per table.
+    blake2b comes from the builtin _blake2, the object hashlib.blake2b
+    names, so a run never loads hashlib or OpenSSL's _hashlib.
     """
     if not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
         raise SchemeParameterError(f"seed must be in [0, 2^64), got {seed}")
     _check_T(_rule(s), T)
-    keyed = hashlib.blake2b(key=seed.to_bytes(8, "big"))
+    keyed = blake2b(key=seed.to_bytes(8, "big"))
     count = -(-T // 512)  # digests per value
     shift, from_bytes = 512 * count - T, int.from_bytes
     words = [i.to_bytes(8, "big") for i in range(max(s.Q, s.N, count))]

@@ -7,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cdcsim.gf import (MAX_DEGREE, BinaryField, FieldError,
-                       SingularMatrixError, _is_irreducible, apply_plan,
-                       is_prime, power_sum_plan, solve_plan, solve_power_sums)
+                       SingularMatrixError, _is_irreducible,
+                       _smallest_irreducible, apply_plan, is_prime,
+                       power_sum_plan, solve_plan, solve_power_sums)
 
 
 def poly_mod(a, b):
@@ -148,6 +149,14 @@ def test_modulus_is_smallest_irreducible():
         assert BinaryField(m).modulus == first, m
     assert not poly_is_irreducible(0b101)  # (x+1)^2
     assert poly_is_irreducible(0b111)
+
+
+def test_modulus_search_skips_only_reducible_candidates():
+    """The search skips candidates divisible by x or x + 1 without the
+    test; it finds what testing every candidate finds, at every degree."""
+    for m in range(1, MAX_DEGREE + 1):
+        first = next(f for f in range(1 << m, 2 << m) if _is_irreducible(f))
+        assert _smallest_irreducible(m) == first, m
 
 
 @given(st.integers(2, (1 << 17) - 1))

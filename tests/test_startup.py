@@ -1,6 +1,8 @@
 """What a command loads, and the exit-code contract, each seen from a
 fresh interpreter, where no earlier import has loaded anything yet."""
 
+import gc
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import cdcsim
+from cdcsim import cli
 from cdcsim.cli import EX_OK, EX_UNSUPPORTED, EX_USAGE, EX_VERIFY
 
 SRC = str(Path(cdcsim.__file__).resolve().parent.parent)
@@ -57,7 +60,62 @@ def test_a_command_loads_only_what_it_runs(tmp_path, argv, unloaded):
     loaded = set(done.stdout.split())
     assert Path(out).stat().st_size > 0
     assert not {f"cdcsim.{m}" for m in unloaded} & loaded
-    assert "dataclasses" not in loaded
+    assert not {"dataclasses", "hashlib", "_hashlib"} & loaded
+
+
+# runs each command twice with the cyclic collector off, and prints what
+# a collection finds after the second run: the first run's imports may
+# leave cycles, a command's own data must not
+GC_PREMISE = """
+import gc, json, sys
+gc.disable()
+from cdcsim.cli import main
+found = {}
+for argv in json.loads(sys.argv[1]):
+    main(argv)
+    gc.collect()
+    main(argv)
+    found[" ".join(argv)] = gc.collect()
+print(json.dumps(found))
+"""
+
+
+def test_a_command_leaves_no_cycle_for_the_collector(tmp_path):
+    """entry() turns the cyclic collector off, which loses nothing only
+    if no command, on success or on any exit code, leaves a reference
+    cycle behind."""
+    argvs = [
+        ["simulate", "--scheme", "sd", "--plane", "2", "--transcript", "t1",
+         "--dump-scheme", "d1", "--out", "o1"],
+        ["simulate", "--scheme", "ads", "--ruzsa", "5", "--transcript", "t2",
+         "--dump-scheme", "d2", "--out", "o2"],
+        ["design", "--plane", "2", "--out", "p2.json"],
+        ["design", "--verify", "p2.json", "--out", "o3"],
+        ["compare", "--family", "ruzsa", "--max", "13", "--decimal",
+         "--out", "o4"],
+        ["check-appendix", "--max-p", "8", "--out", "o5"],
+        ["design", "--ads", "0,1,2", "--n", "6"],  # exit 2
+        ["simulate", "--scheme", "sd", "--plane", "31"],  # exit 3
+        ["design", "--plane", "2", "--ruzsa", "3"],  # exit 64
+    ]
+    done = fresh_python("-c", GC_PREMISE, json.dumps(argvs), cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    found = json.loads(done.stdout)
+    assert len(found) == len(argvs)
+    assert {argv: n for argv, n in found.items() if n} == {}
+
+
+def test_entry_runs_main_without_the_cyclic_collector(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda: seen.append(gc.isenabled()) or 0)
+    enabled = gc.isenabled()
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            cli.entry()
+    finally:
+        if enabled:
+            gc.enable()
+    assert (seen, exit_.value.code) == ([False], EX_OK)
 
 
 # raises the error named on its command line from inside a command, for
