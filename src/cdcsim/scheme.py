@@ -14,7 +14,6 @@ evaluation is available as an oracle for the shuffle/decode pipeline.
 from __future__ import annotations
 
 import math
-# hashlib.blake2b is this builtin; importing hashlib would also map OpenSSL
 from _blake2 import blake2b
 from functools import cached_property
 from typing import Dict, NamedTuple, Tuple, Union
