@@ -368,6 +368,22 @@ def test_simulate_sd_transcript(capsys, tmp_path):
     assert again.read_bytes() == transcript.read_bytes()
 
 
+def test_simulate_ruzsa_13_goldens(capsys, tmp_path):
+    """Every byte of stdout and of the transcript of the largest ADS run
+    in the suite, pinned: ruzsa 13, 156 nodes, 53 352 messages, 1 728
+    values recovered per node."""
+    transcript = tmp_path / "shuffle.jsonl"
+    code, out, err = run(capsys, "simulate", "--scheme", "ads", "--ruzsa",
+                         "13", "--seed", "0", "--transcript", str(transcript))
+    assert (code, err) == (EX_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "3d0e58f06c302eb759a206351589dd8028e842fd9c2bf08b39aac7f21979db1b"
+    data = transcript.read_bytes()
+    assert data.count(b"\n") == 53352
+    assert hashlib.sha256(data).hexdigest() == \
+        "4fade279a83cc16808e06514f91ebd1179b31ee431a914cd133c1df967dac8ed"
+
+
 def test_simulate_from_design_file(capsys, tmp_path):
     _, out, _ = run(capsys, "design", "--plane", "2")
     path = tmp_path / "fano.json"
