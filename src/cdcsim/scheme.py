@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import math
 from _blake2 import blake2b
+from collections.abc import Mapping
 from functools import cached_property
-from typing import Dict, NamedTuple, Tuple, Union
+from itertools import compress, product
+from operator import itemgetter, not_
+from typing import Callable, Dict, NamedTuple, Sequence, Tuple, Union
 
 from .designs import Development, SymmetricDesign, blocks_through
 from .gf import MAX_DEGREE, BinaryField
@@ -100,6 +103,31 @@ class Scheme:
         return {pair: tuple(us) for pair, us in pairs.items()}
 
     @cached_property
+    def ads_groups(self) -> Tuple[Tuple[tuple, ...], Tuple[tuple, ...]]:
+        """(keys, flags) of an ads scheme, independent of T, row by row:
+        keys[q][n] is the memo key of the message group that carries
+        v_{q,n}, and flags[q][n] is 1 when that group is a pair sum, else 0.
+
+        A pair in a common block goes out as one pair sum, keyed by the
+        pair's own tuple in pair_blocks, the same object in both rows; a
+        pair in none (lam = 0 only) as a plain segment group per
+        orientation, keyed (q, n).  The diagonal, v_{q,q}, is never
+        shuffled: its key is None.
+        """
+        N = self.N
+        keys = [[None] * N for _ in range(N)]
+        flags = [[0] * N for _ in range(N)]
+        for pair in self.pair_blocks:
+            x, y = pair
+            keys[x][y] = keys[y][x] = pair
+            flags[x][y] = flags[y][x] = 1
+        for q, row in enumerate(keys):
+            for n in compress(range(N), map(not_, flags[q])):
+                row[n] = (q, n)
+            row[q] = None
+        return tuple(map(tuple, keys)), tuple(map(tuple, flags))
+
+    @cached_property
     def sd_groups(self) -> Tuple[Tuple[tuple, ...], ...]:
         """Each sd sender's coding groups, in wire order, independent of
         the bit width T: (message key, count, segments, keys, indices).
@@ -134,11 +162,58 @@ class Scheme:
         return tuple(table)
 
 
+def picker(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """A function from a row to the tuple of its items at positions, in
+    that order: itemgetter, except that one position or none still gives
+    a tuple."""
+    if len(positions) == 1:
+        i, = positions
+        return lambda row: (row[i],)
+    return itemgetter(*positions) if positions else lambda row: ()
+
+
+class ValueRows(Mapping):
+    """Intermediate values held by rows and read by (q, n) as a Mapping:
+    rows[i][j] is v_{q,n} for q = qs[i] and n = ns[j].  A read-only view,
+    so it copies nothing; its keys run q-major in the order of qs and ns.
+    """
+
+    __slots__ = ("qs", "ns", "rows")
+
+    def __init__(self, qs: Sequence[int], ns: Sequence[int],
+                 rows: Sequence[Sequence[int]]):
+        self.qs, self.ns, self.rows = qs, ns, rows
+
+    def __getitem__(self, key):
+        try:
+            q, n = key
+            return self.rows[self.qs.index(q)][self.ns.index(n)]
+        except (TypeError, ValueError):  # no such q or n, or no pair
+            raise KeyError(key) from None
+
+    def __iter__(self):
+        return product(self.qs, self.ns)
+
+    def __len__(self):
+        return len(self.qs) * len(self.ns)
+
+    def __repr__(self):
+        return f"ValueRows({dict(self.items())!r})"
+
+
 class IVTable(NamedTuple):
-    """All Q*N intermediate values of one run, each T bits."""
+    """All Q*N intermediate values of one run, each T bits, held by rows:
+    rows[q][n] = v_{q,n}.  values reads the same rows by (q, n)."""
 
     T: int
-    values: Dict[Tuple[int, int], int]
+    rows: Tuple[Tuple[int, ...], ...]
+
+    @property
+    def values(self) -> ValueRows:
+        """The table as a read-only (q, n) Mapping over its rows."""
+        rows = self.rows
+        return ValueRows(range(len(rows)), range(len(rows[0]) if rows else 0),
+                         rows)
 
 
 class NodeView(NamedTuple):
@@ -178,6 +253,32 @@ MAX_VALUES = 1 << 17
 # 1.6 * 10^6 messages) runs in 11 s at 646 MiB; at scale 64 it would hold
 # 2.7 * 10^10 bits (3.2 GiB).  Same machine as MAX_VALUES.
 MAX_VALUE_BITS = 1 << 29
+
+# Most shuffle messages, message_count(s), a run may send.  Each holds
+# about 330 bytes through the run (the message, its key, its payload and
+# its share of the transcript's list and index), and they set most of
+# the memory of a high-lam ADS run.  Under a 2 GiB RLIMIT_AS, same machine
+# as MAX_VALUES: the complement of ruzsa 11 (544 500 messages, 10^8 bits)
+# runs in 2.6 s at 208 MiB max RSS, that of ruzsa 13 (1 606 176 messages,
+# 4.3 * 10^8 bits) in 8.2 s at 640 MiB; by that slope 2^21 messages with
+# MAX_VALUE_BITS bits come to about 830 MiB.  The complement of ruzsa 17
+# would send 8.9 * 10^6.
+MAX_MESSAGES = 1 << 21
+
+
+def message_count(s: Scheme) -> int:
+    """Shuffle messages of one run, from the design's parameters alone.
+
+    An sd node sends its diagonal group and one group per file of its
+    block: K (t + 1).  An ads pair sends one message per common block,
+    K C(k, 2) in all, and when lam = 0 each of the C(N, 2) - K C(k, 2)
+    pairs in no common block sends k plain segments per orientation.
+    """
+    if s.kind == "sd":
+        return s.K * (s.design.t + 1)
+    k, lam = s.design.source.k, s.design.source.lam
+    sums = s.K * math.comb(k, 2)
+    return sums if lam else sums + 2 * k * (math.comb(s.N, 2) - sums)
 
 
 def _rule(s: Scheme) -> _Rule:
@@ -224,8 +325,9 @@ def choose_T(s: Scheme, scale: int = 1) -> int:
     binary extension fields enough distinct coefficients for its coding
     points (FieldError past gf.MAX_DEGREE).  The width may not pass
     MAX_DEGREE times the least common multiple of the segment counts, so
-    an ADS scale is at most 64, and the Q*N value table may hold at most
-    MAX_VALUES values of MAX_VALUE_BITS bits in all; past any of these
+    an ADS scale is at most 64, the Q*N value table may hold at most
+    MAX_VALUES values of MAX_VALUE_BITS bits in all, and the shuffle may
+    send at most MAX_MESSAGES messages; past any of these
     SchemeParameterError is raised before any value is drawn.
     """
     if not isinstance(scale, int) or scale < 1:
@@ -249,11 +351,15 @@ def choose_T(s: Scheme, scale: int = 1) -> int:
         raise SchemeParameterError(
             f"Q*N*T={s.Q * s.N * T} bits of intermediate values exceed "
             f"{MAX_VALUE_BITS}")
+    if message_count(s) > MAX_MESSAGES:
+        raise SchemeParameterError(
+            f"{message_count(s)} shuffle messages exceed {MAX_MESSAGES}")
     return T
 
 
 def generate_ivs(s: Scheme, seed: int, T: int) -> IVTable:
-    """Deterministic T-bit intermediate values for all (q, n) pairs.
+    """Deterministic T-bit intermediate values for all (q, n) pairs, as
+    rows: rows[q][n] = v_{q,n}, drawn q-major.
 
     Value (q, n) is the top T bits of the BLAKE2b digests, keyed by seed,
     of q, n and a counter 0, 1, ..., each an 8-byte big-endian word, one
@@ -277,10 +383,10 @@ def generate_ivs(s: Scheme, seed: int, T: int) -> IVTable:
         return h.digest()
 
     # each value joins its digests once: growing bytes would be quadratic
-    values = {(q, n): from_bytes(b"".join([
-        digest(words[q] + words[n] + counter) for counter in counters]),
-        "big") >> shift for q in range(s.Q) for n in range(s.N)}
-    return IVTable(T=T, values=values)
+    rows = tuple([tuple([from_bytes(b"".join([
+        digest(word + words[n] + counter) for counter in counters]),
+        "big") >> shift for n in range(s.N)]) for word in words[:s.Q]])
+    return IVTable(T=T, rows=rows)
 
 
 def node_view(s: Scheme, node: int) -> NodeView:
@@ -292,41 +398,63 @@ def node_view(s: Scheme, node: int) -> NodeView:
 
 
 def centralized_outputs(s: Scheme, ivs: IVTable) -> Dict[int, int]:
-    """Oracle reduce: every output folded over the full table."""
+    """Oracle reduce: every output folded over its full row."""
     out = {}
-    for q in range(s.Q):
+    for q, row in enumerate(ivs.rows):
         acc = 0
-        for n in range(s.N):
-            acc ^= ivs.values[(q, n)]
+        for value in row:
+            acc ^= value
         out[q] = acc
     return out
 
 
-def reduce_outputs(
-        s: Scheme, ivs: IVTable,
-        recovered: Dict[int, Dict[Tuple[int, int], int]],
-) -> Dict[int, Dict[int, int]]:
+def recovered_rows(s: Scheme, node: int,
+                   got: Mapping) -> Tuple[Tuple[int, ...], ...]:
+    """What node recovered, as one row per q of s.assignment[node], in
+    that order, over n in s.lacking[node].
+
+    A ValueRows over exactly those outputs and files gives its own rows;
+    any other (q, n) Mapping is read value by value, and the first
+    missing (q, n), q in assignment order and n ascending, raises
+    IncompleteRecoveryError.  Keys beyond those are not read.
+    """
+    assigned, lacking = s.assignment[node], s.lacking[node]
+    if isinstance(got, ValueRows) and got.qs == assigned and \
+            got.ns == lacking:
+        return got.rows
+    rows = []
+    for q in assigned:
+        row = []
+        for n in lacking:
+            try:
+                row.append(got[q, n])
+            except KeyError:
+                raise IncompleteRecoveryError(node, q, n) from None
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def reduce_outputs(s: Scheme, ivs: IVTable,
+                   recovered: Dict[int, Mapping]) -> Dict[int, Dict[int, int]]:
     """Reduce each node of recovered from its stored plus recovered
     intermediate values; nodes absent from recovered are not reduced.
 
-    Node k may consult the IV table only for files it stores; everything
-    else must appear in recovered[k] or IncompleteRecoveryError is raised
-    for the first missing (q, n), q in assignment order and n ascending.
+    Output q folds the table row q at the node's stored files, the only
+    table entries it reads, with the row of q it recovered
+    (recovered_rows: IncompleteRecoveryError names the first value
+    missing).
     """
-    values = ivs.values
+    table = ivs.rows
     out: Dict[int, Dict[int, int]] = {}
     for node, got in recovered.items():
-        stored, lacking = s.placement[node], s.lacking[node]
+        stored = picker(s.placement[node])
         results = {}
-        for q in s.assignment[node]:
+        for q, row in zip(s.assignment[node], recovered_rows(s, node, got)):
             acc = 0
-            for n in stored:
-                acc ^= values[q, n]
-            try:
-                for n in lacking:
-                    acc ^= got[q, n]
-            except KeyError:
-                raise IncompleteRecoveryError(node, q, n) from None
+            for value in stored(table[q]):
+                acc ^= value
+            for value in row:
+                acc ^= value
             results[q] = acc
         out[node] = results
     return out

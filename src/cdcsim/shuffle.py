@@ -3,7 +3,9 @@
 Node k stores the files of its block: value (q, n) is its own iff file
 n is stored, and only own values are read from the table.  It needs
 (q, n) iff q is assigned to it and n is in Scheme.lacking[k].  Decoders
-apply this rule key by key, never building a set of pairs.
+apply this rule row by row, never building a set of pairs: each returns a
+ValueRows whose row i holds v_{q,n} for q = assignment[k][i] over n in
+lacking[k], and the value table is held by rows, IVTable.rows[q][n].
 
 Bit conventions used throughout:
 
@@ -48,22 +50,25 @@ other with one XOR.  The transcript's memo holds each joined message
 group inside one scope entry keyed by (T, the scheme's placement), which
 fix every group's senders and segment widths: a pair sum under its pair
 (x, y), a plain segment group under its orientation (q, n).  Each group
-is read and joined once per transcript, and the memo holds nothing but
-transcript bits.
+is read and joined once per transcript, on the first decode that needs
+it, and the memo holds nothing but transcript bits.  Scheme.ads_groups
+gives each row's memo keys, so a decode recovers a whole row of values
+from the memo and its own values with C-level maps.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain, product
-from operator import itemgetter
+from itertools import chain, filterfalse
+from operator import itemgetter, mul, xor
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 from .gf import (FieldError, apply_plan, power_sum_plan, solve_plan,
                  unpack_lanes)
-from .scheme import (IVTable, Scheme, SchemeParameterError,
-                     centralized_outputs, generate_ivs, reduce_outputs)
+from .scheme import (IVTable, Scheme, SchemeParameterError, ValueRows,
+                     centralized_outputs, generate_ivs, picker,
+                     recovered_rows, reduce_outputs)
 
 
 class MissingMessageError(RuntimeError):
@@ -143,15 +148,15 @@ def shuffle_sd(s: Scheme, ivs: IVTable) -> Transcript:
     """Coded shuffle for the symmetric-design scheme."""
     if s.kind != "sd":
         raise SchemeParameterError(f"expected an sd scheme, got {s.kind}")
-    T, values = ivs.T, ivs.values
+    T, table = ivs.T, ivs.rows
     messages = []
     for groups in s.sd_groups:
         for (u, tag, meta), count, segments, keys, indices in groups:
             width = T // segments
             mask = (1 << width) - 1
             sums = 0  # lane p holds power sum p
-            for j, (key, i) in enumerate(zip(keys, indices)):
-                segment = values[key] >> (segments - 1 - i) * width & mask
+            for j, ((q, n), i) in enumerate(zip(keys, indices)):
+                segment = table[q][n] >> (segments - 1 - i) * width & mask
                 sums ^= apply_plan(power_sum_plan(width, j, count), segment)
             messages.append(Message(sender=u, tag=tag, meta=meta,
                                     bits=count * width, payload=sums))
@@ -159,8 +164,10 @@ def shuffle_sd(s: Scheme, ivs: IVTable) -> Transcript:
 
 
 def decode_sd(s: Scheme, node: int, transcript: Transcript,
-              ivs: IVTable) -> Dict[Tuple[int, int], int]:
-    """Recover every intermediate value node needs, from messages alone.
+              ivs: IVTable) -> ValueRows:
+    """Recover every intermediate value node needs, from messages alone,
+    as rows over s.assignment[node] x s.lacking[node]: both are the files
+    the node lacks.
 
     An sd node reduces the complement of its block, so it reads another
     sender's group iff some member's q is not stored (t > lam + 1 then
@@ -179,9 +186,11 @@ def decode_sd(s: Scheme, node: int, transcript: Transcript,
     """
     if s.kind != "sd":
         raise SchemeParameterError(f"expected an sd scheme, got {s.kind}")
-    T, values, solved = ivs.T, ivs.values, transcript.memo
+    T, table, solved = ivs.T, ivs.rows, transcript.memo
     by_key, stored = transcript.by_key, set(s.placement[node])
-    out: Dict[Tuple[int, int], int] = {}
+    lacking = s.lacking[node]
+    at = {n: i for i, n in enumerate(lacking)}  # row and column positions
+    rows = [[None] * len(lacking) for _ in lacking]
     for u, groups in enumerate(s.sd_groups):
         if u == node:
             continue
@@ -198,11 +207,11 @@ def decode_sd(s: Scheme, node: int, transcript: Transcript,
                 raise FieldError(f"the payload of {message_key} is outside "
                                  f"[0, 2^{count * width})")
             unknown = []
-            for j, key in enumerate(keys):
-                if key[1] in stored:
+            for j, (q, n) in enumerate(keys):
+                if n in stored:
                     rhs ^= apply_plan(
                         power_sum_plan(width, j, count),
-                        values[key] >> (segments - 1 - indices[j]) * width
+                        table[q][n] >> (segments - 1 - indices[j]) * width
                         & mask)
                 else:
                     unknown.append(j)
@@ -212,13 +221,15 @@ def decode_sd(s: Scheme, node: int, transcript: Transcript,
                 solution = solved[system] = tuple(unpack_lanes(
                     apply_plan(solve_plan(width, system[1]), rhs), width,
                     len(unknown)))
-            if segments == 1:  # one segment per value: it is the value
-                out.update(zip([keys[j] for j in unknown], solution))
-                continue
             for j, segment in zip(unknown, solution):
-                out[keys[j]] = out.get(keys[j], 0) | segment << (
-                    segments - 1 - indices[j]) * width
-    return out
+                q, n = keys[j]
+                row, i = rows[at[q]], at[n]
+                if segments == 1:  # one segment per value: it is the value
+                    row[i] = segment
+                else:
+                    row[i] = (row[i] or 0) | segment << (
+                        segments - 1 - indices[j]) * width
+    return ValueRows(lacking, lacking, tuple(map(tuple, rows)))
 
 
 def shuffle_ads(s: Scheme, ivs: IVTable) -> Transcript:
@@ -238,7 +249,7 @@ def shuffle_ads(s: Scheme, ivs: IVTable) -> Transcript:
     if s.kind != "ads":
         raise SchemeParameterError(f"expected an ads scheme, got {s.kind}")
     lam, k = s.design.source.lam, s.design.source.k
-    T, values, pairs = ivs.T, ivs.values, s.pair_blocks
+    T, table, pairs = ivs.T, ivs.rows, s.pair_blocks
     sent: List[List[Message]] = [[] for _ in range(s.K)]
     plain = []  # the orientations of the pairs in no common block
     for x in range(s.N):
@@ -252,9 +263,9 @@ def shuffle_ads(s: Scheme, ivs: IVTable) -> Transcript:
             if c == 1:  # one segment: the pair sum itself
                 u, = common
                 sent[u].append(Message(u, "ADS-pairsum", (x, y, 0), T,
-                                       values[x, y] ^ values[y, x]))
+                                       table[x][y] ^ table[y][x]))
             elif c:
-                sums = split_bits(values[x, y] ^ values[y, x], T, c)
+                sums = split_bits(table[x][y] ^ table[y][x], T, c)
                 for j, u in enumerate(common):
                     sent[u].append(
                         Message(u, "ADS-pairsum", (x, y, j), T // c, sums[j]))
@@ -262,7 +273,7 @@ def shuffle_ads(s: Scheme, ivs: IVTable) -> Transcript:
                 plain += (x, y), (y, x)
     plain.sort()
     for q, n in plain:
-        segs = split_bits(values[q, n], T, k)
+        segs = split_bits(table[q][n], T, k)
         for i, u in enumerate(s.point_blocks[n]):
             sent[u].append(
                 Message(u, "ADS-segment", (q, n, i), T // k, segs[i]))
@@ -276,56 +287,67 @@ shuffle_ads_pos = shuffle_ads_golomb = shuffle_ads
 
 
 def decode_ads(s: Scheme, node: int, transcript: Transcript,
-               ivs: IVTable) -> Dict[Tuple[int, int], int]:
-    """Recover every intermediate value node needs in an ADS scheme.
+               ivs: IVTable) -> ValueRows:
+    """Recover every intermediate value node needs in an ADS scheme, as
+    rows over s.assignment[node] x s.lacking[node].
 
-    The node needs s.assignment[node] x s.lacking[node], in that order.
     An ADS node reduces its own block, so for each (q, n) the opposite
     orientation (n, q) is its own, the only value read from the table:
     the joined pair-sum payloads of a pair are v_{q,n} ^ v_{n,q},
-    unmasked with it; segment messages join to the value itself.
+    unmasked with it; segment messages join to the value itself.  A row
+    q is recovered whole: its memo keys and pair-sum flags are picked out
+    of Scheme.ads_groups at the lacking files, its own values out of
+    column q of their table rows, and the two XORed by C-level maps,
+    each own value times its 0/1 flag.
 
     The transcript's memo holds each joined message group once, in one
     scope entry keyed by (T, s.placement): a pair sum under its pair
     (x, y), x < y, and a plain segment group under its orientation
     (q, n).  The placement fixes which groups exist and their senders,
     and T their segment widths, so the decodes of one transcript read
-    each message once.  The memo holds only transcript bits, never a
-    node's stored values.
+    each message once.  A group is joined when a row first needs it, in
+    row order, so a missing message or a payload too wide for its
+    segment reaches only the nodes that read it.  The memo holds only
+    transcript bits, never a node's stored values.
     """
     if s.kind != "ads":
         raise SchemeParameterError(f"expected an ads scheme, got {s.kind}")
-    T, values, by_key = ivs.T, ivs.values, transcript.by_key
+    T, table, by_key = ivs.T, ivs.rows, transcript.by_key
     through, pairs = s.point_blocks, s.pair_blocks
     joined = transcript.memo.setdefault((T, s.placement), {})
+    keys, flags = s.ads_groups
+    assigned, lacking = s.assignment[node], s.lacking[node]
+    pick = picker(lacking)
+    theirs = pick(table)  # rows n of the lacking files: column q is own
 
-    def join(tag, a, b, senders):
+    def join(key):
+        senders = pairs.get(key)
+        tag = "ADS-pairsum"
+        if senders is None:
+            tag, senders = "ADS-segment", through[key[1]]
         try:
-            payloads = [by_key[u, tag, (a, b, j)].payload
+            payloads = [by_key[u, tag, key + (j,)].payload
                         for j, u in enumerate(senders)]
         except KeyError as missing:  # the first key with no message
             raise MissingMessageError(node, missing.args[0]) from None
         return join_bits(payloads, T // len(senders))
 
-    out = {}
-    for q, n in product(s.assignment[node], s.lacking[node]):
-        pair = (q, n) if q < n else (n, q)
-        senders = pairs.get(pair)
-        if senders:
-            value = joined.get(pair)
-            if value is None:
-                value = joined[pair] = join("ADS-pairsum", *pair, senders)
-            out[q, n] = value ^ values[n, q]
-        else:
-            value = joined.get((q, n))
-            if value is None:
-                value = joined[q, n] = join("ADS-segment", q, n, through[n])
-            out[q, n] = value
-    return out
+    rows = []
+    for q in assigned:
+        row_keys = pick(keys[q])
+        try:
+            sums = tuple(map(joined.__getitem__, row_keys))
+        except KeyError:  # join the row's new groups, in row order
+            for key in filterfalse(joined.__contains__, row_keys):
+                joined[key] = join(key)
+            sums = map(joined.__getitem__, row_keys)
+        rows.append(tuple(map(xor, sums, map(
+            mul, pick(flags[q]), map(itemgetter(q), theirs)))))
+    return ValueRows(assigned, lacking, tuple(rows))
 
 
 def decode_all(s: Scheme, transcript: Transcript, ivs: IVTable,
-               ) -> Iterator[Tuple[int, Dict[Tuple[int, int], int]]]:
+               ) -> Iterator[Tuple[int, ValueRows]]:
     """Decode node 0, 1, ..., K - 1 in turn with the decoder of the scheme
     kind, yielding (node, recovered); the decodes share the transcript's
     memo."""
@@ -354,22 +376,26 @@ def run(s: Scheme, seed: int, T: int) -> RunResult:
     Shuffles with the encoder of the scheme kind, decodes at every node
     and reduces.  decode_ok holds when every node recovered exactly the
     values it needs, each equal to the table, and every reduce output
-    matches the centralized oracle.  A node's decode is checked by its
-    key count and its values alone: with as many keys as needed, a key
-    not needed means a needed one is missing, and reduce_outputs raises
-    IncompleteRecoveryError naming it.  The transcript comes back with an
-    empty memo, so the decodes' shared work is freed once they end.
+    matches the centralized oracle.  A node's decode is checked row by
+    row: recovered_rows gives a row per assigned output, raising
+    IncompleteRecoveryError for the first value missing, and the rows
+    must equal the table rows picked at the lacking files, with no key
+    beyond them.  The transcript comes back with an empty memo, so the
+    decodes' shared work is freed once they end.
     """
     ivs = generate_ivs(s, seed, T)
     transcript = (shuffle_sd if s.kind == "sd" else shuffle_ads)(s, ivs)
     oracle = centralized_outputs(s, ivs)
+    table = ivs.rows
     decode_ok = True
     for node, got in decode_all(s, transcript, ivs):
-        count = len(s.assignment[node]) * len(s.lacking[node])
-        outputs = reduce_outputs(s, ivs, {node: got})[node]
-        decode_ok &= (len(got) == count and got.items() <= ivs.values.items()
-                      and outputs.items() <= oracle.items())
-        del got  # hold one node's decode at a time
+        assigned, lacking = s.assignment[node], s.lacking[node]
+        rows = recovered_rows(s, node, got)
+        exact = len(got) == len(assigned) * len(lacking) and rows == tuple(
+            map(picker(lacking), map(table.__getitem__, assigned)))
+        decode_ok &= exact and reduce_outputs(
+            s, ivs, {node: got})[node].items() <= oracle.items()
+        del got, rows  # hold one node's decode at a time
     transcript.memo.clear()  # callers keep the transcript, not the solves
     return RunResult(ivs=ivs, transcript=transcript, decode_ok=decode_ok,
                      load=measure_load(s, transcript, T))

@@ -481,6 +481,20 @@ def test_simulate_refuses_a_value_table_past_its_bits(capsys, tmp_path,
     assert "Q*N*T=1640520 bits of intermediate values exceed 1000000" in err
 
 
+def test_simulate_refuses_a_run_past_its_messages(capsys, monkeypatch):
+    """A run sending more than MAX_MESSAGES messages exits 3 with no
+    output.  The bound is lowered here so that a broken check costs one
+    small run: ruzsa 5 sends 680 messages."""
+    monkeypatch.setattr(scheme, "MAX_MESSAGES", 679)
+    code, out, err = run(capsys, "simulate", "--scheme", "ads",
+                         "--ruzsa", "5")
+    assert (code, out) == (EX_UNSUPPORTED, "")
+    assert "680 shuffle messages exceed 679" in err
+    monkeypatch.setattr(scheme, "MAX_MESSAGES", 680)
+    assert run(capsys, "simulate", "--scheme", "ads", "--ruzsa", "5")[0] == \
+        EX_OK
+
+
 @pytest.mark.parametrize("argv, digest", [
     ("--scheme sd --plane 3",
      "11a98e7faed6f3cdab191fe7237d2d9b593fc28566a14319772e3df2757ac0d9"),

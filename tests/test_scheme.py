@@ -11,10 +11,10 @@ from cdcsim.designs import (classify_ads, complement_ads, develop,
                             ruzsa_ads)
 from cdcsim.gf import FieldError
 from cdcsim.scheme import (IncompleteRecoveryError, Scheme,
-                           SchemeParameterError, build_scheme_ads,
+                           SchemeParameterError, ValueRows, build_scheme_ads,
                            build_scheme_sd, centralized_outputs, choose_T,
-                           generate_ivs, node_view, reduce_outputs,
-                           scheme_to_json)
+                           generate_ivs, message_count, node_view, picker,
+                           reduce_outputs, scheme_to_json)
 
 CYCLIC_FANO = [tuple(sorted((d + r) % 7 for d in (0, 1, 3))) for r in range(7)]
 
@@ -229,7 +229,8 @@ def test_choose_T_bounds_the_value_bits():
 
 def test_choose_T_bits_bound_is_inclusive_and_last(monkeypatch):
     """A table of exactly MAX_VALUE_BITS bits is accepted and one bit more
-    is not; a table refused on its value count keeps that message."""
+    is not; a table refused on its value count keeps that message.  The
+    bits bound is the last bound on the value table."""
     ads = Scheme(develop(ruzsa_ads(5)))  # 400 values of 4 bits
     monkeypatch.setattr(scheme, "MAX_VALUE_BITS", 1600)
     assert choose_T(ads) == 4
@@ -239,6 +240,87 @@ def test_choose_T_bits_bound_is_inclusive_and_last(monkeypatch):
     monkeypatch.setattr(scheme, "MAX_VALUES", 399)
     with pytest.raises(SchemeParameterError, match="Q\\*N=400 "):
         choose_T(ads)
+
+
+def test_message_count_from_the_parameters():
+    """message_count reads the design's parameters alone, no placement:
+    K C(k, 2) pair sums for an ads scheme, and with lam = 0 also 2k plain
+    segments per pair in no common block; K (t + 1) groups for sd."""
+    counts = {
+        "ruzsa11": (Scheme(develop(ruzsa_ads(11))), 25850),
+        "comp7": (Scheme(develop(complement_ads(ruzsa_ads(7)))), 26460),
+        "comp13": (Scheme(develop(complement_ads(ruzsa_ads(13)))), 1606176),
+        "plane13": (Scheme(projective_plane(13)), 2745),
+    }
+    for name, (s, count) in counts.items():
+        assert message_count(s) == count, name
+        assert "placement" not in s.__dict__, name
+
+
+def test_choose_T_bounds_the_message_count(monkeypatch):
+    """A run of exactly MAX_MESSAGES messages is accepted and one more is
+    not, for either kind, and the message bound is checked last: a table
+    past its bits keeps that message.  The real bound still takes the
+    complement of ruzsa 13 at scale 1, 1 606 176 messages."""
+    ads, fano = Scheme(develop(ruzsa_ads(5))), fano_scheme()  # 680, 28
+    monkeypatch.setattr(scheme, "MAX_MESSAGES", 680)
+    assert choose_T(ads) == 4
+    monkeypatch.setattr(scheme, "MAX_MESSAGES", 679)
+    with pytest.raises(SchemeParameterError,
+                       match="680 shuffle messages exceed 679"):
+        choose_T(ads)
+    monkeypatch.setattr(scheme, "MAX_MESSAGES", 28)
+    assert choose_T(fano) == 6
+    monkeypatch.setattr(scheme, "MAX_MESSAGES", 27)
+    with pytest.raises(SchemeParameterError,
+                       match="28 shuffle messages exceed 27"):
+        choose_T(fano)
+    monkeypatch.setattr(scheme, "MAX_VALUE_BITS", 5)
+    with pytest.raises(SchemeParameterError, match="Q\\*N\\*T=294 bits"):
+        choose_T(fano)
+    monkeypatch.undo()
+    assert scheme.MAX_MESSAGES >= 1606176
+    assert choose_T(Scheme(develop(complement_ads(ruzsa_ads(13))))) == 17556
+
+
+def test_picker_gives_a_tuple_at_every_size():
+    """itemgetter with one index gives the item itself, with none it
+    fails; picker gives a tuple for one position or none, as for
+    several."""
+    row = (10, 11, 12, 13)
+    assert picker((3, 0, 2))(row) == (13, 10, 12)
+    assert picker((2,))(row) == (12,)
+    assert picker(())(row) == ()
+
+
+def test_value_rows_read_by_pair():
+    """A ValueRows reads rows[i][j] as (qs[i], ns[j]), q-major, for one
+    row or one column too, and nothing else."""
+    view = ValueRows((4,), (2, 7), ((40, 47),))
+    assert list(view) == [(4, 2), (4, 7)] and len(view) == 2
+    assert view == {(4, 2): 40, (4, 7): 47}
+    column = ValueRows((1, 3), (5,), ((15,), (35,)))
+    assert list(column.items()) == [((1, 5), 15), ((3, 5), 35)]
+    assert list(column.values()) == [15, 35]
+    assert ((3, 5), 35) in column.items() and 15 in column.values()
+    for key in ((5, 1), (1, 4), (1,), (1, 5, 0), 1, None):
+        assert key not in column
+        with pytest.raises(KeyError):
+            column[key]
+
+
+def test_iv_table_values_view_its_rows():
+    """IVTable.values reads the one table, rows[q][n], by (q, n), and
+    cannot be written."""
+    s = fano_scheme()
+    ivs = generate_ivs(s, 5, 6)
+    assert len(ivs.rows) == 7 and {len(row) for row in ivs.rows} == {7}
+    assert len(ivs.values) == 49
+    assert dict(ivs.values.items()) == {
+        (q, n): ivs.rows[q][n] for q in range(7) for n in range(7)}
+    assert (7, 0) not in ivs.values and (-1, 0) not in ivs.values
+    with pytest.raises(TypeError):
+        ivs.values[0, 0] = 1
 
 
 def test_choose_T_rejects_bad_scale():
@@ -350,6 +432,12 @@ def test_reduce_outputs_with_perfect_recovery():
         assert set(outputs[node]) == set(s.assignment[node])
         for q, value in outputs[node].items():
             assert value == oracle[q]
+    # the same values as rows, as the decoders return them
+    as_rows = {node: ValueRows(s.assignment[node], s.lacking[node], tuple(
+        tuple(ivs.rows[q][n] for n in s.lacking[node])
+        for q in s.assignment[node])) for node in range(7)}
+    assert as_rows == recovered
+    assert reduce_outputs(s, ivs, as_rows) == outputs
 
 
 def test_reduce_outputs_missing_value():

@@ -15,9 +15,10 @@ from cdcsim.designs import (classify_ads, complement_ads, develop,
 from cdcsim.gf import BinaryField, FieldError
 from cdcsim import shuffle
 from cdcsim.scheme import (IncompleteRecoveryError, IVTable,
-                           SchemeParameterError, build_scheme_ads,
+                           SchemeParameterError, ValueRows, build_scheme_ads,
                            build_scheme_sd, centralized_outputs, choose_T,
-                           generate_ivs, node_view, reduce_outputs)
+                           generate_ivs, message_count, node_view,
+                           reduce_outputs)
 from cdcsim.shuffle import (Message, MissingMessageError, Transcript,
                             decode_ads, decode_all, decode_sd, join_bits, run,
                             shuffle_ads, shuffle_sd, split_bits,
@@ -46,6 +47,13 @@ def fresh(transcript):
 def needed_values(s, ivs, node):
     """What node must recover, read from the table: its exact decode."""
     return {key: ivs.values[key] for key in node_view(s, node).needed}
+
+
+def doctored(ivs, change):
+    """The table with each value v_{q,n} replaced by change(q, n, v)."""
+    return IVTable(T=ivs.T, rows=tuple(
+        tuple(change(q, n, value) for n, value in enumerate(row))
+        for q, row in enumerate(ivs.rows)))
 
 
 def run_end_to_end(s, seed=0, scale=1):
@@ -223,18 +231,28 @@ BAD_NODE = 2
 
 
 def wrong_decoder(decode, fault):
-    """decode, except that BAD_NODE's decode is wrong: one value has a bit
-    flipped, one key is dropped, or one key is added with its table value,
-    an assigned output over a stored file ("extra-stored") or an output
-    the node does not reduce over a file it lacks ("extra-unassigned")."""
+    """decode, except that BAD_NODE's decode is wrong: the first value of
+    its first row has a bit flipped, or the first row's first two values
+    swap places, which leaves every reduce output as it was ("swap"), or,
+    in a dict of its values, one key is dropped, or one key is added with
+    its table value, an assigned output over a stored file
+    ("extra-stored") or an output the node does not reduce over a file it
+    lacks ("extra-unassigned")."""
     def wrong(s, node, transcript, ivs):
         got = decode(s, node, transcript, ivs)
         if node != BAD_NODE:
             return got
+        if fault in ("flip", "swap"):
+            rows = [list(row) for row in got.rows]
+            if fault == "flip":
+                rows[0][0] ^= 1
+            else:
+                assert rows[0][0] != rows[0][1]
+                rows[0][:2] = rows[0][1::-1]
+            return ValueRows(got.qs, got.ns, tuple(map(tuple, rows)))
+        got = dict(got)
         first = min(got)
-        if fault == "flip":
-            got[first] ^= 1
-        elif fault == "drop":
+        if fault == "drop":
             del got[first]
         else:
             if fault == "extra-stored":
@@ -248,15 +266,15 @@ def wrong_decoder(decode, fault):
     return wrong
 
 
-@pytest.mark.parametrize("fault", ["flip", "drop", "extra-stored",
+@pytest.mark.parametrize("fault", ["flip", "swap", "drop", "extra-stored",
                                    "extra-unassigned"])
 @pytest.mark.parametrize("make_scheme", [
     fano_scheme, lambda: ads_scheme([0, 1, 3], 6),
 ], ids=["fano", "ads-634"])
 def test_run_verdict_on_a_wrong_decode(monkeypatch, make_scheme, fault):
-    """run()'s own checks catch one node's bad decode: a flipped bit or a
-    key too many gives decode_ok False, and a key too few raises
-    IncompleteRecoveryError naming that node and pair."""
+    """run()'s own checks catch one node's bad decode: a flipped bit, two
+    values swapped or a key too many gives decode_ok False, and a key too
+    few raises IncompleteRecoveryError naming that node and pair."""
     s = make_scheme()
     for name in ("decode_sd", "decode_ads"):
         monkeypatch.setattr(shuffle, name,
@@ -337,21 +355,18 @@ def test_sd_lambda_at_least_two_end_to_end(params, make_blocks, scale):
 ], ids=["sd-fano", "ads-634", "ads-620"])
 def test_decode_sd_uses_only_local_values(make_scheme, decode):
     """Zeroing every non-local table entry must not change any decode,
-    each node decoding alone from an empty memo; nor must dropping those
-    entries, so that a non-local read would raise KeyError."""
+    each node decoding alone from an empty memo; nor must replacing those
+    entries by None, so that a non-local read would raise TypeError (or
+    put None in the decode)."""
     s = make_scheme()
     result = run(s, 4, choose_T(s))
     ivs = result.ivs
     for node in range(s.K):
         stored = set(s.placement[node])
-        zeroed = IVTable(T=ivs.T, values={
-            key: value if key[1] in stored else 0
-            for key, value in ivs.values.items()})
-        local = IVTable(T=ivs.T, values={
-            key: value for key, value in ivs.values.items()
-            if key[1] in stored})
-        for doctored in (zeroed, local):
-            assert decode(s, node, fresh(result.transcript), doctored) == \
+        zeroed = doctored(ivs, lambda q, n, v: v if n in stored else 0)
+        local = doctored(ivs, lambda q, n, v: v if n in stored else None)
+        for table in (zeroed, local):
+            assert decode(s, node, fresh(result.transcript), table) == \
                 needed_values(s, ivs, node)
 
 
@@ -390,11 +405,10 @@ def test_decode_sd_shared_solves_keep_nodes_apart(name):
     s = SHARED_SD_SCHEMES[name]()
     result = run(s, 2, choose_T(s))
     ivs = result.ivs
-    doctored = IVTable(T=ivs.T, values={key: value ^ 1
-                                        for key, value in ivs.values.items()})
+    flipped = doctored(ivs, lambda q, n, v: v ^ 1)
     shared = fresh(result.transcript)
     for node in range(s.K):
-        decode_sd(s, node, shared, doctored)
+        decode_sd(s, node, shared, flipped)
     for node in range(s.K):
         assert decode_sd(s, node, shared, ivs) == needed_values(s, ivs, node)
 
@@ -591,11 +605,10 @@ def test_decode_ads_shared_memo_keeps_nodes_apart(name):
     s = SHARED_ADS_SCHEMES[name]()
     result = run(s, 2, choose_T(s))
     ivs = result.ivs
-    doctored = IVTable(T=ivs.T, values={key: value ^ 1
-                                        for key, value in ivs.values.items()})
+    flipped = doctored(ivs, lambda q, n, v: v ^ 1)
     shared = fresh(result.transcript)
     for node in range(s.K):
-        decode_ads(s, node, shared, doctored)
+        decode_ads(s, node, shared, flipped)
     for node in range(s.K):
         assert decode_ads(s, node, shared, ivs) == needed_values(s, ivs, node)
 
@@ -684,6 +697,14 @@ def test_decodes_share_the_memo_in_any_order(name, seed, data):
     assert [node for node, _ in decode_all(s, in_order, ivs)] == \
         list(range(s.K))
     assert memo_entries(s, transcript) == memo_entries(s, in_order) > 0
+
+
+@pytest.mark.parametrize("name", sorted(ANY_ORDER_SCHEMES))
+def test_message_count_matches_the_transcript(name):
+    """The count choose_T bounds, worked out from the design's parameters,
+    is the number of messages the run sends."""
+    s = ANY_ORDER_SCHEMES[name]()
+    assert message_count(s) == len(transcript_for(s, 0).messages)
 
 
 def memo_entries(s, transcript):
