@@ -267,10 +267,13 @@ _ADS_CSV = st.lists(st.integers(-3, 12).map(str)
                     | st.sampled_from(["", " ", "x", "1.5"]),
                     max_size=4).map(",".join)
 _DOCUMENT = st.sampled_from(["@fano", "@ads", "@missing"])
+# scales past 64: choose_T refuses each (exit 3) before any table is drawn
+_REFUSED_SCALES = [65, 2 ** 20, 10 ** 8]
 _ARGV = (
     _command("design", always=[_sources("--verify")])
     | _command("simulate", _flag("--seed", _SMALL),
-               _flag("--scale", st.integers(-3, 2)),
+               _flag("--scale", st.integers(-3, 2)
+                     | st.sampled_from(_REFUSED_SCALES)),
                always=[_flag("--scheme", st.sampled_from(["sd", "ads", "x"])),
                        _sources("--design")])
     | _command("compare",
@@ -442,6 +445,31 @@ def test_simulate_refuses_a_wide_ads_scale(capsys):
                          "0,1,3", "--n", "6", "--scale", "100000000")
     assert code == EX_UNSUPPORTED
     assert out == "" and "T=200000000 exceeds 128 bits" in err
+
+
+@pytest.mark.parametrize("scale", _REFUSED_SCALES)
+def test_simulate_refuses_the_grammar_scales_before_any_table(
+        capsys, monkeypatch, documents, scale):
+    """Every scale past 64 that the argv grammar draws exits 3 on each
+    source the grammar can build, refused by choose_T before run() draws
+    a single value, so no drawn argv is accepted and slow."""
+    from cdcsim import shuffle
+
+    def no_run(*args):
+        raise AssertionError("run() reached")
+
+    monkeypatch.setattr(shuffle, "run", no_run)
+    sources = [("sd", "--plane", str(p)) for p in (2, 3, 5)] + [
+        ("ads", "--ruzsa", str(p)) for p in (3, 5, 7)] + [
+        ("ads", "--ads", "0,1,3", "--n", "6"), ("ads", "--ads", "0,1",
+                                                 "--n", "6"),
+        ("sd", "--design", documents["@fano"]),
+        ("ads", "--design", documents["@ads"])]
+    for kind, *source in sources:
+        code, out, err = run(capsys, "simulate", "--scheme", kind, *source,
+                             "--scale", str(scale))
+        assert (code, out) == (EX_UNSUPPORTED, ""), source
+        assert err.startswith("unsupported: "), source
 
 
 def test_simulate_refuses_a_plane_document_as_its_order(capsys, tmp_path):

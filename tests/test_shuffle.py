@@ -676,6 +676,66 @@ def test_decode_ads_missing_message(name, data):
                     needed_values(s, result.ivs, node)
 
 
+def ads_kind(s, m):
+    """Which ADS message group m belongs to: a pair sum of one sender or
+    of several, or a plain segment."""
+    if m.tag == "ADS-segment":
+        return "segment"
+    return "one-sender" if len(s.pair_blocks[m.meta[:2]]) == 1 \
+        else "multi-sender"
+
+
+@pytest.mark.parametrize("name,kind", [
+    ("golomb-620", "one-sender"), ("golomb-620", "segment"),
+    ("ruzsa5", "one-sender"), ("ruzsa5", "segment"),
+    ("ads-634", "one-sender"), ("ads-634", "multi-sender"),
+    ("ruzsa3-complement", "multi-sender"),
+])
+def test_decode_ads_payload_range_checked(name, kind):
+    """A payload of bits bits lies in [0, 2^bits): set the first message
+    of the kind to 2^bits, or to -1.  Every reader raises ValueError,
+    alone and after the nodes before it have filled the memo, and every
+    other node decodes exactly."""
+    s = SHARED_ADS_SCHEMES[name]()
+    result = run(s, 0, choose_T(s))
+    i, m = next((i, m) for i, m in enumerate(result.transcript.messages)
+                if ads_kind(s, m) == kind)
+    readers = ads_readers(s, m)
+    assert readers
+    for payload in (1 << m.bits, -1):
+        bad = replace_message(result.transcript, i,
+                              m._replace(payload=payload))
+        for node in range(s.K):
+            if node not in readers:
+                assert decode_ads(s, node, bad, result.ivs) == \
+                    needed_values(s, result.ivs, node)
+                continue
+            for transcript in (fresh(bad), bad):
+                with pytest.raises(ValueError):
+                    decode_ads(s, node, transcript, result.ivs)
+
+
+@pytest.mark.parametrize("name,kind", [
+    ("golomb-620", "segment"), ("ruzsa5", "segment"),
+    ("ads-634", "multi-sender"), ("ruzsa3-complement", "multi-sender"),
+])
+def test_shuffle_ads_range_checks_the_values_it_cuts(name, kind):
+    """The encoder cuts a plain segment's value, or a pair sum shared by
+    c >= 2 blocks, into slices, and refuses a value outside [0, 2^T)
+    with ValueError, in either orientation: here one table value is set
+    to 2^T above itself, or made negative."""
+    s = SHARED_ADS_SCHEMES[name]()
+    ivs = generate_ivs(s, 0, choose_T(s))
+    m = next(m for m in shuffle_ads(s, ivs).messages if ads_kind(s, m) == kind)
+    q, n = m.meta[:2]
+    for key in (q, n), (n, q):
+        for change in (lambda v: v | 1 << ivs.T, lambda v: -1 - v):
+            bad = doctored(ivs, lambda x, y, v: change(v)
+                           if (x, y) == key else v)
+            with pytest.raises(ValueError, match="does not fit"):
+                shuffle_ads(s, bad)
+
+
 ANY_ORDER_SCHEMES = {**SHARED_SD_SCHEMES, **SHARED_ADS_SCHEMES}
 
 
@@ -857,24 +917,66 @@ def test_transcript_jsonl_round_trip():
                        payload=int.from_bytes(payload, "big")) == m
 
 
-@pytest.mark.parametrize("make_scheme,tags,meta_lengths", [
-    (fano_scheme, {"SD-diagonal", "SD-offdiagonal"}, {0, 1}),
-    (lambda: ads_scheme([0, 1], 6), {"ADS-pairsum", "ADS-segment"}, {3}),
-], ids=["fano", "golomb-620"])
-def test_transcript_lines_match_json_dumps(make_scheme, tags, meta_lengths):
+def canonical_line(m):
+    """The canonical json.dumps of one message, as a transcript line."""
+    return json.dumps(
+        {"sender": m.sender, "tag": m.tag, "meta": list(m.meta),
+         "bits": m.bits,
+         "payload": m.payload.to_bytes((m.bits + 7) // 8, "big").hex()},
+        separators=(",", ":"), sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("make_scheme,scale,tags,meta_lengths,widths", [
+    (fano_scheme, 1, {"SD-diagonal", "SD-offdiagonal"}, {0, 1}, {4, 6}),
+    (lambda: ads_scheme([0, 1], 6), 1, {"ADS-pairsum", "ADS-segment"}, {3},
+     {1, 2}),
+    (lambda: build_scheme_ads(develop(complement_ads(ruzsa_ads(5)))), 3,
+     {"ADS-pairsum"}, {3}, {36, 39}),
+    (lambda: build_scheme_sd(projective_plane(3)), 4,
+     {"SD-diagonal", "SD-offdiagonal"}, {0, 1}, {24, 64}),
+], ids=["fano", "golomb-620", "ruzsa5-complement-scale3", "plane3-scale4"])
+def test_transcript_lines_match_json_dumps(make_scheme, scale, tags,
+                                           meta_lengths, widths):
     """The writer formats each line itself; every line is byte for byte
-    the canonical json.dumps of the message."""
-    transcript = transcript_for(make_scheme(), 3)
+    the canonical json.dumps of the message.  The complement of ruzsa 5
+    (lam = 12) at scale 3 sends payloads of 5 bytes, neither width a
+    multiple of 8."""
+    s = make_scheme()
+    transcript = run(s, 3, choose_T(s, scale)).transcript
     assert {m.tag for m in transcript.messages} == tags
     assert {len(m.meta) for m in transcript.messages} == meta_lengths
+    assert {m.bits for m in transcript.messages} == widths
     lines = list(transcript_lines(transcript))
     assert len(lines) == len(transcript.messages)
     for line, m in zip(lines, transcript.messages):
-        assert line == json.dumps(
-            {"sender": m.sender, "tag": m.tag, "meta": list(m.meta),
-             "bits": m.bits,
-             "payload": m.payload.to_bytes((m.bits + 7) // 8, "big").hex()},
-            separators=(",", ":"), sort_keys=True) + "\n"
+        assert line == canonical_line(m)
+    assert transcript_to_jsonl(transcript) == "".join(lines)
+
+
+def test_transcript_lines_of_every_shape():
+    """A hand-built transcript whose (tag, meta length, bits) changes at
+    every message, payloads 0 and 2^bits - 1, tags holding JSON escapes
+    and % signs: every line is the canonical json.dumps of its message.
+    A payload too wide for its ceil(bits/8) bytes, or a negative one,
+    raises OverflowError, as int.to_bytes does."""
+    tags = ["ADS-pairsum", 'a "%s" \\ %% tag', "SD-diagonal", "\u00e9\n"]
+    messages = [Message(sender=i // 4, tag=tags[i % 4], meta=tuple(
+        range(i % 3 + (i & 1))), bits=1 + 3 * i, payload=(1 << 1 + 3 * i) - 1
+        if i % 5 else 0) for i in range(40)]
+    transcript = Transcript(messages)
+    shapes = [(m.tag, len(m.meta), m.bits) for m in transcript.messages]
+    assert all(a != b for a, b in zip(shapes, shapes[1:]))
+    lines = list(transcript_lines(transcript))
+    assert lines == list(map(canonical_line, transcript.messages))
+    assert transcript_to_jsonl(transcript) == "".join(lines)
+    for i in (0, 17, 39):
+        m = transcript.messages[i]
+        for payload in (1 << 8 * ((m.bits + 7) // 8), -1):
+            bad = replace_message(transcript, i, m._replace(payload=payload))
+            with pytest.raises(OverflowError):
+                list(transcript_lines(bad))
+            with pytest.raises(OverflowError):
+                transcript_to_jsonl(bad)
 
 
 def test_transcript_rejects_duplicate_keys():
