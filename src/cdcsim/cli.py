@@ -140,7 +140,7 @@ def cmd_simulate(args) -> int:
     from .analysis import ads_load, ours_sd_load
     from .designs import AlmostDifferenceSet, SymmetricDesign, develop
     from .scheme import Scheme, choose_T, scheme_to_json
-    from .shuffle import run, transcript_lines
+    from .shuffle import run, transcript_chunks
 
     source = _source(args, args.design, args.scheme)
     if isinstance(source, SymmetricDesign):
@@ -159,7 +159,7 @@ def cmd_simulate(args) -> int:
         "match": result.load == formula, "decode_ok": result.decode_ok,
     }
     if args.transcript is not None:
-        _write_out(transcript_lines(result.transcript), args.transcript)
+        _write_out(transcript_chunks(result.transcript), args.transcript)
     if args.dump_scheme is not None:
         _write_out(scheme_to_json(s), args.dump_scheme)
     _write_out(_canonical_json(report), args.out)

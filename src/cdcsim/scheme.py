@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from _blake2 import blake2b
+from collections import deque
 from collections.abc import Mapping
 from functools import cached_property
-from itertools import compress, product
-from operator import itemgetter, not_
+from itertools import compress, product, repeat
+from operator import itemgetter, not_, rshift
 from typing import Callable, Dict, NamedTuple, Sequence, Tuple, Union
 
 from .designs import Development, SymmetricDesign, blocks_through
@@ -364,9 +365,12 @@ def generate_ivs(s: Scheme, seed: int, T: int) -> IVTable:
     Value (q, n) is the top T bits of the BLAKE2b digests, keyed by seed,
     of q, n and a counter 0, 1, ..., each an 8-byte big-endian word, one
     512-bit digest per counter, so T <= 512 takes a single digest.  The
-    keyed state, the words and the shift are made once per table.
-    blake2b comes from the builtin _blake2, the object hashlib.blake2b
-    names, so a run never loads hashlib or OpenSSL's _hashlib.
+    keyed state, the words and the shift are made once per table, and a
+    row is drawn by C-level maps: one copy of the keyed state per digest,
+    fed its message, then each value's digests joined in counter order
+    (a single digest joins to itself) and read as one integer.  blake2b
+    comes from the builtin _blake2, the object hashlib.blake2b names, so
+    a run never loads hashlib or OpenSSL's _hashlib.
     """
     if not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
         raise SchemeParameterError(f"seed must be in [0, 2^64), got {seed}")
@@ -375,18 +379,18 @@ def generate_ivs(s: Scheme, seed: int, T: int) -> IVTable:
     count = -(-T // 512)  # digests per value
     shift, from_bytes = 512 * count - T, int.from_bytes
     words = [i.to_bytes(8, "big") for i in range(max(s.Q, s.N, count))]
-    counters = words[:count]
+    # (n, counter) for each digest of a row, value-major
+    suffixes = [n + counter for n in words[:s.N] for counter in words[:count]]
 
-    def digest(message: bytes) -> bytes:
-        h = keyed.copy()
-        h.update(message)
-        return h.digest()
+    def row(word: bytes) -> Tuple[int, ...]:
+        hashes = list(map(blake2b.copy, repeat(keyed, len(suffixes))))
+        deque(map(blake2b.update, hashes, map(word.__add__, suffixes)), 0)
+        digests = map(blake2b.digest, hashes)
+        # joining whole values: growing bytes would be quadratic
+        return tuple(map(rshift, map(from_bytes, map(b"".join, zip(
+            *[digests] * count)), repeat("big")), repeat(shift)))
 
-    # each value joins its digests once: growing bytes would be quadratic
-    rows = tuple([tuple([from_bytes(b"".join([
-        digest(word + words[n] + counter) for counter in counters]),
-        "big") >> shift for n in range(s.N)]) for word in words[:s.Q]])
-    return IVTable(T=T, rows=rows)
+    return IVTable(T=T, rows=tuple(map(row, words[:s.Q])))
 
 
 def node_view(s: Scheme, node: int) -> NodeView:

@@ -59,10 +59,12 @@ from the memo and its own values with C-level maps.
 from __future__ import annotations
 
 import json
+from collections import deque
 from fractions import Fraction
-from itertools import chain, filterfalse
-from operator import itemgetter, mul, xor
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
+from itertools import (chain, combinations, compress, filterfalse, islice,
+                       repeat, tee)
+from operator import and_, getitem, itemgetter, mul, not_, rshift, xor
+from typing import Iterable, Iterator, List, NamedTuple, Tuple
 
 from .gf import (FieldError, apply_plan, power_sum_plan, solve_plan,
                  unpack_lanes)
@@ -92,7 +94,7 @@ class Message(NamedTuple):
 
 
 _message_key = itemgetter(0, 1, 2)  # (sender, tag, meta)
-_message_bits = itemgetter(3)
+_sender, _tag, _meta, _message_bits, _payload = map(itemgetter, range(5))
 
 
 class Transcript:
@@ -240,46 +242,86 @@ def shuffle_ads(s: Scheme, ivs: IVTable) -> Transcript:
     segments.  A pair in no common block (possible only when lam = 0)
     falls back to plain segments, the i-th block through the file sending
     the i-th T/k-bit segment of each orientation.  A pair in any other
-    number of blocks is no ADS development: SchemeParameterError.
+    number of blocks is no ADS development: SchemeParameterError.  A
+    table value outside [0, 2^T) is refused with ValueError, as
+    split_bits refuses it.
 
     Each sender's messages are collected in key order, pair sums by pair
     and then plain segments by orientation, so the transcript's sort
-    finds them already in canonical order.
+    finds them already in canonical order.  All messages are cut and
+    built in one flat pass of C-level maps (_ads_sent), so no Python
+    frame runs per message or per pair.
     """
     if s.kind != "ads":
         raise SchemeParameterError(f"expected an ads scheme, got {s.kind}")
-    lam, k = s.design.source.lam, s.design.source.k
-    T, table, pairs = ivs.T, ivs.rows, s.pair_blocks
+    lam, N, pairs = s.design.source.lam, s.N, s.pair_blocks
+    if not (set(map(len, pairs.values())) <= {lam, lam + 1}
+            and (lam == 0 or len(pairs) == N * (N - 1) // 2)):
+        x, y = next(pair for pair in combinations(range(N), 2)
+                    if len(pairs.get(pair, ())) not in (lam, lam + 1))
+        raise SchemeParameterError(
+            f"pair ({x},{y}) lies in {len(pairs.get((x, y), ()))} blocks, "
+            f"expected {lam} or {lam + 1}")
+    if min(map(min, ivs.rows)) < 0 or max(map(max, ivs.rows)) >> ivs.T:
+        raise ValueError(f"value does not fit in {ivs.T} bits")
+    # the sort drains the sender lists and frees them before by_key exists
+    return Transcript(chain.from_iterable(_ads_sent(s, ivs)))
+
+
+def _ads_sent(s: Scheme, ivs: IVTable) -> List[List[Message]]:
+    """Each ADS sender's messages, in key order.
+
+    Every message group, in key order (the pair sums by pair, then the
+    orientations (q, n) of the pairs in no common block, q-major), is
+    expanded into its c messages by C-level maps: sender j of the group
+    sends segment j of its value, T // c bits at shift T - (j + 1) T // c,
+    under meta key + (j,), and each Message is made by tuple.__new__.
+    The pair sums are picked out of the table's upper triangle and its
+    transpose's, with the flags of Scheme.ads_groups.
+    """
+    N, T, table = s.N, ivs.T, ivs.rows
+    keys, flags = s.ads_groups
+    first, second = itemgetter(0), itemgetter(1)
+
+    def upper(rows):  # the entries right of the diagonal, row by row
+        return chain.from_iterable(
+            map(islice, rows, range(1, N + 1), repeat(None)))
+
+    groups = list(compress(upper(keys), upper(flags)))
+    holders = list(map(s.pair_blocks.__getitem__, groups))
+    sums = sum(map(len, holders))  # the pair-sum messages come first
+    plain = list(filter(None, compress(chain.from_iterable(keys), map(
+        not_, chain.from_iterable(flags)))))
+    # drawn as the messages are made, so each pair sum is freed once cut
+    values = chain(map(xor, compress(upper(table), upper(flags)),
+                       compress(upper(zip(*table)), upper(flags))),
+                   map(getitem, map(table.__getitem__, map(first, plain)),
+                       map(second, plain)))
+    groups += plain
+    holders += map(s.point_blocks.__getitem__, map(second, plain))
+    counts = list(map(len, holders))
+    cuts = {}  # per count c: j, widths, shifts and masks of the segments
+    for c in set(counts):
+        w = T // c
+        cuts[c] = range(c), (w,) * c, range(T - w, -1, -w), ((1 << w) - 1,) * c
+    cuts = list(map(cuts.__getitem__, counts))
+
+    def each(items):  # a group's item once per sender of the group
+        return chain.from_iterable(map(repeat, items, counts))
+
+    def cut(i):  # item i of each group's cuts, one per sender
+        return chain.from_iterable(map(itemgetter(i), cuts))
+
+    senders, targets = tee(chain.from_iterable(holders))
     sent: List[List[Message]] = [[] for _ in range(s.K)]
-    plain = []  # the orientations of the pairs in no common block
-    for x in range(s.N):
-        for y in range(x + 1, s.N):
-            common = pairs.get((x, y), ())
-            c = len(common)
-            if c not in (lam, lam + 1):
-                raise SchemeParameterError(
-                    f"pair ({x},{y}) lies in {c} blocks, expected "
-                    f"{lam} or {lam + 1}")
-            if c == 1:  # one segment: the pair sum itself
-                u, = common
-                sent[u].append(Message(u, "ADS-pairsum", (x, y, 0), T,
-                                       table[x][y] ^ table[y][x]))
-            elif c:
-                sums = split_bits(table[x][y] ^ table[y][x], T, c)
-                for j, u in enumerate(common):
-                    sent[u].append(
-                        Message(u, "ADS-pairsum", (x, y, j), T // c, sums[j]))
-            else:
-                plain += (x, y), (y, x)
-    plain.sort()
-    for q, n in plain:
-        segs = split_bits(table[q][n], T, k)
-        for i, u in enumerate(s.point_blocks[n]):
-            sent[u].append(
-                Message(u, "ADS-segment", (q, n, i), T // k, segs[i]))
-    messages = chain.from_iterable(sent)
-    del sent  # freed once the sort drains it, before by_key is built
-    return Transcript(messages)
+    deque(map(list.append, map(sent.__getitem__, targets), map(
+        tuple.__new__, repeat(Message), zip(
+            senders, chain(repeat("ADS-pairsum", sums),
+                           repeat("ADS-segment")),
+            zip(each(map(first, groups)), each(map(second, groups)), cut(0)),
+            cut(1), map(and_, map(rshift, each(values), cut(2)),
+                        cut(3))))), 0)
+    return sent
 
 
 # the names of the former lam-specific encoders, for callers that import them
@@ -297,8 +339,9 @@ def decode_ads(s: Scheme, node: int, transcript: Transcript,
     unmasked with it; segment messages join to the value itself.  A row
     q is recovered whole: its memo keys and pair-sum flags are picked out
     of Scheme.ads_groups at the lacking files, its own values out of
-    column q of their table rows, and the two XORed by C-level maps,
-    each own value times its 0/1 flag.
+    column q of their table rows (the node's own columns are transposed
+    out of those rows once), and the two XORed by C-level maps, each own
+    value times its 0/1 flag.
 
     The transcript's memo holds each joined message group once, in one
     scope entry keyed by (T, s.placement): a pair sum under its pair
@@ -306,9 +349,12 @@ def decode_ads(s: Scheme, node: int, transcript: Transcript,
     (q, n).  The placement fixes which groups exist and their senders,
     and T their segment widths, so the decodes of one transcript read
     each message once.  A group is joined when a row first needs it, in
-    row order, so a missing message or a payload too wide for its
-    segment reaches only the nodes that read it.  The memo holds only
-    transcript bits, never a node's stored values.
+    row order: a group of one sender (every pair sum when lam = 0) is
+    that sender's payload, checked to lie in [0, 2^T) as join_bits
+    checks a segment, and a larger group is join_bits of its payloads.
+    So a missing message or a payload too wide for its segment reaches
+    only the nodes that read it.  The memo holds only transcript bits,
+    never a node's stored values.
     """
     if s.kind != "ads":
         raise SchemeParameterError(f"expected an ads scheme, got {s.kind}")
@@ -317,8 +363,9 @@ def decode_ads(s: Scheme, node: int, transcript: Transcript,
     joined = transcript.memo.setdefault((T, s.placement), {})
     keys, flags = s.ads_groups
     assigned, lacking = s.assignment[node], s.lacking[node]
-    pick = picker(lacking)
-    theirs = pick(table)  # rows n of the lacking files: column q is own
+    pick, top = picker(lacking), 1 << T
+    # column q of the lacking files' rows, for each q in assigned: own
+    columns = zip(*map(picker(assigned), pick(table)))
 
     def join(key):
         senders = pairs.get(key)
@@ -326,14 +373,19 @@ def decode_ads(s: Scheme, node: int, transcript: Transcript,
         if senders is None:
             tag, senders = "ADS-segment", through[key[1]]
         try:
-            payloads = [by_key[u, tag, key + (j,)].payload
-                        for j, u in enumerate(senders)]
+            if len(senders) > 1:
+                return join_bits([by_key[u, tag, key + (j,)].payload
+                                  for j, u in enumerate(senders)],
+                                 T // len(senders))
+            payload = by_key[senders[0], tag, key + (0,)].payload
         except KeyError as missing:  # the first key with no message
             raise MissingMessageError(node, missing.args[0]) from None
-        return join_bits(payloads, T // len(senders))
+        if not 0 <= payload < top:  # join_bits' check of its one segment
+            raise ValueError(f"segment does not fit in {T} bits")
+        return payload
 
     rows = []
-    for q in assigned:
+    for q, column in zip(assigned, columns):
         row_keys = pick(keys[q])
         try:
             sums = tuple(map(joined.__getitem__, row_keys))
@@ -341,8 +393,7 @@ def decode_ads(s: Scheme, node: int, transcript: Transcript,
             for key in filterfalse(joined.__contains__, row_keys):
                 joined[key] = join(key)
             sums = map(joined.__getitem__, row_keys)
-        rows.append(tuple(map(xor, sums, map(
-            mul, pick(flags[q]), map(itemgetter(q), theirs)))))
+        rows.append(tuple(map(xor, sums, map(mul, pick(flags[q]), column))))
     return ValueRows(assigned, lacking, tuple(rows))
 
 
@@ -401,21 +452,57 @@ def run(s: Scheme, seed: int, T: int) -> RunResult:
                      load=measure_load(s, transcript, T))
 
 
+class _LineTemplates(dict):
+    """%-templates of transcript lines by shape (tag, meta length, bits),
+    each made on first use: the bytes of json.dumps(..., separators=(",",
+    ":"), sort_keys=True) with the meta items, payload and sender left
+    as fields."""
+
+    def __missing__(self, shape):
+        tag, length, bits = shape
+        meta = ",".join(["%d"] * length)
+        tag = json.dumps(tag).replace("%", "%%")
+        self[shape] = (f'{{"bits":{bits},"meta":[{meta}],"payload":"%s",'
+                       f'"sender":%d,"tag":{tag}}}\n')
+        return self[shape]
+
+
+_CHUNK = 1024  # most lines in one piece of transcript text
+
+
+def transcript_chunks(transcript: Transcript) -> Iterator[str]:
+    """The transcript as JSON lines, one message per line, in pieces of at
+    most _CHUNK whole lines.
+
+    Each piece is one %-format: the templates of its lines' shapes
+    joined, applied to all their fields at once, so no Python frame runs
+    per line.  A payload goes out as ceil(bits / 8) big-endian bytes in
+    hex, by int.to_bytes, which raises OverflowError for a payload that
+    is negative or too wide for them.
+    """
+    templates, messages = _LineTemplates(), transcript.messages
+    for start in range(0, len(messages), _CHUNK):
+        chunk = messages[start:start + _CHUNK]
+        bits = list(map(_message_bits, chunk))
+        size = {b: (b + 7) // 8 for b in set(bits)}
+        payloads = map(bytes.hex, map(int.to_bytes, map(_payload, chunk),
+                                      map(size.__getitem__, bits),
+                                      repeat("big")))
+        fields = chain.from_iterable(chain.from_iterable(zip(
+            map(_meta, chunk), zip(payloads, map(_sender, chunk)))))
+        yield "".join(map(templates.__getitem__, zip(
+            map(_tag, chunk), map(len, map(_meta, chunk)), bits))) % tuple(
+            fields)
+
+
 def transcript_lines(transcript: Transcript) -> Iterator[str]:
     """One canonical JSON object per message, in transcript order, each
-    line ending in a newline."""
-    # the bytes of json.dumps(..., separators=(",", ":"), sort_keys=True)
-    tags: Dict[str, str] = {}
-    for m in transcript.messages:
-        tag = tags.get(m.tag)
-        if tag is None:
-            tag = tags[m.tag] = json.dumps(m.tag)
-        meta = ",".join(map(str, m.meta))
-        payload = m.payload.to_bytes((m.bits + 7) // 8, "big").hex()
-        yield (f'{{"bits":{m.bits},"meta":[{meta}],"payload":"{payload}",'
-               f'"sender":{m.sender},"tag":{tag}}}\n')
+    line ending in a newline: transcript_chunks cut at its newlines, the
+    only ones in a piece, since JSON escapes every control character."""
+    return chain.from_iterable(map(str.splitlines, transcript_chunks(
+        transcript), repeat(True)))
 
 
 def transcript_to_jsonl(transcript: Transcript) -> str:
     """The whole transcript as JSON lines, one message per line."""
-    return "".join(transcript_lines(transcript))
+    return "".join(transcript_chunks(transcript))
