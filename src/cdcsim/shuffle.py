@@ -59,11 +59,9 @@ from the memo and its own values with C-level maps.
 from __future__ import annotations
 
 import json
-from collections import deque
 from fractions import Fraction
-from itertools import (chain, combinations, compress, filterfalse, islice,
-                       repeat, tee)
-from operator import and_, getitem, itemgetter, mul, not_, rshift, xor
+from itertools import chain, filterfalse, repeat
+from operator import itemgetter, mul, xor
 from typing import Iterable, Iterator, List, NamedTuple, Tuple
 
 from .gf import (FieldError, apply_plan, power_sum_plan, solve_plan,
@@ -243,85 +241,59 @@ def shuffle_ads(s: Scheme, ivs: IVTable) -> Transcript:
     falls back to plain segments, the i-th block through the file sending
     the i-th T/k-bit segment of each orientation.  A pair in any other
     number of blocks is no ADS development: SchemeParameterError.  A
-    table value outside [0, 2^T) is refused with ValueError, as
-    split_bits refuses it.
+    value cut into two or more segments must lie in [0, 2^T), else
+    ValueError, as split_bits checks it.
 
     Each sender's messages are collected in key order, pair sums by pair
     and then plain segments by orientation, so the transcript's sort
-    finds them already in canonical order.  All messages are cut and
-    built in one flat pass of C-level maps (_ads_sent), so no Python
-    frame runs per message or per pair.
+    finds them already in canonical order.  A segment is cut with one
+    shift and mask, and each Message is built by tuple.__new__, which
+    runs no Python frame (Message(...) runs the namedtuple's __new__).
     """
     if s.kind != "ads":
         raise SchemeParameterError(f"expected an ads scheme, got {s.kind}")
-    lam, N, pairs = s.design.source.lam, s.N, s.pair_blocks
-    if not (set(map(len, pairs.values())) <= {lam, lam + 1}
-            and (lam == 0 or len(pairs) == N * (N - 1) // 2)):
-        x, y = next(pair for pair in combinations(range(N), 2)
-                    if len(pairs.get(pair, ())) not in (lam, lam + 1))
-        raise SchemeParameterError(
-            f"pair ({x},{y}) lies in {len(pairs.get((x, y), ()))} blocks, "
-            f"expected {lam} or {lam + 1}")
-    if min(map(min, ivs.rows)) < 0 or max(map(max, ivs.rows)) >> ivs.T:
-        raise ValueError(f"value does not fit in {ivs.T} bits")
-    # the sort drains the sender lists and frees them before by_key exists
-    return Transcript(chain.from_iterable(_ads_sent(s, ivs)))
-
-
-def _ads_sent(s: Scheme, ivs: IVTable) -> List[List[Message]]:
-    """Each ADS sender's messages, in key order.
-
-    Every message group, in key order (the pair sums by pair, then the
-    orientations (q, n) of the pairs in no common block, q-major), is
-    expanded into its c messages by C-level maps: sender j of the group
-    sends segment j of its value, T // c bits at shift T - (j + 1) T // c,
-    under meta key + (j,), and each Message is made by tuple.__new__.
-    The pair sums are picked out of the table's upper triangle and its
-    transpose's, with the flags of Scheme.ads_groups.
-    """
-    N, T, table = s.N, ivs.T, ivs.rows
-    keys, flags = s.ads_groups
-    first, second = itemgetter(0), itemgetter(1)
-
-    def upper(rows):  # the entries right of the diagonal, row by row
-        return chain.from_iterable(
-            map(islice, rows, range(1, N + 1), repeat(None)))
-
-    groups = list(compress(upper(keys), upper(flags)))
-    holders = list(map(s.pair_blocks.__getitem__, groups))
-    sums = sum(map(len, holders))  # the pair-sum messages come first
-    plain = list(filter(None, compress(chain.from_iterable(keys), map(
-        not_, chain.from_iterable(flags)))))
-    # drawn as the messages are made, so each pair sum is freed once cut
-    values = chain(map(xor, compress(upper(table), upper(flags)),
-                       compress(upper(zip(*table)), upper(flags))),
-                   map(getitem, map(table.__getitem__, map(first, plain)),
-                       map(second, plain)))
-    groups += plain
-    holders += map(s.point_blocks.__getitem__, map(second, plain))
-    counts = list(map(len, holders))
-    cuts = {}  # per count c: j, widths, shifts and masks of the segments
-    for c in set(counts):
-        w = T // c
-        cuts[c] = range(c), (w,) * c, range(T - w, -1, -w), ((1 << w) - 1,) * c
-    cuts = list(map(cuts.__getitem__, counts))
-
-    def each(items):  # a group's item once per sender of the group
-        return chain.from_iterable(map(repeat, items, counts))
-
-    def cut(i):  # item i of each group's cuts, one per sender
-        return chain.from_iterable(map(itemgetter(i), cuts))
-
-    senders, targets = tee(chain.from_iterable(holders))
+    lam, k = s.design.source.lam, s.design.source.k
+    T, table, pairs = ivs.T, ivs.rows, s.pair_blocks
+    new, top = tuple.__new__, 1 << T
     sent: List[List[Message]] = [[] for _ in range(s.K)]
-    deque(map(list.append, map(sent.__getitem__, targets), map(
-        tuple.__new__, repeat(Message), zip(
-            senders, chain(repeat("ADS-pairsum", sums),
-                           repeat("ADS-segment")),
-            zip(each(map(first, groups)), each(map(second, groups)), cut(0)),
-            cut(1), map(and_, map(rshift, each(values), cut(2)),
-                        cut(3))))), 0)
-    return sent
+    plain = []  # the orientations of the pairs in no common block
+    for x, row in enumerate(table):
+        for y in range(x + 1, s.N):
+            common = pairs.get((x, y), ())
+            c = len(common)
+            if c not in (lam, lam + 1):
+                raise SchemeParameterError(
+                    f"pair ({x},{y}) lies in {c} blocks, expected "
+                    f"{lam} or {lam + 1}")
+            if c == 1:  # one segment: the pair sum itself
+                u, = common
+                sent[u].append(new(Message, (
+                    u, "ADS-pairsum", (x, y, 0), T, row[y] ^ table[y][x])))
+            elif c:
+                value, width = row[y] ^ table[y][x], T // c
+                if not 0 <= value < top:
+                    raise ValueError(f"value does not fit in {T} bits")
+                mask = (1 << width) - 1
+                for j, u in enumerate(common):
+                    sent[u].append(new(Message, (
+                        u, "ADS-pairsum", (x, y, j), width,
+                        value >> T - (j + 1) * width & mask)))
+            else:
+                plain += (x, y), (y, x)
+    plain.sort()
+    width = T // k
+    mask = (1 << width) - 1
+    for q, n in plain:
+        value = table[q][n]
+        if not 0 <= value < top:
+            raise ValueError(f"value does not fit in {T} bits")
+        for i, u in enumerate(s.point_blocks[n]):
+            sent[u].append(new(Message, (
+                u, "ADS-segment", (q, n, i), width,
+                value >> T - (i + 1) * width & mask)))
+    messages = chain.from_iterable(sent)
+    del sent  # freed once the sort drains it, before by_key is built
+    return Transcript(messages)
 
 
 # the names of the former lam-specific encoders, for callers that import them
@@ -453,10 +425,10 @@ def run(s: Scheme, seed: int, T: int) -> RunResult:
 
 
 class _LineTemplates(dict):
-    """%-templates of transcript lines by shape (tag, meta length, bits),
-    each made on first use: the bytes of json.dumps(..., separators=(",",
-    ":"), sort_keys=True) with the meta items, payload and sender left
-    as fields."""
+    """The %-template of a transcript line by its shape (tag, meta
+    length, bits), made on first use: the bytes of json.dumps(...,
+    separators=(",", ":"), sort_keys=True) with meta, payload and sender
+    left as fields."""
 
     def __missing__(self, shape):
         tag, length, bits = shape
@@ -467,18 +439,15 @@ class _LineTemplates(dict):
         return self[shape]
 
 
-_CHUNK = 1024  # most lines in one piece of transcript text
+_CHUNK = 256  # most lines in one piece of transcript text
 
 
 def transcript_chunks(transcript: Transcript) -> Iterator[str]:
     """The transcript as JSON lines, one message per line, in pieces of at
-    most _CHUNK whole lines.
-
-    Each piece is one %-format: the templates of its lines' shapes
-    joined, applied to all their fields at once, so no Python frame runs
-    per line.  A payload goes out as ceil(bits / 8) big-endian bytes in
-    hex, by int.to_bytes, which raises OverflowError for a payload that
-    is negative or too wide for them.
+    most _CHUNK whole lines, each one %-format: its lines' templates
+    joined, applied to all their fields at once.  A payload is written
+    as its ceil(bits / 8) big-endian bytes in hex, by int.to_bytes, so a
+    negative payload or one too wide for them raises OverflowError.
     """
     templates, messages = _LineTemplates(), transcript.messages
     for start in range(0, len(messages), _CHUNK):
@@ -497,8 +466,9 @@ def transcript_chunks(transcript: Transcript) -> Iterator[str]:
 
 def transcript_lines(transcript: Transcript) -> Iterator[str]:
     """One canonical JSON object per message, in transcript order, each
-    line ending in a newline: transcript_chunks cut at its newlines, the
-    only ones in a piece, since JSON escapes every control character."""
+    line ending in a newline: transcript_chunks cut at their newlines,
+    their only line breaks, as json.dumps escapes every control and
+    non-ASCII character."""
     return chain.from_iterable(map(str.splitlines, transcript_chunks(
         transcript), repeat(True)))
 

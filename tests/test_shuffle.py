@@ -955,11 +955,13 @@ def test_transcript_lines_match_json_dumps(make_scheme, scale, tags,
 
 def test_transcript_lines_of_every_shape():
     """A hand-built transcript whose (tag, meta length, bits) changes at
-    every message, payloads 0 and 2^bits - 1, tags holding JSON escapes
-    and % signs: every line is the canonical json.dumps of its message.
+    every message, payloads 0 and 2^bits - 1, tags holding JSON escapes,
+    line breaks and % signs: every line is the canonical json.dumps of
+    its message.
     A payload too wide for its ceil(bits/8) bytes, or a negative one,
     raises OverflowError, as int.to_bytes does."""
-    tags = ["ADS-pairsum", 'a "%s" \\ %% tag', "SD-diagonal", "\u00e9\n"]
+    tags = ["ADS-pairsum", 'a "%s" \\ %% tag', "SD-diagonal",
+            "\u00e9\n\x1c\u2028"]
     messages = [Message(sender=i // 4, tag=tags[i % 4], meta=tuple(
         range(i % 3 + (i & 1))), bits=1 + 3 * i, payload=(1 << 1 + 3 * i) - 1
         if i % 5 else 0) for i in range(40)]
