@@ -336,7 +336,7 @@ def decode_ads(s: Scheme, node: int, transcript: Transcript,
     keys, flags = s.ads_groups
     assigned, lacking = s.assignment[node], s.lacking[node]
     pick, top = picker(lacking), 1 << T
-    # column q of the lacking files' rows, for each q in assigned: own
+    # the own values v_{n,q}: column q of the lacking files' rows, per q
     columns = zip(*map(picker(assigned), pick(table)))
 
     def join(key):

@@ -22,7 +22,8 @@ from cdcsim.scheme import (IncompleteRecoveryError, IVTable,
 from cdcsim.shuffle import (Message, MissingMessageError, Transcript,
                             decode_ads, decode_all, decode_sd, join_bits, run,
                             shuffle_ads, shuffle_sd, split_bits,
-                            transcript_lines, transcript_to_jsonl)
+                            transcript_chunks, transcript_lines,
+                            transcript_to_jsonl)
 
 CYCLIC_FANO = [tuple(sorted((d + r) % 7 for d in (0, 1, 3))) for r in range(7)]
 
@@ -979,6 +980,18 @@ def test_transcript_lines_of_every_shape():
                 list(transcript_lines(bad))
             with pytest.raises(OverflowError):
                 transcript_to_jsonl(bad)
+
+
+def test_transcript_chunks_are_bounded_whole_lines():
+    """The writer streams the transcript in pieces of whole lines, at most
+    shuffle._CHUNK each, never the whole transcript as one string."""
+    transcript = transcript_for(SHARED_ADS_SCHEMES["ruzsa5"](), 0)
+    assert len(transcript.messages) > 2 * shuffle._CHUNK
+    chunks = list(transcript_chunks(transcript))
+    assert len(chunks) == -(-len(transcript.messages) // shuffle._CHUNK)
+    assert all(c.endswith("\n") and c.count("\n") <= shuffle._CHUNK
+               for c in chunks)
+    assert "".join(chunks) == transcript_to_jsonl(transcript)
 
 
 def test_transcript_rejects_duplicate_keys():
