@@ -459,12 +459,12 @@ def test_simulate_refuses_the_grammar_scales_before_any_table(
         raise AssertionError("run() reached")
 
     monkeypatch.setattr(shuffle, "run", no_run)
-    sources = [("sd", "--plane", str(p)) for p in (2, 3, 5)] + [
-        ("ads", "--ruzsa", str(p)) for p in (3, 5, 7)] + [
-        ("ads", "--ads", "0,1,3", "--n", "6"), ("ads", "--ads", "0,1",
-                                                 "--n", "6"),
-        ("sd", "--design", documents["@fano"]),
-        ("ads", "--design", documents["@ads"])]
+    sources = [("sd", "--plane", str(p)) for p in (2, 3, 5)]
+    sources += [("ads", "--ruzsa", str(p)) for p in (3, 5, 7)]
+    sources += [("ads", "--ads", "0,1,3", "--n", "6"),
+                ("ads", "--ads", "0,1", "--n", "6"),
+                ("sd", "--design", documents["@fano"]),
+                ("ads", "--design", documents["@ads"])]
     for kind, *source in sources:
         code, out, err = run(capsys, "simulate", "--scheme", kind, *source,
                              "--scale", str(scale))
