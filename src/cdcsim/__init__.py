@@ -22,22 +22,18 @@ _EXPORTS = {
         "AdsReport", "AlmostDifferenceSet", "DesignParameterError",
         "DesignVerificationError", "DesignViolation", "Development",
         "SymmetricDesign", "classify_ads", "complement_ads", "develop",
-        "export_ads", "export_design", "import_design", "projective_plane",
+        "export_ads", "export_design", "projective_plane",
         "require_symmetric_design", "ruzsa_ads", "smallest_primitive_root",
         "verify_symmetric_design"),
-    "gf": (
-        "BinaryField", "FieldError", "SingularMatrixError", "is_prime",
-        "solve_power_sums"),
+    "gf": ("BinaryField", "FieldError", "is_prime"),
     "scheme": (
-        "IncompleteRecoveryError", "IVTable", "NodeView", "Scheme",
-        "SchemeParameterError", "build_scheme_ads", "build_scheme_sd",
-        "centralized_outputs", "choose_T", "generate_ivs", "node_view",
-        "reduce_outputs", "scheme_to_json"),
+        "IncompleteRecoveryError", "IVTable", "Scheme",
+        "SchemeParameterError", "centralized_outputs", "choose_T",
+        "generate_ivs", "reduce_outputs", "scheme_to_json"),
     "shuffle": (
         "Message", "MissingMessageError", "RunResult", "Transcript",
         "decode_ads", "decode_all", "decode_sd", "join_bits", "measure_load",
-        "run", "shuffle_ads", "shuffle_sd", "split_bits",
-        "transcript_to_jsonl"),
+        "run", "shuffle_ads", "shuffle_sd"),
 }
 
 __all__ = [name for names in _EXPORTS.values() for name in names]

@@ -451,6 +451,8 @@ def _int_list(x, what: str) -> List[int]:
     return x
 
 
+# import_design stays in this module, not the package root:
+# perfbench/replay.py imports it from here.
 def import_design(text: str) -> SymmetricDesign:
     """Parse and verify a symmetric-design JSON document."""
     return design_from_doc(json.loads(text))

@@ -39,6 +39,8 @@ class FieldError(ValueError):
     """Invalid field parameter or element."""
 
 
+# solve_power_sums, which perfbench/micro.py imports from here, and the
+# SingularMatrixError it raises stay in this module, not the package root.
 class SingularMatrixError(ValueError):
     """Linear system without a unique solution."""
 

@@ -49,21 +49,45 @@ class Scheme:
     and r = t or k; s is the size of a node's reduce set, its block's
     complement (sd, s = N - r) or its block (ads, s = r).  An sd scheme
     needs t > lam + 1, so that every node both sends and decodes coded
-    signals.  Building one costs O(1) for either kind: the placement,
-    reduce sets and incidence maps below are computed once, on first use,
-    so choose_T can refuse a run before any translate or N^2 table exists.
+    signals.  All else that differs by kind is settled here too, from the
+    parameters alone: rule, the (segment counts, power-sum codes as
+    (segments, coding points)) that constrain the bit width T;
+    message_count, the shuffle messages of one run; and params, as
+    scheme_to_json writes them.  Building one costs O(1) for either kind:
+    the placement, reduce sets and incidence maps below are computed
+    once, on first use, so choose_T can refuse a run before any translate
+    or N^2 table exists.
     """
 
     def __init__(self, design: Union[SymmetricDesign, Development]):
-        sd = isinstance(design, SymmetricDesign)
-        if sd and design.t <= design.lam + 1:
-            raise SchemeParameterError(
-                f"need t > lam+1, got t={design.t}, lam={design.lam}")
         self.design = design
-        self.kind = "sd" if sd else "ads"
-        self.K = self.N = self.Q = design.v if sd else design.source.n
-        self.r = design.t if sd else design.source.k
-        self.s = self.N - self.r if sd else self.r
+        if isinstance(design, SymmetricDesign):
+            v, t, lam = design.v, design.t, design.lam
+            if t <= lam + 1:
+                raise SchemeParameterError(
+                    f"need t > lam+1, got t={t}, lam={lam}")
+            self.kind, self.K, self.r, self.s = "sd", v, t, v - t
+            # diagonal values in t segments, coded at t points over
+            # GF(2^(T/t)); off-diagonal ones in lam segments, coded at
+            # t - 1 points over GF(2^(T/lam))
+            self.rule = (t, lam), ((t, t), (lam, t - 1))
+            # each node sends its diagonal group and one per file it stores
+            self.message_count = v * (t + 1)
+            self.params = {"v": v, "t": t, "lam": lam}
+        else:
+            source = design.source
+            n, k, lam = source.n, source.k, source.lam
+            self.kind, self.K, self.r, self.s = "ads", n, k, k
+            # no coding: a pair is cut into its lam or lam + 1 common
+            # blocks or, when lam = 0, a value into k plain segments
+            self.rule = ((lam, lam + 1) if lam else (k,)), ()
+            # a message per pair per common block, and when lam = 0 k plain
+            # segments per orientation of each pair in no common block
+            sums = n * math.comb(k, 2)
+            self.message_count = (
+                sums if lam else sums + 2 * k * (math.comb(n, 2) - sums))
+            self.params = source._asdict()  # n, k, lam, mu and D
+        self.N = self.Q = self.K
 
     @cached_property
     def placement(self) -> Tuple[Tuple[int, ...], ...]:
@@ -163,6 +187,11 @@ class Scheme:
         return tuple(table)
 
 
+# The former builders' names, and node_view with its NodeView below, stay
+# in this module, not the package root: perfbench/replay.py imports them.
+build_scheme_sd = build_scheme_ads = Scheme
+
+
 def picker(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
     """A function from a row to the tuple of its items at positions, in
     that order: itemgetter, except that one position or none still gives
@@ -224,26 +253,12 @@ class NodeView(NamedTuple):
     needed: frozenset
 
 
-def build_scheme_sd(design: SymmetricDesign) -> Scheme:
-    """Scheme(design) on a symmetric design: node B maps B, reduces its
-    complement, so r = t and s = v - t.  Requires t > lam + 1."""
-    return Scheme(design)
-
-
-def build_scheme_ads(dev: Development) -> Scheme:
-    """Scheme(dev) on an ADS development: node r maps and reduces block
-    D + r, so r = s = k."""
-    return Scheme(dev)
-
-
-# (segment counts, power-sum codes as (segments, coding points))
-_Rule = Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]
-
-# Most intermediate values, Q*N, a run may draw.  Each is a Python int held
-# in dicts by the IV table, the transcript and the decodes.  On 2 shared
-# vCPUs under CPython 3.11, ruzsa 19 (116 964 values) runs in 7 s at
-# 131 MiB max RSS and ruzsa 23 (256 036) in 21 s at 267 MiB.  At about
-# 1 KiB a value, the 10^8 values of ruzsa 101 cannot fit in memory.
+# Most intermediate values, Q*N, a run may draw.  The IV table holds them
+# by rows, about 39 B a value, and an ADS run's transcript about 270 B for
+# each of its two or so messages a value.  On 2 shared vCPUs under CPython
+# 3.11, ruzsa 19 (116 964 values: a 4.4 MiB table, 267 786 messages in a
+# 70 MiB transcript) runs in 2.19 s at 110 MiB max RSS.  The 10^8 values
+# of ruzsa 101 would take 3.9 GB in the table alone.
 MAX_VALUES = 1 << 17
 
 # Most bits, Q*N*T, the value table may hold: 64 MiB of value bits.  Max
@@ -255,7 +270,7 @@ MAX_VALUES = 1 << 17
 # 2.7 * 10^10 bits (3.2 GiB).  Same machine as MAX_VALUES.
 MAX_VALUE_BITS = 1 << 29
 
-# Most shuffle messages, message_count(s), a run may send.  Each holds
+# Most shuffle messages, Scheme.message_count, a run may send.  Each holds
 # about 330 bytes through the run (the message, its key, its payload and
 # its share of the transcript's list and index), and they set most of
 # the memory of a high-lam ADS run.  Under a 2 GiB RLIMIT_AS, same machine
@@ -267,43 +282,13 @@ MAX_VALUE_BITS = 1 << 29
 MAX_MESSAGES = 1 << 21
 
 
-def message_count(s: Scheme) -> int:
-    """Shuffle messages of one run, from the design's parameters alone.
-
-    An sd node sends its diagonal group and one group per file of its
-    block: K (t + 1).  An ads pair sends one message per common block,
-    K C(k, 2) in all, and when lam = 0 each of the C(N, 2) - K C(k, 2)
-    pairs in no common block sends k plain segments per orientation.
-    """
-    if s.kind == "sd":
-        return s.K * (s.design.t + 1)
-    k, lam = s.design.source.k, s.design.source.lam
-    sums = s.K * math.comb(k, 2)
-    return sums if lam else sums + 2 * k * (math.comb(s.N, 2) - sums)
-
-
-def _rule(s: Scheme) -> _Rule:
-    """(segment counts, power-sum codes) that constrain the bit width T.
-
-    Every segment count must divide T.  A code (segments, points) works
-    over GF(2^(T/segments)) and needs at least points elements there.
-    The sd scheme on a (v, t, lam) design cuts diagonal values into t
-    segments, coded at t points over GF(2^(T/t)), and off-diagonal ones
-    into lam segments, coded at t - 1 points over GF(2^(T/lam)).  The
-    ADS scheme does not code: it cuts a pair into its lam or lam + 1
-    common blocks or, when lam = 0, a value into k plain segments.
-    """
-    if s.kind == "sd":
-        t, lam = s.design.t, s.design.lam
-        return (t, lam), ((t, t), (lam, t - 1))
-    lam, k = s.design.source.lam, s.design.source.k
-    return ((lam, lam + 1) if lam >= 1 else (k,)), ()
-
-
-def _check_T(rule: _Rule, T: int) -> None:
+def _check_T(s: Scheme, T: int) -> None:
+    """Refuse a bit width T that breaks s.rule: every segment count must
+    divide T, and a code (segments, points) works over GF(2^(T/segments))
+    and needs at least points elements there."""
     if not isinstance(T, int) or T < 1:
         raise SchemeParameterError(f"T must be a positive integer, got {T}")
-    counts, codes = rule
+    counts, codes = s.rule
     if any(T % c for c in counts):
         raise SchemeParameterError(
             f"T={T} must be divisible by each of {counts}")
@@ -333,14 +318,13 @@ def choose_T(s: Scheme, scale: int = 1) -> int:
     """
     if not isinstance(scale, int) or scale < 1:
         raise SchemeParameterError(f"scale must be a positive integer, got {scale}")
-    rule = _rule(s)
-    counts, codes = rule
+    counts, codes = s.rule
     base = math.lcm(*counts)
     T = base
     while any(2 ** (T // segments) < points for segments, points in codes):
         T += base
     T *= scale
-    _check_T(rule, T)
+    _check_T(s, T)
     if T > MAX_DEGREE * base:  # implied for sd by the field checks
         raise SchemeParameterError(
             f"T={T} exceeds {MAX_DEGREE * base} bits, {MAX_DEGREE} times "
@@ -352,9 +336,9 @@ def choose_T(s: Scheme, scale: int = 1) -> int:
         raise SchemeParameterError(
             f"Q*N*T={s.Q * s.N * T} bits of intermediate values exceed "
             f"{MAX_VALUE_BITS}")
-    if message_count(s) > MAX_MESSAGES:
+    if s.message_count > MAX_MESSAGES:
         raise SchemeParameterError(
-            f"{message_count(s)} shuffle messages exceed {MAX_MESSAGES}")
+            f"{s.message_count} shuffle messages exceed {MAX_MESSAGES}")
     return T
 
 
@@ -374,7 +358,7 @@ def generate_ivs(s: Scheme, seed: int, T: int) -> IVTable:
     """
     if not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
         raise SchemeParameterError(f"seed must be in [0, 2^64), got {seed}")
-    _check_T(_rule(s), T)
+    _check_T(s, T)
     keyed = blake2b(key=seed.to_bytes(8, "big"))
     count = -(-T // 512)  # digests per value
     shift, from_bytes = 512 * count - T, int.from_bytes
@@ -468,13 +452,9 @@ def scheme_to_json(s: Scheme) -> str:
     """Canonical JSON description of a scheme (byte-stable)."""
     import json
 
-    if s.kind == "sd":
-        params = {"v": s.design.v, "t": s.design.t, "lam": s.design.lam}
-    else:  # n, k, lam, mu and D, a JSON list
-        params = s.design.source._asdict()
     doc = {
         "kind": s.kind, "K": s.K, "N": s.N, "Q": s.Q, "r": s.r, "s": s.s,
-        "params": params,
+        "params": s.params,
         "placement": [list(b) for b in s.placement],
         "assignment": [list(b) for b in s.assignment],
     }

@@ -62,7 +62,7 @@ import json
 from fractions import Fraction
 from itertools import chain, filterfalse, repeat
 from operator import itemgetter, mul, xor
-from typing import Iterable, Iterator, List, NamedTuple, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Tuple
 
 from .gf import (FieldError, apply_plan, power_sum_plan, solve_plan,
                  unpack_lanes)
@@ -123,6 +123,8 @@ class Transcript:
         self.memo: dict = {}
 
 
+# split_bits and transcript_to_jsonl stay in this module, not the package
+# root: perfbench/micro.py and perfbench/replay.py import them from here.
 def split_bits(value: int, width: int, parts: int) -> List[int]:
     """Cut a width-bit value into parts equal slices, most significant first."""
     if parts < 1 or width % parts:
@@ -369,12 +371,18 @@ def decode_ads(s: Scheme, node: int, transcript: Transcript,
     return ValueRows(assigned, lacking, tuple(rows))
 
 
+def coders(s: Scheme) -> Tuple[Callable, Callable]:
+    """The (encoder, decoder) pair of the scheme's kind."""
+    return (shuffle_sd, decode_sd) if s.kind == "sd" else (
+        shuffle_ads, decode_ads)
+
+
 def decode_all(s: Scheme, transcript: Transcript, ivs: IVTable,
                ) -> Iterator[Tuple[int, ValueRows]]:
     """Decode node 0, 1, ..., K - 1 in turn with the decoder of the scheme
     kind, yielding (node, recovered); the decodes share the transcript's
     memo."""
-    decode = decode_sd if s.kind == "sd" else decode_ads
+    _, decode = coders(s)
     for node in range(s.K):
         yield node, decode(s, node, transcript, ivs)
 
@@ -407,7 +415,8 @@ def run(s: Scheme, seed: int, T: int) -> RunResult:
     decodes' shared work is freed once they end.
     """
     ivs = generate_ivs(s, seed, T)
-    transcript = (shuffle_sd if s.kind == "sd" else shuffle_ads)(s, ivs)
+    encode, _ = coders(s)
+    transcript = encode(s, ivs)
     oracle = centralized_outputs(s, ivs)
     table = ivs.rows
     decode_ok = True
@@ -462,15 +471,6 @@ def transcript_chunks(transcript: Transcript) -> Iterator[str]:
         yield "".join(map(templates.__getitem__, zip(
             map(_tag, chunk), map(len, map(_meta, chunk)), bits))) % tuple(
             fields)
-
-
-def transcript_lines(transcript: Transcript) -> Iterator[str]:
-    """One canonical JSON object per message, in transcript order, each
-    line ending in a newline: transcript_chunks cut at their newlines,
-    their only line breaks, as json.dumps escapes every control and
-    non-ASCII character."""
-    return chain.from_iterable(map(str.splitlines, transcript_chunks(
-        transcript), repeat(True)))
 
 
 def transcript_to_jsonl(transcript: Transcript) -> str:

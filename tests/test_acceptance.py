@@ -18,7 +18,7 @@ from cdcsim.cli import EX_OK, main
 from cdcsim.designs import (SymmetricDesign, classify_ads, complement_ads,
                             develop, projective_plane, ruzsa_ads,
                             verify_symmetric_design)
-from cdcsim.scheme import build_scheme_ads, build_scheme_sd
+from cdcsim.scheme import Scheme
 
 from test_analysis import symmetric_design_families
 from test_designs import diff_function
@@ -32,7 +32,7 @@ def verdict(tag, ok):
 
 def test_criterion_01_fano_end_to_end():
     start = time.perf_counter()
-    load, _, _ = run_end_to_end(build_scheme_sd(projective_plane(2)))
+    load, _, _ = run_end_to_end(Scheme(projective_plane(2)))
     elapsed = time.perf_counter() - start
     verdict("criterion 1: Fano scheme decodes everywhere, load exactly "
             f"11/21, {elapsed:.2f}s < 1s",
@@ -45,7 +45,7 @@ def test_criterion_02_larger_planes():
     for b in (3, 5):
         start = time.perf_counter()
         d = projective_plane(b)
-        load, _, _ = run_end_to_end(build_scheme_sd(d))
+        load, _, _ = run_end_to_end(Scheme(d))
         elapsed = time.perf_counter() - start
         expected = Fraction((d.v - 1) ** 2 - d.t * d.v + d.v,
                             d.v * (d.v - 1))
@@ -57,14 +57,14 @@ def test_criterion_02_larger_planes():
 
 def test_criterion_03_ads_positive_lambda():
     load, _, _ = run_end_to_end(
-        build_scheme_ads(develop(classify_ads([0, 1, 3], 6))))
+        Scheme(develop(classify_ads([0, 1, 3], 6))))
     ok = load == Fraction(5, 12)
     cases = [complement_ads(ruzsa_ads(p)) for p in (3, 5, 7)]
     cases.append(classify_ads([0, 1, 3], 6))
     cases.append(classify_ads([0, 1, 2, 5], 8))
     for a in cases:
         assert a.n <= 50 and 1 <= a.lam < a.k - 1
-        load, _, _ = run_end_to_end(build_scheme_ads(develop(a)))
+        load, _, _ = run_end_to_end(Scheme(develop(a)))
         ok = ok and load == Fraction(a.n - 1, 2 * a.n)
     verdict("criterion 3: lam >= 1 schemes hit (n-1)/(2n) exactly "
             "(5 ADS up to n = 42, (6,3,1,4) gives 5/12)", ok)
@@ -72,13 +72,13 @@ def test_criterion_03_ads_positive_lambda():
 
 def test_criterion_04_golomb_schemes():
     load, _, _ = run_end_to_end(
-        build_scheme_ads(develop(classify_ads([0, 1], 6))))
+        Scheme(develop(classify_ads([0, 1], 6))))
     ok = load == Fraction(2, 3)
     elapsed_11 = None
     for p in (3, 5, 7, 11):
         a = ruzsa_ads(p)
         start = time.perf_counter()
-        load, _, _ = run_end_to_end(build_scheme_ads(develop(a)))
+        load, _, _ = run_end_to_end(Scheme(develop(a)))
         elapsed = time.perf_counter() - start
         expected = Fraction(2 * (a.n - 1) - a.k * (a.k - 1), 2 * a.n)
         assert expected == Fraction(p * p + p - 4, 2 * (p * p - p))

@@ -170,6 +170,27 @@ def test_sd_load_formulas():
         ours_sd_load(1, 1)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: ours_sd_load(1, 1), "v must be at least 2, got 1"),
+    (lambda: ours_sd_load(7, 0), "need 1 <= t <= v, got t=0"),
+    (lambda: ours_sd_load(7, 8), "need 1 <= t <= v, got t=8"),
+    (lambda: jiang_load(1, 1), "v must be at least 2, got 1"),
+    (lambda: jiang_load(7, 0), "need 1 <= t <= v, got t=0"),
+    (lambda: jiang_load(7, 8), "need 1 <= t <= v, got t=8"),
+    (lambda: li_lower_bound_steps(4), "defined for p >= 5, got 4"),
+    (lambda: li_sandwich(4), "defined for p >= 5, got 4"),
+    (lambda: sweep("plane", 5, 4), "empty range [5, 4]"),
+    (lambda: sweep("ruzsa", 3, 2), "empty range [3, 2]"),
+], ids=["ours-v1", "ours-t0", "ours-t8", "jiang-v1", "jiang-t0", "jiang-t8",
+        "steps-p4", "sandwich-p4", "sweep-plane-empty", "sweep-ruzsa-empty"])
+def test_domain_errors_name_the_argument(call, message):
+    """Each formula, check and sweep refuses its arguments outside its
+    domain with a message naming them."""
+    with pytest.raises(AnalysisDomainError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
 def test_gap_to_baseline_is_one_over_v():
     for v, t in ((7, 3), (13, 4), (31, 6), (16, 6), (40, 13)):
         assert jiang_load(v, t) - ours_sd_load(v, t) == Fraction(1, v)

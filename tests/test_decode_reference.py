@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from cdcsim.gf import apply_plan, power_sum_plan, solve_plan, unpack_lanes
 from cdcsim.scheme import ValueRows, choose_T
-from cdcsim.shuffle import (MissingMessageError, Transcript, decode_ads,
-                            decode_sd, join_bits, run)
+from cdcsim.shuffle import (MissingMessageError, Transcript, coders,
+                            decode_ads, decode_sd, join_bits, run)
 from test_shuffle import SHARED_ADS_SCHEMES, SHARED_SD_SCHEMES, fresh
 
 
@@ -101,8 +101,9 @@ def test_row_decodes_match_the_per_key_reference(name, seed, data):
     s = SCHEMES[name]()
     result = run(s, seed, choose_T(s))
     ivs = result.ivs
-    decode, reference = ((decode_sd, reference_decode_sd) if s.kind == "sd"
-                         else (decode_ads, reference_decode_ads))
+    _, decode = coders(s)
+    reference = {decode_sd: reference_decode_sd,
+                 decode_ads: reference_decode_ads}[decode]
     rows, keyed = fresh(result.transcript), fresh(result.transcript)
     for node in data.draw(st.permutations(range(s.K))):
         got = decode(s, node, rows, ivs)

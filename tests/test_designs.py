@@ -211,6 +211,18 @@ def test_wrong_block_count():
     assert report.invariant == "block-count"
 
 
+@pytest.mark.parametrize("blocks,witness,message", [
+    ([(0, 1), (0, 2), (1,)], (1, 2), "blocks have unequal sizes"),
+    ([(0,), (1,), (2,)], (1,), "blocks need at least 2 points"),
+], ids=["unequal", "one-point"])
+def test_wrong_block_size(blocks, witness, message):
+    """Three blocks on three points, of unequal sizes or of one point
+    each, fail the block-size check as the reference does."""
+    report = verify_symmetric_design(3, blocks)
+    assert report == DesignViolation("block-size", witness, message)
+    assert report == reference_verify(3, blocks)
+
+
 def test_out_of_range_point():
     report = verify_symmetric_design(7, FANO_BLOCKS[:6] + [(2, 4, 7)])
     assert isinstance(report, DesignViolation)
@@ -402,6 +414,10 @@ def test_import_rejects_bad_content():
         ads_from_doc(json.loads('{"n":8,"D":[0,1,2,3]}'))
     with pytest.raises(DesignVerificationError):
         import_design('{"v":7}')
+    for doc in ({"D": [0, 1, 3]}, {"n": 6}, [6, [0, 1, 3]]):
+        with pytest.raises(DesignVerificationError,
+                           match="ADS document needs keys 'n' and 'D'"):
+            ads_from_doc(doc)
 
 
 @st.composite

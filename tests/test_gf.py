@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 
@@ -334,3 +335,18 @@ def test_prime_field_and_primality():
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
     assert not is_prime(1)
     assert is_prime(2 ** 31 - 1)
+
+
+def test_is_prime_matches_trial_division():
+    """Below 10^4 Miller-Rabin agrees with trial division; 1681 = 41^2 is
+    the first composite that no witness divides, so the first that the
+    witness loop itself rejects.  3215031751 is a strong pseudoprime to
+    the bases 2, 3, 5 and 7, 3825123056546413051 to every prime base up
+    to 23; both are composite.  2^31 - 1 and 2^61 - 1 are prime."""
+    assert [n for n in range(10 ** 4) if is_prime(n)] == [
+        n for n in range(2, 10 ** 4)
+        if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    assert all(1681 % w for w in range(2, 41)) and not is_prime(1681)
+    assert not is_prime(3215031751)  # 151 * 751 * 28351
+    assert not is_prime(3825123056546413051)  # 149491 * 747451 * 34233211
+    assert is_prime(2 ** 31 - 1) and is_prime(2 ** 61 - 1)

@@ -11,16 +11,15 @@ from cdcsim.designs import (classify_ads, complement_ads, develop,
                             ruzsa_ads)
 from cdcsim.gf import FieldError
 from cdcsim.scheme import (IncompleteRecoveryError, Scheme,
-                           SchemeParameterError, ValueRows, build_scheme_ads,
-                           build_scheme_sd, centralized_outputs, choose_T,
-                           generate_ivs, message_count, node_view, picker,
-                           reduce_outputs, scheme_to_json)
+                           SchemeParameterError, ValueRows,
+                           centralized_outputs, choose_T, generate_ivs,
+                           node_view, picker, reduce_outputs, scheme_to_json)
 
 CYCLIC_FANO = [tuple(sorted((d + r) % 7 for d in (0, 1, 3))) for r in range(7)]
 
 
 def fano_scheme():
-    return build_scheme_sd(require_symmetric_design(7, CYCLIC_FANO))
+    return Scheme(require_symmetric_design(7, CYCLIC_FANO))
 
 
 def test_sd_scheme_shape():
@@ -35,12 +34,12 @@ def test_sd_scheme_shape():
 def test_sd_scheme_rejects_tight_designs():
     # (3,2,1): every pair of blocks already shares all but one point
     with pytest.raises(SchemeParameterError):
-        build_scheme_sd(require_symmetric_design(3, [(0, 1), (0, 2), (1, 2)]))
+        Scheme(require_symmetric_design(3, [(0, 1), (0, 2), (1, 2)]))
 
 
 def test_ads_scheme_shape():
     a = classify_ads([0, 1, 3], 6)
-    s = build_scheme_ads(develop(a))
+    s = Scheme(develop(a))
     assert (s.kind, s.K, s.N, s.Q, s.r, s.s) == ("ads", 6, 6, 6, 3, 3)
     assert s.placement == s.assignment
     assert s.placement[4] == (1, 4, 5)
@@ -48,11 +47,11 @@ def test_ads_scheme_shape():
 
 def test_choose_T_values():
     assert choose_T(fano_scheme()) == 6
-    assert choose_T(build_scheme_sd(projective_plane(3))) == 8
-    assert choose_T(build_scheme_sd(projective_plane(5))) == 18
-    assert choose_T(build_scheme_ads(develop(classify_ads([0, 1, 3], 6)))) == 2
-    assert choose_T(build_scheme_ads(develop(ruzsa_ads(3)))) == 2
-    assert choose_T(build_scheme_ads(develop(ruzsa_ads(5)))) == 4
+    assert choose_T(Scheme(projective_plane(3))) == 8
+    assert choose_T(Scheme(projective_plane(5))) == 18
+    assert choose_T(Scheme(develop(classify_ads([0, 1, 3], 6)))) == 2
+    assert choose_T(Scheme(develop(ruzsa_ads(3)))) == 2
+    assert choose_T(Scheme(develop(ruzsa_ads(5)))) == 4
     assert choose_T(fano_scheme(), scale=3) == 18
 
 
@@ -80,7 +79,7 @@ def test_choose_sd_T_is_choose_T(make_design, scale):
     (t, lam) alone."""
     d = make_design()
     assert choose_sd_T(d.t, d.lam, scale) == \
-        choose_T(build_scheme_sd(d), scale)
+        choose_T(Scheme(d), scale)
 
 
 def test_choose_T_meets_the_field_bound():
@@ -125,7 +124,7 @@ def test_choose_T_bounds_an_ads_scale():
     """No width passes MAX_DEGREE times the lcm of the segment counts, so
     (6,3,1,4), counts (1, 2), takes scale 64 at most.  Scale 10^8 is
     refused from the parameters alone, drawing no value."""
-    s = build_scheme_ads(develop(classify_ads([0, 1, 3], 6)))
+    s = Scheme(develop(classify_ads([0, 1, 3], 6)))
     tracemalloc.start()
     try:
         with pytest.raises(SchemeParameterError,
@@ -243,9 +242,10 @@ def test_choose_T_bits_bound_is_inclusive_and_last(monkeypatch):
 
 
 def test_message_count_from_the_parameters():
-    """message_count reads the design's parameters alone, no placement:
-    K C(k, 2) pair sums for an ads scheme, and with lam = 0 also 2k plain
-    segments per pair in no common block; K (t + 1) groups for sd."""
+    """Scheme.message_count comes from the design's parameters alone, no
+    placement: K C(k, 2) pair sums for an ads scheme, and with lam = 0
+    also 2k plain segments per pair in no common block; K (t + 1) groups
+    for sd."""
     counts = {
         "ruzsa11": (Scheme(develop(ruzsa_ads(11))), 25850),
         "comp7": (Scheme(develop(complement_ads(ruzsa_ads(7)))), 26460),
@@ -253,7 +253,7 @@ def test_message_count_from_the_parameters():
         "plane13": (Scheme(projective_plane(13)), 2745),
     }
     for name, (s, count) in counts.items():
-        assert message_count(s) == count, name
+        assert s.message_count == count, name
         assert "placement" not in s.__dict__, name
 
 
@@ -341,7 +341,7 @@ def test_generate_ivs_deterministic():
 
 def test_generate_ivs_long_width():
     """Widths past one hash digest still come out deterministic."""
-    s = build_scheme_ads(develop(classify_ads([0, 1], 6)))
+    s = Scheme(develop(classify_ads([0, 1], 6)))
     a = generate_ivs(s, 7, 600)
     assert a == generate_ivs(s, 7, 600)
     assert any(value >= 1 << 512 for value in a.values.values())
@@ -364,7 +364,7 @@ def reference_value(seed, q, n, T):
 def test_generate_ivs_matches_the_digest_stream(seed, T):
     """Every value equals its digest-by-digest reference, across one, two
     and four digests and at each digest boundary."""
-    s = build_scheme_ads(develop(classify_ads([0, 1], 6)))
+    s = Scheme(develop(classify_ads([0, 1], 6)))
     assert generate_ivs(s, seed, T).values == {
         (q, n): reference_value(seed, q, n, T)
         for q in range(s.Q) for n in range(s.N)}
@@ -380,6 +380,10 @@ def test_generate_ivs_validates():
         generate_ivs(s, 0, 5)   # not divisible by t
     with pytest.raises(SchemeParameterError):
         generate_ivs(s, 0, 3)   # field too small for 3 points
+    for T in (0, 6.0, "6"):
+        with pytest.raises(SchemeParameterError,
+                           match="T must be a positive integer"):
+            generate_ivs(s, 0, T)
 
 
 def test_node_view_fano():
@@ -389,7 +393,7 @@ def test_node_view_fano():
 
 
 def test_node_view_ads():
-    s = build_scheme_ads(develop(classify_ads([0, 1, 3], 6)))
+    s = Scheme(develop(classify_ads([0, 1, 3], 6)))
     view = node_view(s, 0)
     assert view.needed == {(q, n) for q in (0, 1, 3) for n in (2, 4, 5)}
     with pytest.raises(SchemeParameterError):
@@ -398,12 +402,12 @@ def test_node_view_ads():
 
 LACKING_SCHEMES = {
     "fano": fano_scheme,
-    "plane3": lambda: build_scheme_sd(projective_plane(3)),
-    "paley11": lambda: build_scheme_sd(require_symmetric_design(
+    "plane3": lambda: Scheme(projective_plane(3)),
+    "paley11": lambda: Scheme(require_symmetric_design(
         11, [tuple(sorted((d + r) % 11 for d in (1, 3, 4, 5, 9)))
              for r in range(11)])),
-    "ads-634": lambda: build_scheme_ads(develop(classify_ads([0, 1, 3], 6))),
-    "ruzsa5": lambda: build_scheme_ads(develop(ruzsa_ads(5))),
+    "ads-634": lambda: Scheme(develop(classify_ads([0, 1, 3], 6))),
+    "ruzsa5": lambda: Scheme(develop(ruzsa_ads(5))),
 }
 
 
@@ -453,7 +457,7 @@ def test_reduce_outputs_missing_value():
 
 
 @pytest.mark.parametrize("make_scheme", [
-    fano_scheme, lambda: build_scheme_ads(develop(classify_ads([0, 1, 3], 6))),
+    fano_scheme, lambda: Scheme(develop(classify_ads([0, 1, 3], 6))),
 ], ids=["fano", "ads-634"])
 def test_reduce_outputs_names_the_first_missing_value(make_scheme):
     """With several values missing, the witness is the first of them: the
@@ -480,6 +484,6 @@ def test_scheme_json():
     assert doc["kind"] == "sd"
     assert doc["params"] == {"v": 7, "t": 3, "lam": 1}
     assert doc["placement"][0] == [0, 1, 3]
-    a = build_scheme_ads(develop(classify_ads([0, 1], 6)))
+    a = Scheme(develop(classify_ads([0, 1], 6)))
     doc = json.loads(scheme_to_json(a))
     assert doc["params"] == {"n": 6, "k": 2, "lam": 0, "mu": 3, "D": [0, 1]}

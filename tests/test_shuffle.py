@@ -14,26 +14,24 @@ from cdcsim.designs import (classify_ads, complement_ads, develop,
                             ruzsa_ads)
 from cdcsim.gf import BinaryField, FieldError
 from cdcsim import shuffle
-from cdcsim.scheme import (IncompleteRecoveryError, IVTable,
-                           SchemeParameterError, ValueRows, build_scheme_ads,
-                           build_scheme_sd, centralized_outputs, choose_T,
-                           generate_ivs, message_count, node_view,
-                           reduce_outputs)
-from cdcsim.shuffle import (Message, MissingMessageError, Transcript,
+from cdcsim.scheme import (IncompleteRecoveryError, IVTable, Scheme,
+                           SchemeParameterError, ValueRows,
+                           centralized_outputs, choose_T, generate_ivs,
+                           node_view, reduce_outputs)
+from cdcsim.shuffle import (Message, MissingMessageError, Transcript, coders,
                             decode_ads, decode_all, decode_sd, join_bits, run,
                             shuffle_ads, shuffle_sd, split_bits,
-                            transcript_chunks, transcript_lines,
-                            transcript_to_jsonl)
+                            transcript_chunks, transcript_to_jsonl)
 
 CYCLIC_FANO = [tuple(sorted((d + r) % 7 for d in (0, 1, 3))) for r in range(7)]
 
 
 def fano_scheme():
-    return build_scheme_sd(require_symmetric_design(7, CYCLIC_FANO))
+    return Scheme(require_symmetric_design(7, CYCLIC_FANO))
 
 
 def ads_scheme(D, n):
-    return build_scheme_ads(develop(classify_ads(D, n)))
+    return Scheme(develop(classify_ads(D, n)))
 
 
 def transcript_for(s, seed):
@@ -94,7 +92,7 @@ def test_split_join_round_trip():
 
 
 def test_fano_end_to_end():
-    s = build_scheme_sd(require_symmetric_design(7, CYCLIC_FANO))
+    s = Scheme(require_symmetric_design(7, CYCLIC_FANO))
     load, transcript, _ = run_end_to_end(s)
     assert load == Fraction(11, 21)
     assert load == ours_sd_load(7, 3)
@@ -151,23 +149,23 @@ def sha256_jsonl(transcript):
 
 
 @pytest.mark.parametrize("make_scheme,scale,lanes_digest,digest", [
-    (lambda: build_scheme_sd(projective_plane(2)), 1,
+    (lambda: Scheme(projective_plane(2)), 1,
      "e0c788373ccf805593f2027fed0ee1136eb371b125ba63fadba9f32e1a6d6171",
      "5e00635f4a691deb71ac73c737a0fc29ad5d9d085940ad24413c4f970b149dcc"),
-    (lambda: build_scheme_sd(projective_plane(3)), 1,
+    (lambda: Scheme(projective_plane(3)), 1,
      "790f67c298dae0e825eaf6f881f787d208c0fa976210fed32fb205aef952c20c",
      "03b70a21cea37c0ff1e86321e152a0dab4050ed17d320f3509c924d8ca2b2c5e"),
-    (lambda: build_scheme_sd(projective_plane(3)), 4,
+    (lambda: Scheme(projective_plane(3)), 4,
      "fcf1a90bae9cf2473afd07ecee4da5fa08057430e235a6681d375c824bd28233",
      "6dc7df5128840339c143ce33b12ccb0cfa7e4536019e8e010cc48bdc9f04ce13"),
-    (lambda: build_scheme_sd(projective_plane(7)), 1,
+    (lambda: Scheme(projective_plane(7)), 1,
      "2a77cae7a1dc0fe50eb5d88bdc6c036774ae2b213d3ee6e5869d2b58b33fddfb",
      "1690aa3465f04f0ffaeea29a39d4459abca8f02a47b37c2649322ae5d157b7f6"),
-    (lambda: build_scheme_sd(require_symmetric_design(
+    (lambda: Scheme(require_symmetric_design(
         7, complement_blocks(7, CYCLIC_FANO))), 1,
      "be1d8316dadf70c2b657b7d0370d7d862574474de7c9de262245132af3a26454",
      "6afd9837676869bddc8b7ad99b46f1c5e176754a1ed5e37605c3d771843a8af9"),
-    (lambda: build_scheme_sd(require_symmetric_design(
+    (lambda: Scheme(require_symmetric_design(
         11, cyclic_blocks(quadratic_residues(11), 11))), 1,
      "f04ab3b986bec72402cf23bba47924871621ec0b6b9be4c7844b8b7bfae189c2",
      "7975caba4a5ec51f7d51221e1d6ef135b567d30c6ab8516b1f5acf7daf230317"),
@@ -177,22 +175,22 @@ def sha256_jsonl(transcript):
     (lambda: ads_scheme([0, 1], 6), 1,
      "2a242a5695a98410884c9421b621214e1a62ac70525fb6b8ffcef37feafbf033",
      None),
-    (lambda: build_scheme_ads(develop(ruzsa_ads(7))), 1,
+    (lambda: Scheme(develop(ruzsa_ads(7))), 1,
      "0ea47df4a3f2b30f30181bc48fd63baab266a239e919c3f9c66e8c80e041c741",
      None),
-    (lambda: build_scheme_ads(develop(complement_ads(ruzsa_ads(5)))), 1,
+    (lambda: Scheme(develop(complement_ads(ruzsa_ads(5)))), 1,
      "ec2130f77fd8c80557576dabd0fb07fb62e584c3e41b91ebe9809357ab6d55c3",
      None),
-    (lambda: build_scheme_ads(develop(ruzsa_ads(5))), 1,
+    (lambda: Scheme(develop(ruzsa_ads(5))), 1,
      "3c6e229cb93f478abfc6925a058ae2a05fca039fde799b34b29773f0e739d95a",
      None),
-    (lambda: build_scheme_ads(develop(complement_ads(ruzsa_ads(3)))), 1,
+    (lambda: Scheme(develop(complement_ads(ruzsa_ads(3)))), 1,
      "ea1dc215a0d1060cef1b4643943ed547a27e1971725d0c977cad2b1021217d07",
      None),
-    (lambda: build_scheme_ads(develop(ruzsa_ads(11))), 1,
+    (lambda: Scheme(develop(ruzsa_ads(11))), 1,
      "a6ce4258e92bec5348d6633e1d7e187d981f20600749a0e21d61af69ac43efb0",
      None),
-    (lambda: build_scheme_ads(develop(complement_ads(ruzsa_ads(7)))), 1,
+    (lambda: Scheme(develop(complement_ads(ruzsa_ads(7)))), 1,
      "0518ff4f7ff60f66cbe0a2aed66b894da9ea00abc5e0a56b832bc8d46ccace01",
      None),
 ], ids=["plane2", "plane3", "plane3-scale4", "plane7", "fano-complement",
@@ -223,7 +221,7 @@ def test_sd_transcript_goldens(make_scheme, scale, lanes_digest, digest):
 
 
 def test_plane_13_end_to_end():
-    s = build_scheme_sd(projective_plane(3))
+    s = Scheme(projective_plane(3))
     load, _, _ = run_end_to_end(s, seed=3)
     assert load == ours_sd_load(13, 4) == Fraction(35, 52)
 
@@ -290,8 +288,8 @@ def test_run_verdict_on_a_wrong_decode(monkeypatch, make_scheme, fault):
 
 
 @pytest.mark.parametrize("make_scheme,encode,bound", [
-    (lambda: build_scheme_ads(develop(ruzsa_ads(7))), shuffle_ads, 1.5),
-    (lambda: build_scheme_sd(projective_plane(5)), shuffle_sd, 4),
+    (lambda: Scheme(develop(ruzsa_ads(7))), shuffle_ads, 1.5),
+    (lambda: Scheme(projective_plane(5)), shuffle_sd, 4),
 ], ids=["ruzsa7", "plane5"])
 def test_run_holds_one_node_decode_at_a_time(make_scheme, encode, bound):
     """run() decodes, checks and reduces one node at a time, so its peak
@@ -345,7 +343,7 @@ def test_sd_lambda_at_least_two_end_to_end(params, make_blocks, scale):
     g - lam power sums over GF(2^(T/lam))."""
     design = require_symmetric_design(params[0], make_blocks())
     assert (design.v, design.t, design.lam) == params
-    load, _, _ = run_end_to_end(build_scheme_sd(design), seed=5, scale=scale)
+    load, _, _ = run_end_to_end(Scheme(design), seed=5, scale=scale)
     assert load == ours_sd_load(design.v, design.t)
 
 
@@ -373,8 +371,8 @@ def test_decode_sd_uses_only_local_values(make_scheme, decode):
 
 SHARED_SD_SCHEMES = {
     "fano": fano_scheme,
-    "plane3": lambda: build_scheme_sd(projective_plane(3)),
-    "paley11": lambda: build_scheme_sd(require_symmetric_design(
+    "plane3": lambda: Scheme(projective_plane(3)),
+    "paley11": lambda: Scheme(require_symmetric_design(
         11, cyclic_blocks(quadratic_residues(11), 11))),
 }
 
@@ -555,8 +553,8 @@ def test_decode_sd_payload_range_checked(name):
 SHARED_ADS_SCHEMES = {
     "ads-634": lambda: ads_scheme([0, 1, 3], 6),
     "golomb-620": lambda: ads_scheme([0, 1], 6),
-    "ruzsa5": lambda: build_scheme_ads(develop(ruzsa_ads(5))),
-    "ruzsa3-complement": lambda: build_scheme_ads(
+    "ruzsa5": lambda: Scheme(develop(ruzsa_ads(5))),
+    "ruzsa3-complement": lambda: Scheme(
         develop(complement_ads(ruzsa_ads(3)))),
 }
 
@@ -750,7 +748,7 @@ def test_decodes_share_the_memo_in_any_order(name, seed, data):
     s = ANY_ORDER_SCHEMES[name]()
     result = run(s, seed, choose_T(s))
     ivs = result.ivs
-    decode = decode_sd if s.kind == "sd" else decode_ads
+    _, decode = coders(s)
     transcript = fresh(result.transcript)
     for node in data.draw(st.permutations(range(s.K))):
         assert decode(s, node, transcript, ivs) == needed_values(s, ivs, node)
@@ -765,7 +763,7 @@ def test_message_count_matches_the_transcript(name):
     """The count choose_T bounds, worked out from the design's parameters,
     is the number of messages the run sends."""
     s = ANY_ORDER_SCHEMES[name]()
-    assert message_count(s) == len(transcript_for(s, 0).messages)
+    assert s.message_count == len(transcript_for(s, 0).messages)
 
 
 def memo_entries(s, transcript):
@@ -778,7 +776,7 @@ def memo_entries(s, transcript):
 
 
 def test_ads_634_end_to_end():
-    s = build_scheme_ads(develop(classify_ads([0, 1, 3], 6)))
+    s = Scheme(develop(classify_ads([0, 1, 3], 6)))
     load, transcript, _ = run_end_to_end(s)
     assert load == ads_load(6, 3, 1) == Fraction(5, 12)
     mine = [(m.meta, m.bits) for m in transcript.messages if m.sender == 0]
@@ -836,7 +834,7 @@ def test_ads_census_names_a_broken_development():
 
 
 def test_golomb_623_end_to_end():
-    s = build_scheme_ads(develop(classify_ads([0, 1], 6)))
+    s = Scheme(develop(classify_ads([0, 1], 6)))
     load, transcript, _ = run_end_to_end(s)
     assert load == ads_load(6, 2, 0) == Fraction(2, 3)
     mine = [m for m in transcript.messages if m.sender == 0]
@@ -851,7 +849,7 @@ def test_golomb_623_end_to_end():
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_ruzsa_end_to_end(p):
     a = ruzsa_ads(p)
-    s = build_scheme_ads(develop(a))
+    s = Scheme(develop(a))
     load, _, _ = run_end_to_end(s, seed=p)
     assert load == ads_load(a.n, a.k, 0)
 
@@ -861,7 +859,7 @@ def test_ruzsa_complement_end_to_end(p):
     """Complements have lam >= 1 and hit the (n-1)/2n load exactly."""
     a = complement_ads(ruzsa_ads(p))
     assert a.lam >= 1
-    s = build_scheme_ads(develop(a))
+    s = Scheme(develop(a))
     load, _, _ = run_end_to_end(s)
     assert load == ads_load(a.n, a.k, a.lam) == Fraction(a.n - 1, 2 * a.n)
 
@@ -880,7 +878,7 @@ def test_ads_widest_scale_decodes(D, n):
 
 
 def test_scaled_width_keeps_load():
-    s = build_scheme_sd(require_symmetric_design(7, CYCLIC_FANO))
+    s = Scheme(require_symmetric_design(7, CYCLIC_FANO))
     load, _, _ = run_end_to_end(s, seed=2, scale=4)
     assert load == Fraction(11, 21)
 
@@ -927,13 +925,20 @@ def canonical_line(m):
         separators=(",", ":"), sort_keys=True) + "\n"
 
 
+def jsonl_lines(transcript):
+    """The writer's lines, each ending in its newline: json.dumps escapes
+    every control and non-ASCII character, so each line's newline is the
+    only line break str.splitlines finds."""
+    return "".join(transcript_chunks(transcript)).splitlines(True)
+
+
 @pytest.mark.parametrize("make_scheme,scale,tags,meta_lengths,widths", [
     (fano_scheme, 1, {"SD-diagonal", "SD-offdiagonal"}, {0, 1}, {4, 6}),
     (lambda: ads_scheme([0, 1], 6), 1, {"ADS-pairsum", "ADS-segment"}, {3},
      {1, 2}),
-    (lambda: build_scheme_ads(develop(complement_ads(ruzsa_ads(5)))), 3,
+    (lambda: Scheme(develop(complement_ads(ruzsa_ads(5)))), 3,
      {"ADS-pairsum"}, {3}, {36, 39}),
-    (lambda: build_scheme_sd(projective_plane(3)), 4,
+    (lambda: Scheme(projective_plane(3)), 4,
      {"SD-diagonal", "SD-offdiagonal"}, {0, 1}, {24, 64}),
 ], ids=["fano", "golomb-620", "ruzsa5-complement-scale3", "plane3-scale4"])
 def test_transcript_lines_match_json_dumps(make_scheme, scale, tags,
@@ -947,7 +952,7 @@ def test_transcript_lines_match_json_dumps(make_scheme, scale, tags,
     assert {m.tag for m in transcript.messages} == tags
     assert {len(m.meta) for m in transcript.messages} == meta_lengths
     assert {m.bits for m in transcript.messages} == widths
-    lines = list(transcript_lines(transcript))
+    lines = jsonl_lines(transcript)
     assert len(lines) == len(transcript.messages)
     for line, m in zip(lines, transcript.messages):
         assert line == canonical_line(m)
@@ -969,7 +974,7 @@ def test_transcript_lines_of_every_shape():
     transcript = Transcript(messages)
     shapes = [(m.tag, len(m.meta), m.bits) for m in transcript.messages]
     assert all(a != b for a, b in zip(shapes, shapes[1:]))
-    lines = list(transcript_lines(transcript))
+    lines = jsonl_lines(transcript)
     assert lines == list(map(canonical_line, transcript.messages))
     assert transcript_to_jsonl(transcript) == "".join(lines)
     for i in (0, 17, 39):
@@ -977,7 +982,7 @@ def test_transcript_lines_of_every_shape():
         for payload in (1 << 8 * ((m.bits + 7) // 8), -1):
             bad = replace_message(transcript, i, m._replace(payload=payload))
             with pytest.raises(OverflowError):
-                list(transcript_lines(bad))
+                jsonl_lines(bad)
             with pytest.raises(OverflowError):
                 transcript_to_jsonl(bad)
 
