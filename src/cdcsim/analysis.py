@@ -186,6 +186,24 @@ def li_sandwich(p: int) -> Sandwich:
                     holds=lower < value < upper)
 
 
+# The largest parameter of each report whose exact output prints.  The
+# next parameter with a row of its own (plane 673, ruzsa 1109, p = 1107,
+# the first failures measured) has a numeral of more than 4300 digits,
+# CPython's default limit for converting an int to str
+# (sys.get_int_max_str_digits).
+MAX_PRINTED = {"plane": 661, "ruzsa": 1103, "p": 1106}
+
+
+def check_printed(name: str, top: int) -> None:
+    """Refuse a range whose top parameter is past the cap of MAX_PRINTED
+    named name, before any term is computed."""
+    cap = MAX_PRINTED[name]
+    if top > cap:
+        raise AnalysisDomainError(
+            f"{name} {top} is past {cap}, the largest whose exact output "
+            f"stays within 4300-digit numerals")
+
+
 class SweepRow(NamedTuple):
     """One comparison row: design parameters plus the three loads."""
 
@@ -208,12 +226,14 @@ def sweep(family: str, lo: int, hi: int) -> List[SweepRow]:
 
     family "plane" walks projective planes of prime order b; family
     "ruzsa" walks the lam = 0 ADS construction at prime p >= 3.
-    Values that are not prime, and 2 for ruzsa, are skipped.
+    Values that are not prime, and 2 for ruzsa, are skipped.  hi past
+    MAX_PRINTED[family] is refused.
     """
     if family not in ("plane", "ruzsa"):
         raise AnalysisDomainError(f"unknown family {family!r}")
     if lo > hi:
         raise AnalysisDomainError(f"empty range [{lo}, {hi}]")
+    check_printed(family, hi)
     rows = []
     for b in range(lo, hi + 1):
         if not is_prime(b) or (family == "ruzsa" and b < 3):

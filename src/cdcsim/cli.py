@@ -180,8 +180,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_check_appendix(args) -> int:
-    from .analysis import (li_lower_bound_inequality, li_lower_bound_steps,
-                           li_sandwich)
+    from .analysis import (check_printed, li_lower_bound_inequality,
+                           li_lower_bound_steps, li_sandwich)
 
     min_p, max_p = args.min_p, args.max_p
     if min_p < 5:
@@ -190,6 +190,7 @@ def cmd_check_appendix(args) -> int:
         min_p = 5
     if min_p > max_p:
         raise _UsageError(f"--min-p {min_p} exceeds --max-p {max_p}")
+    check_printed("p", max_p)
     checks = []
     for p in range(min_p, max_p + 1):
         main_check = li_lower_bound_inequality(p)

@@ -34,10 +34,11 @@ cuts each local segment it needs with a shift and a mask, XORs its terms
 out of the payload and is left with a square power-sum system at
 distinct points; solved segments are in range by construction and are
 placed into the values with shifts.  The decodes of a transcript share
-its memo of solved systems, keyed by (width, unknown points, the
-receiver's own packed right-hand side): receivers lacking the same
-points of a group pose the same system and solve it once, in any node
-order, and none ever reads another node's values.
+its memo of solved systems, keyed by (width, lane count, unknown points,
+payload, the receiver's own segments of the group), which fix the
+system whole: receivers lacking the same points of a group hold the
+same own segments, so they cancel those terms and solve once, in any
+node order, and none ever reads another node's values.
 
 ADS scheme: one encoder, shuffle_ads, serves every lam.  A pair x < y lies
 in c common blocks, c = lam or lam + 1.  When c >= 1 the pair shares both
@@ -93,6 +94,7 @@ class Message(NamedTuple):
 
 _message_key = itemgetter(0, 1, 2)  # (sender, tag, meta)
 _sender, _tag, _meta, _message_bits, _payload = map(itemgetter, range(5))
+_output = itemgetter(0)  # q of a value key (q, n)
 
 
 class Transcript:
@@ -181,10 +183,12 @@ def decode_sd(s: Scheme, node: int, transcript: Transcript,
     and misread a negative payload.
 
     The transcript's memo holds those systems' solutions, keyed by
-    (width, unknown points, this node's packed right-hand side), so the
-    decodes of one transcript solve each distinct system once.  A node
-    only ever reuses the solution of the very system its own sums pose:
-    what another node read never enters.
+    (width, count, unknown points, payload, this node's own segments of
+    the group).  Own terms are cancelled and the system solved only when
+    that key is new, so the decodes of one transcript do both once per
+    distinct system.  The key fixes the right-hand side, so a node only
+    ever reuses the solution of the very system its own sums pose: what
+    another node read never enters.
     """
     if s.kind != "sd":
         raise SchemeParameterError(f"expected an sd scheme, got {s.kind}")
@@ -197,32 +201,36 @@ def decode_sd(s: Scheme, node: int, transcript: Transcript,
         if u == node:
             continue
         for message_key, count, segments, keys, indices in groups:
-            if all(q in stored for q, _ in keys):
+            if stored.issuperset(map(_output, keys)):
                 continue
             width = T // segments
             mask = (1 << width) - 1
             message = by_key.get(message_key)
             if message is None:
                 raise MissingMessageError(node, message_key)
-            rhs = message.payload
-            if not 0 <= rhs < 1 << count * width:
+            payload = message.payload
+            if not 0 <= payload < 1 << count * width:
                 raise FieldError(f"the payload of {message_key} is outside "
                                  f"[0, 2^{count * width})")
-            unknown = []
+            unknown, known, own = [], [], []
             for j, (q, n) in enumerate(keys):
                 if n in stored:
-                    rhs ^= apply_plan(
-                        power_sum_plan(width, j, count),
-                        table[q][n] >> (segments - 1 - indices[j]) * width
-                        & mask)
+                    known.append(j)
+                    own.append(table[q][n] >> (
+                        segments - 1 - indices[j]) * width & mask)
                 else:
                     unknown.append(j)
-            system = (width, tuple(unknown), rhs)
+            points = tuple(unknown)
+            system = (width, count, points, payload, tuple(own))
             solution = solved.get(system)
-            if solution is None:
+            if solution is None:  # a new system: cancel own terms, solve
+                rhs = payload
+                for j, segment in zip(known, own):
+                    rhs ^= apply_plan(power_sum_plan(width, j, count),
+                                      segment)
                 solution = solved[system] = tuple(unpack_lanes(
-                    apply_plan(solve_plan(width, system[1]), rhs), width,
-                    len(unknown)))
+                    apply_plan(solve_plan(width, points), rhs), width,
+                    len(points)))
             for j, segment in zip(unknown, solution):
                 q, n = keys[j]
                 row, i = rows[at[q]], at[n]

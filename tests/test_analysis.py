@@ -181,8 +181,13 @@ def test_sd_load_formulas():
     (lambda: li_sandwich(4), "defined for p >= 5, got 4"),
     (lambda: sweep("plane", 5, 4), "empty range [5, 4]"),
     (lambda: sweep("ruzsa", 3, 2), "empty range [3, 2]"),
+    (lambda: sweep("plane", 2, 662), "plane 662 is past 661, the largest "
+     "whose exact output stays within 4300-digit numerals"),
+    (lambda: sweep("ruzsa", 3, 1104), "ruzsa 1104 is past 1103, the largest "
+     "whose exact output stays within 4300-digit numerals"),
 ], ids=["ours-v1", "ours-t0", "ours-t8", "jiang-v1", "jiang-t0", "jiang-t8",
-        "steps-p4", "sandwich-p4", "sweep-plane-empty", "sweep-ruzsa-empty"])
+        "steps-p4", "sandwich-p4", "sweep-plane-empty", "sweep-ruzsa-empty",
+        "sweep-plane-printed", "sweep-ruzsa-printed"])
 def test_domain_errors_name_the_argument(call, message):
     """Each formula, check and sweep refuses its arguments outside its
     domain with a message naming them."""

@@ -2,12 +2,13 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdcsim import designs, scheme
+from cdcsim import analysis, designs, scheme
 from cdcsim.cli import EX_OK, EX_UNSUPPORTED, EX_USAGE, EX_VERIFY, main
 from cdcsim.designs import complement_ads, export_ads, ruzsa_ads
 
@@ -269,6 +270,10 @@ _ADS_CSV = st.lists(st.integers(-3, 12).map(str)
 _DOCUMENT = st.sampled_from(["@fano", "@ads", "@missing"])
 # scales past 64: choose_T refuses each (exit 3) before any table is drawn
 _REFUSED_SCALES = [65, 2 ** 20, 10 ** 8]
+# --max past both compare caps and --max-p past check-appendix's: each is
+# refused (exit 3) before any term is computed
+_REFUSED_MAX = [1104, 2 ** 20, 10 ** 8]
+_REFUSED_MAX_P = [1107, 2 ** 20, 10 ** 8]
 _ARGV = (
     _command("design", always=[_sources("--verify")])
     | _command("simulate", _flag("--seed", _SMALL),
@@ -278,10 +283,11 @@ _ARGV = (
                        _sources("--design")])
     | _command("compare",
                _flag("--family", st.sampled_from(["plane", "ruzsa"])),
-               _flag("--min", _SMALL), _flag("--max", _SMALL),
+               _flag("--min", _SMALL),
+               _flag("--max", _SMALL | st.sampled_from(_REFUSED_MAX)),
                _flag("--decimal"))
     | _command("check-appendix", _flag("--min-p", _SMALL),
-               _flag("--max-p", _SMALL))
+               _flag("--max-p", _SMALL | st.sampled_from(_REFUSED_MAX_P)))
     | _command("bogus"))
 
 
@@ -597,3 +603,34 @@ def test_check_appendix_clamps_low_p(capsys):
     assert code == EX_OK
     assert "clamping" in err
     assert [c["p"] for c in json.loads(out)["checks"]] == [5, 6]
+
+
+@pytest.mark.parametrize("command, cap, first_failure", [
+    ("compare --family plane --min {} --max {}", 661, 673),
+    ("compare --family ruzsa --min {} --max {}", 1103, 1109),
+    ("check-appendix --min-p {} --max-p {}", 1106, 1107),
+], ids=["plane", "ruzsa", "appendix"])
+def test_analysis_caps(capsys, monkeypatch, command, cap, first_failure):
+    """The last accepted parameter prints, its longest numeral just under
+    CPython's 4300-digit int-to-str limit.  One past it, and at the first
+    value whose output once raised ValueError on that limit, the command
+    exits 3 before any term is computed."""
+    code, out, err = run(capsys, *command.format(cap, cap).split())
+    assert (code, err) == (EX_OK, "")
+    if command.startswith("compare"):
+        assert int(out.splitlines()[-1].split(",")[1]) == cap
+    else:
+        assert [c["p"] for c in json.loads(out)["checks"]] == [cap]
+    assert 4200 < max(map(len, re.findall(r"\d+", out))) <= 4300
+
+    def computed(*args):
+        raise AssertionError("a term was computed")
+
+    for name in ("li_load", "li_lower_bound_inequality",
+                 "li_lower_bound_steps", "li_sandwich"):
+        monkeypatch.setattr(analysis, name, computed)
+    name = command.split()[2] if command.startswith("compare") else "p"
+    for top in (cap + 1, first_failure):
+        code, out, err = run(capsys, *command.format(cap, top).split())
+        assert (code, out) == (EX_UNSUPPORTED, "")
+        assert err.startswith(f"unsupported: {name} {top} is past {cap},")

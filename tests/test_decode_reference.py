@@ -16,7 +16,9 @@ from test_shuffle import SHARED_ADS_SCHEMES, SHARED_SD_SCHEMES, fresh
 
 
 def reference_decode_sd(s, node, transcript, ivs):
-    """decode_sd value by value, into a dict keyed (q, n); payload range
+    """decode_sd value by value, into a dict keyed (q, n), with the same
+    memo: a system keyed by (width, count, unknown points, payload, own
+    segments), own terms cancelled only when it is new; payload range
     checks left out, as every payload here is in range."""
     T, values, solved = ivs.T, ivs.values, transcript.memo
     by_key, stored = transcript.by_key, set(s.placement[node])
@@ -32,21 +34,23 @@ def reference_decode_sd(s, node, transcript, ivs):
             message = by_key.get(message_key)
             if message is None:
                 raise MissingMessageError(node, message_key)
-            rhs = message.payload
-            unknown = []
+            unknown, own = [], {}
             for j, key in enumerate(keys):
                 if key[1] in stored:
-                    rhs ^= apply_plan(
-                        power_sum_plan(width, j, count),
-                        values[key] >> (segments - 1 - indices[j]) * width
-                        & mask)
+                    own[j] = values[key] >> (
+                        segments - 1 - indices[j]) * width & mask
                 else:
                     unknown.append(j)
-            system = (width, tuple(unknown), rhs)
+            system = (width, count, tuple(unknown), message.payload,
+                      tuple(own.values()))
             solution = solved.get(system)
             if solution is None:
+                rhs = message.payload
+                for j, segment in own.items():
+                    rhs ^= apply_plan(power_sum_plan(width, j, count),
+                                      segment)
                 solution = solved[system] = tuple(unpack_lanes(
-                    apply_plan(solve_plan(width, system[1]), rhs), width,
+                    apply_plan(solve_plan(width, system[2]), rhs), width,
                     len(unknown)))
             for j, segment in zip(unknown, solution):
                 out[keys[j]] = out.get(keys[j], 0) | segment << (

@@ -12,7 +12,7 @@ from cdcsim.analysis import ads_load, ours_sd_load
 from cdcsim.designs import (classify_ads, complement_ads, develop,
                             projective_plane, require_symmetric_design,
                             ruzsa_ads)
-from cdcsim.gf import BinaryField, FieldError
+from cdcsim.gf import BinaryField, FieldError, power_sum_plan
 from cdcsim import shuffle
 from cdcsim.scheme import (IncompleteRecoveryError, IVTable, Scheme,
                            SchemeParameterError, ValueRows,
@@ -398,18 +398,48 @@ def test_decode_sd_shared_solves_match_per_node(name):
 
 @pytest.mark.parametrize("name", sorted(SHARED_SD_SCHEMES))
 def test_decode_sd_shared_solves_keep_nodes_apart(name):
-    """A memo first filled by decodes against other stored values hands
-    none of them on: a system is keyed by the decoding node's own
-    right-hand sides, so every node still decodes exactly."""
+    """A memo first filled by decodes against other stored values, each
+    with its lowest bit flipped, hands none of them on: a system is keyed
+    by the payload and the decoding node's own segments, so every node
+    still decodes exactly."""
     s = SHARED_SD_SCHEMES[name]()
     result = run(s, 2, choose_T(s))
     ivs = result.ivs
     flipped = doctored(ivs, lambda q, n, v: v ^ 1)
     shared = fresh(result.transcript)
+    wrong = 0
     for node in range(s.K):
-        decode_sd(s, node, shared, flipped)
+        wrong += decode_sd(s, node, shared, flipped) != \
+            needed_values(s, ivs, node)
+    assert wrong > 0
     for node in range(s.K):
         assert decode_sd(s, node, shared, ivs) == needed_values(s, ivs, node)
+
+
+@pytest.mark.parametrize("name", ["fano", "plane3"])
+def test_decode_sd_cancels_own_terms_once_per_system(name, monkeypatch):
+    """Over a full decode, decode_sd applies one power-sum plan per own
+    segment of each distinct system, the last part of its memo key, and
+    none for a system already in the memo: fewer than the nodes pose
+    when each decodes alone, since at lam = 1 the t - 1 other blocks
+    through a point pose each system."""
+    s = SHARED_SD_SCHEMES[name]()
+    result = run(s, 3, choose_T(s))
+    applied = []
+
+    def counted(width, j, count):
+        applied.append(j)
+        return power_sum_plan(width, j, count)
+
+    monkeypatch.setattr(shuffle, "power_sum_plan", counted)
+    shared = fresh(result.transcript)
+    for node in range(s.K):
+        decode_sd(s, node, shared, result.ivs)
+    assert len(applied) == sum(len(own) for *_, own in shared.memo) > 0
+    del applied[:]
+    for node in range(s.K):
+        decode_sd(s, node, fresh(result.transcript), result.ivs)
+    assert len(applied) > sum(len(own) for *_, own in shared.memo)
 
 
 def sd_readers(s, message):
