@@ -20,11 +20,10 @@ _EXPORTS = {
         "ours_sd_load", "sweep", "sweep_csv"),
     "designs": (
         "AdsReport", "AlmostDifferenceSet", "DesignParameterError",
-        "DesignVerificationError", "DesignViolation", "Development",
-        "SymmetricDesign", "classify_ads", "complement_ads", "develop",
-        "export_ads", "export_design", "projective_plane",
-        "require_symmetric_design", "ruzsa_ads", "smallest_primitive_root",
-        "verify_symmetric_design"),
+        "DesignVerificationError", "DesignViolation", "SymmetricDesign",
+        "classify_ads", "complement_ads", "develop", "export_ads",
+        "export_design", "projective_plane", "require_symmetric_design",
+        "ruzsa_ads", "smallest_primitive_root", "verify_symmetric_design"),
     "gf": ("BinaryField", "FieldError", "is_prime"),
     "scheme": (
         "IncompleteRecoveryError", "IVTable", "Scheme",

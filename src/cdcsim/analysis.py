@@ -186,11 +186,10 @@ def li_sandwich(p: int) -> Sandwich:
                     holds=lower < value < upper)
 
 
-# The largest parameter of each report whose exact output prints.  The
-# next parameter with a row of its own (plane 673, ruzsa 1109, p = 1107,
-# the first failures measured) has a numeral of more than 4300 digits,
-# CPython's default limit for converting an int to str
-# (sys.get_int_max_str_digits).
+# The largest parameter of each report whose exact output prints.  The next
+# parameter with a row of its own (plane 673, ruzsa 1109, p = 1107, the first
+# failures measured) has a numeral of more than 4300 digits, CPython's
+# default int-to-str limit, at which cli.entry fixes it.
 MAX_PRINTED = {"plane": 661, "ruzsa": 1103, "p": 1106}
 
 

@@ -19,8 +19,10 @@ cyclic garbage collector off.  A command's data (value table,
 transcript, decode memo, decodes, reduce outputs) holds no reference
 cycle, so reference counting frees all of it: the collector's passes,
 up to 166 in one ADS run, only ever freed the same 73 objects made at
-import time.  The process exits when main() returns.  Library callers
-of main() keep their collector as it is.
+import time.  It also sets the int-to-str digit limit to 4300, CPython's
+default, which analysis.MAX_PRINTED assumes.  The process exits when
+main() returns.  Library callers of main() keep their collector and
+their limit.
 """
 
 from __future__ import annotations
@@ -105,8 +107,7 @@ def _source(args, path: Optional[str], scheme: Optional[str] = None,
                 data = json.load(fh)
         except OSError as e:
             raise _UsageError(f"cannot read {path}: {e.strerror}")
-        except (UnicodeDecodeError, json.JSONDecodeError,
-                RecursionError) as e:  # nested deeper than the parser goes
+        except (ValueError, RecursionError) as e:  # syntax, bytes, depth, int
             raise DesignVerificationError(f"{path} is not JSON: {e}")
         if isinstance(data, dict) and "blocks" in data:
             kind = "sd"
@@ -137,26 +138,17 @@ def cmd_design(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .analysis import ads_load, ours_sd_load
-    from .designs import AlmostDifferenceSet, SymmetricDesign, develop
     from .scheme import Scheme, choose_T, scheme_to_json
     from .shuffle import run, transcript_chunks
 
-    source = _source(args, args.design, args.scheme)
-    if isinstance(source, SymmetricDesign):
-        s = Scheme(source)
-        formula = ours_sd_load(source.v, source.t)
-    else:
-        assert isinstance(source, AlmostDifferenceSet)
-        s = Scheme(develop(source))
-        formula = ads_load(source.n, source.k, source.lam)
+    s = Scheme(_source(args, args.design, args.scheme))
     T = choose_T(s, args.scale)
     result = run(s, args.seed, T)
     report = {
         "r": s.r, "s": s.s, "T": T,
         "total_bits": result.transcript.total_bits,
-        "L_measured": str(result.load), "L_formula": str(formula),
-        "match": result.load == formula, "decode_ok": result.decode_ok,
+        "L_measured": str(result.load), "L_formula": str(s.formula),
+        "match": result.load == s.formula, "decode_ok": result.decode_ok,
     }
     if args.transcript is not None:
         _write_out(transcript_chunks(result.transcript), args.transcript)
@@ -309,4 +301,6 @@ def entry() -> None:
     import gc  # here, so that importing cdcsim.cli loads nothing more
 
     gc.disable()  # see the module docstring
+    if hasattr(sys, "set_int_max_str_digits"):  # CPython 3.10.7 and later
+        sys.set_int_max_str_digits(4300)
     sys.exit(main())

@@ -6,8 +6,8 @@ symmetric designs, and (n, k, lambda, mu) almost difference sets in Z_n
 together with the check that their n translates D + r form a development.
 
 Symmetric designs are stored canonically: each block ascending, the block
-list sorted lexicographically.  A development holds only its source: the
-ads Scheme builds the translates D + r in translate order r = 0..n-1.
+list sorted lexicographically.  Scheme takes either source itself and
+develops an ADS, building its translates D + r in order r = 0..n-1.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ class AdsReport(NamedTuple):
 
 
 class Development(NamedTuple):
-    """An ADS checked by develop; Scheme.placement builds its translates."""
+    """An ADS checked by develop: the design of an ads Scheme."""
 
     source: AlmostDifferenceSet
 
@@ -414,14 +414,14 @@ def complement_ads(a: AlmostDifferenceSet) -> AlmostDifferenceSet:
 
 def develop(a: AlmostDifferenceSet) -> Development:
     """Check that the n translates D + r of an ADS form a development;
-    Scheme.placement builds them.  Needs lam < k-1 so the translates are
-    pairwise distinct and 1 <= mu <= n-2 so the result is a proper
-    1-design rather than a 2-design.  The pair (x, y) lies in the
-    translates D + r with x - r and y - r in D, exactly diff_D(y - x) of
-    them, so the pair census is the difference histogram: D is classified
-    again, in O(k^2), and parameters other than a's raise AssertionError.
-    Then each point lies in k blocks, and no two translates are equal,
-    since diff_D never reaches k.
+    Scheme(a) runs this check, and its placement builds them.  Needs
+    lam < k-1 so the translates are pairwise distinct and 1 <= mu <= n-2 so
+    the result is a proper 1-design rather than a 2-design.  The pair (x, y)
+    lies in the translates D + r with x - r and y - r in D, exactly
+    diff_D(y - x) of them, so the pair census is the difference histogram:
+    D is classified again, in O(k^2), and parameters other than a's raise
+    AssertionError.  Then each point lies in k blocks, and no two
+    translates are equal, since diff_D never reaches k.
     """
     if a.lam >= a.k - 1:
         raise DesignParameterError(

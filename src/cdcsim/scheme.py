@@ -1,7 +1,7 @@
 """Map/Reduce scheme construction on top of a design.
 
 A Scheme fixes the file placement and reduce assignment for K nodes over N
-files and Q output functions, and all of them follow from its design
+files and Q output functions, and all of them follow from its source
 alone.  Both constructions here use K = N = Q: the symmetric-design scheme
 stores block B at node B and reduces the complement, the ADS scheme
 stores and reduces translate D + r at node r.
@@ -22,7 +22,9 @@ from itertools import compress, product, repeat
 from operator import itemgetter, not_, rshift
 from typing import Callable, Dict, NamedTuple, Sequence, Tuple, Union
 
-from .designs import Development, SymmetricDesign, blocks_through
+from .analysis import ads_load, ours_sd_load
+from .designs import (AlmostDifferenceSet, Development, SymmetricDesign,
+                      blocks_through, develop)
 from .gf import MAX_DEGREE, BinaryField
 
 
@@ -44,22 +46,26 @@ class IncompleteRecoveryError(RuntimeError):
 
 class Scheme:
     """Placement and reduce assignment for one Map/Reduce run, all worked
-    out from its design: a SymmetricDesign gives an sd scheme, a
-    Development an ads one.  Node u stores block u, so K = N = Q = v or n
-    and r = t or k; s is the size of a node's reduce set, its block's
-    complement (sd, s = N - r) or its block (ads, s = r).  An sd scheme
-    needs t > lam + 1, so that every node both sends and decodes coded
-    signals.  All else that differs by kind is settled here too, from the
-    parameters alone: rule, the (segment counts, power-sum codes as
-    (segments, coding points)) that constrain the bit width T;
-    message_count, the shuffle messages of one run; and params, as
-    scheme_to_json writes them.  Building one costs O(1) for either kind:
-    the placement, reduce sets and incidence maps below are computed
-    once, on first use, so choose_T can refuse a run before any translate
-    or N^2 table exists.
+    out from its source: a SymmetricDesign gives an sd scheme, an
+    AlmostDifferenceSet an ads one, checked by develop and kept as its
+    Development (also taken as input).  Node u stores block u, so
+    K = N = Q = v or n and r = t or k; s is the size of a node's reduce
+    set, its block's complement (sd, s = N - r) or its block (ads,
+    s = r).  An sd scheme needs t > lam + 1, so that every node both
+    sends and decodes coded signals.  All else that differs by kind is
+    settled here too, from the parameters alone: rule, the (segment
+    counts, power-sum codes as (segments, coding points)) that constrain
+    the bit width T; message_count, the shuffle messages of one run;
+    params, as scheme_to_json writes them; and formula, the paper's load.
+    Past develop's O(k^2) check, building one costs O(1): the placement,
+    reduce sets and incidence maps below are computed once, on first use,
+    so choose_T can refuse a run before any translate or N^2 table exists.
     """
 
-    def __init__(self, design: Union[SymmetricDesign, Development]):
+    def __init__(self, design: Union[SymmetricDesign, AlmostDifferenceSet,
+                                     Development]):
+        if isinstance(design, AlmostDifferenceSet):
+            design = develop(design)
         self.design = design
         if isinstance(design, SymmetricDesign):
             v, t, lam = design.v, design.t, design.lam
@@ -74,6 +80,7 @@ class Scheme:
             # each node sends its diagonal group and one per file it stores
             self.message_count = v * (t + 1)
             self.params = {"v": v, "t": t, "lam": lam}
+            self.formula = ours_sd_load(v, t)
         else:
             source = design.source
             n, k, lam = source.n, source.k, source.lam
@@ -87,6 +94,7 @@ class Scheme:
             self.message_count = (
                 sums if lam else sums + 2 * k * (math.comb(n, 2) - sums))
             self.params = source._asdict()  # n, k, lam, mu and D
+            self.formula = ads_load(n, k, lam)
         self.N = self.Q = self.K
 
     @cached_property

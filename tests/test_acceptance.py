@@ -16,7 +16,7 @@ from cdcsim.analysis import (ads_load, jiang_load, li_load, li_sandwich,
                              ours_sd_load)
 from cdcsim.cli import EX_OK, main
 from cdcsim.designs import (SymmetricDesign, classify_ads, complement_ads,
-                            develop, projective_plane, ruzsa_ads,
+                            projective_plane, ruzsa_ads,
                             verify_symmetric_design)
 from cdcsim.scheme import Scheme
 
@@ -56,29 +56,27 @@ def test_criterion_02_larger_planes():
 
 
 def test_criterion_03_ads_positive_lambda():
-    load, _, _ = run_end_to_end(
-        Scheme(develop(classify_ads([0, 1, 3], 6))))
+    load, _, _ = run_end_to_end(Scheme(classify_ads([0, 1, 3], 6)))
     ok = load == Fraction(5, 12)
     cases = [complement_ads(ruzsa_ads(p)) for p in (3, 5, 7)]
     cases.append(classify_ads([0, 1, 3], 6))
     cases.append(classify_ads([0, 1, 2, 5], 8))
     for a in cases:
         assert a.n <= 50 and 1 <= a.lam < a.k - 1
-        load, _, _ = run_end_to_end(Scheme(develop(a)))
+        load, _, _ = run_end_to_end(Scheme(a))
         ok = ok and load == Fraction(a.n - 1, 2 * a.n)
     verdict("criterion 3: lam >= 1 schemes hit (n-1)/(2n) exactly "
             "(5 ADS up to n = 42, (6,3,1,4) gives 5/12)", ok)
 
 
 def test_criterion_04_golomb_schemes():
-    load, _, _ = run_end_to_end(
-        Scheme(develop(classify_ads([0, 1], 6))))
+    load, _, _ = run_end_to_end(Scheme(classify_ads([0, 1], 6)))
     ok = load == Fraction(2, 3)
     elapsed_11 = None
     for p in (3, 5, 7, 11):
         a = ruzsa_ads(p)
         start = time.perf_counter()
-        load, _, _ = run_end_to_end(Scheme(develop(a)))
+        load, _, _ = run_end_to_end(Scheme(a))
         elapsed = time.perf_counter() - start
         expected = Fraction(2 * (a.n - 1) - a.k * (a.k - 1), 2 * a.n)
         assert expected == Fraction(p * p + p - 4, 2 * (p * p - p))

@@ -23,9 +23,12 @@ MALFORMED_ADS = ['{"n":6,"D":5}', '{"n":"x","D":[0,1,3]}',
 BAD_CONTENT = ['{"blocks":[[0,1]]}', '{"n":6,"D":[0,9]}',
                '{"n":6,"D":[0,0,1]}']
 # bytes the JSON parser cannot take: nesting past its recursion limit,
-# and a byte that is not UTF-8
+# a byte that is not UTF-8, and integers past CPython's default
+# 4300-digit limit for reading one
 NOT_JSON = [b"[" * 1500 + b"]" * 1500, b'{"n":6,"D":' + b"[" * 1500,
-            b'{"n":6,"D":[0,1,3]}\xff']
+            b'{"n":6,"D":[0,1,3]}\xff',
+            b'{"v":' + b"1" * 5000 + b',"blocks":[]}',
+            b'{"n":7,"D":[' + b"1" * 5000 + b"]}"]
 
 
 def run(capsys, *argv):

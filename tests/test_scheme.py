@@ -6,7 +6,8 @@ import tracemalloc
 import pytest
 
 from cdcsim import scheme
-from cdcsim.designs import (classify_ads, complement_ads, develop,
+from cdcsim.designs import (AlmostDifferenceSet, DesignParameterError,
+                            classify_ads, complement_ads, develop,
                             projective_plane, require_symmetric_design,
                             ruzsa_ads)
 from cdcsim.gf import FieldError
@@ -39,19 +40,45 @@ def test_sd_scheme_rejects_tight_designs():
 
 def test_ads_scheme_shape():
     a = classify_ads([0, 1, 3], 6)
-    s = Scheme(develop(a))
+    s = Scheme(a)
     assert (s.kind, s.K, s.N, s.Q, s.r, s.s) == ("ads", 6, 6, 6, 3, 3)
     assert s.placement == s.assignment
     assert s.placement[4] == (1, 4, 5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: classify_ads([0, 1, 3], 6), lambda: ruzsa_ads(5),
+    lambda: complement_ads(ruzsa_ads(5)),
+], ids=["ads-634", "ruzsa5", "ruzsa5-complement"])
+def test_scheme_of_an_ads_is_the_scheme_of_its_development(make):
+    """Scheme(a) keeps develop(a) as its design, and a Development, the
+    input perfbench/replay.py passes, gives the same scheme."""
+    a = make()
+    s, via = Scheme(a), Scheme(develop(a))
+    assert s.design == via.design == develop(a)
+    assert s.design.source is a
+    for name in ("placement", "assignment", "rule", "message_count",
+                 "params", "formula"):
+        assert getattr(s, name) == getattr(via, name), name
+
+
+def test_scheme_of_an_ads_raises_what_develop_raises():
+    for a in (AlmostDifferenceSet(n=6, k=3, lam=2, mu=3, D=(0, 1, 3)),
+              classify_ads([1, 2, 4], 7)):  # lam = k - 1; mu = 6 = n - 1
+        with pytest.raises(DesignParameterError) as by_develop:
+            develop(a)
+        with pytest.raises(DesignParameterError) as by_scheme:
+            Scheme(a)
+        assert str(by_scheme.value) == str(by_develop.value)
 
 
 def test_choose_T_values():
     assert choose_T(fano_scheme()) == 6
     assert choose_T(Scheme(projective_plane(3))) == 8
     assert choose_T(Scheme(projective_plane(5))) == 18
-    assert choose_T(Scheme(develop(classify_ads([0, 1, 3], 6)))) == 2
-    assert choose_T(Scheme(develop(ruzsa_ads(3)))) == 2
-    assert choose_T(Scheme(develop(ruzsa_ads(5)))) == 4
+    assert choose_T(Scheme(classify_ads([0, 1, 3], 6))) == 2
+    assert choose_T(Scheme(ruzsa_ads(3))) == 2
+    assert choose_T(Scheme(ruzsa_ads(5))) == 4
     assert choose_T(fano_scheme(), scale=3) == 18
 
 
@@ -124,7 +151,7 @@ def test_choose_T_bounds_an_ads_scale():
     """No width passes MAX_DEGREE times the lcm of the segment counts, so
     (6,3,1,4), counts (1, 2), takes scale 64 at most.  Scale 10^8 is
     refused from the parameters alone, drawing no value."""
-    s = Scheme(develop(classify_ads([0, 1, 3], 6)))
+    s = Scheme(classify_ads([0, 1, 3], 6))
     tracemalloc.start()
     try:
         with pytest.raises(SchemeParameterError,
@@ -144,7 +171,7 @@ def test_choose_T_bounds_the_value_table():
     are still sized."""
     tracemalloc.start()
     try:
-        s = Scheme(develop(ruzsa_ads(23)))
+        s = Scheme(ruzsa_ads(23))
         with pytest.raises(SchemeParameterError,
                            match=r"Q\*N=256036 intermediate values exceed "
                                  r"131072"):
@@ -153,9 +180,9 @@ def test_choose_T_bounds_the_value_table():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
-    assert choose_T(Scheme(develop(ruzsa_ads(19)))) == 18
-    assert choose_T(Scheme(develop(ruzsa_ads(17)))) == 16
-    assert choose_T(Scheme(develop(complement_ads(ruzsa_ads(7)))),
+    assert choose_T(Scheme(ruzsa_ads(19))) == 18
+    assert choose_T(Scheme(ruzsa_ads(17))) == 16
+    assert choose_T(Scheme(complement_ads(ruzsa_ads(7))),
                     scale=64) == 59520
 
 
@@ -165,7 +192,7 @@ def test_choose_T_refuses_a_large_ads_group_before_any_translate():
     10^10 values, and the refusal stays within 1 MiB."""
     tracemalloc.start()
     try:
-        s = Scheme(develop(classify_ads([0, 1, 3], 10 ** 5)))
+        s = Scheme(classify_ads([0, 1, 3], 10 ** 5))
         with pytest.raises(SchemeParameterError,
                            match=r"Q\*N=10000000000 intermediate values"):
             choose_T(s)
@@ -180,7 +207,7 @@ def test_choose_T_value_bound_is_inclusive_and_last(monkeypatch):
     """A table of exactly MAX_VALUES values is accepted and one more is
     not, for either kind; a width refused on its field or its scale keeps
     that message whatever the table size."""
-    ads, fano = Scheme(develop(ruzsa_ads(5))), fano_scheme()
+    ads, fano = Scheme(ruzsa_ads(5)), fano_scheme()
     monkeypatch.setattr(scheme, "MAX_VALUES", 400)
     assert choose_T(ads) == 4
     monkeypatch.setattr(scheme, "MAX_VALUES", 399)
@@ -203,7 +230,7 @@ def test_choose_T_bounds_the_value_bits():
     complement of ruzsa 7 at scale 64 (1.05 * 10^8 bits), that of ruzsa 13
     at scale 1 (4.3 * 10^8), ruzsa 17 and plane 13 are still sized.  Plane
     17's 8.5 * 10^6 bits fit; it is refused on its field alone."""
-    wide = [Scheme(develop(complement_ads(ruzsa_ads(p)))) for p in (13, 17)]
+    wide = [Scheme(complement_ads(ruzsa_ads(p))) for p in (13, 17)]
     tracemalloc.start()
     try:
         for s, bits in zip(wide, (27343540224, 273871011840)):
@@ -215,10 +242,10 @@ def test_choose_T_bounds_the_value_bits():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
-    assert choose_T(Scheme(develop(complement_ads(ruzsa_ads(7)))),
+    assert choose_T(Scheme(complement_ads(ruzsa_ads(7))),
                     scale=64) == 59520
     assert choose_T(wide[0]) == 17556  # 4.3 * 10^8 bits at scale 1
-    assert choose_T(Scheme(develop(ruzsa_ads(17)))) == 16
+    assert choose_T(Scheme(ruzsa_ads(17))) == 16
     assert choose_T(Scheme(projective_plane(13))) == 56
     plane17 = Scheme(projective_plane(17))
     assert plane17.Q * plane17.N * 90 == 8482410 <= scheme.MAX_VALUE_BITS
@@ -230,7 +257,7 @@ def test_choose_T_bits_bound_is_inclusive_and_last(monkeypatch):
     """A table of exactly MAX_VALUE_BITS bits is accepted and one bit more
     is not; a table refused on its value count keeps that message.  The
     bits bound is the last bound on the value table."""
-    ads = Scheme(develop(ruzsa_ads(5)))  # 400 values of 4 bits
+    ads = Scheme(ruzsa_ads(5))  # 400 values of 4 bits
     monkeypatch.setattr(scheme, "MAX_VALUE_BITS", 1600)
     assert choose_T(ads) == 4
     monkeypatch.setattr(scheme, "MAX_VALUE_BITS", 1599)
@@ -247,9 +274,9 @@ def test_message_count_from_the_parameters():
     also 2k plain segments per pair in no common block; K (t + 1) groups
     for sd."""
     counts = {
-        "ruzsa11": (Scheme(develop(ruzsa_ads(11))), 25850),
-        "comp7": (Scheme(develop(complement_ads(ruzsa_ads(7)))), 26460),
-        "comp13": (Scheme(develop(complement_ads(ruzsa_ads(13)))), 1606176),
+        "ruzsa11": (Scheme(ruzsa_ads(11)), 25850),
+        "comp7": (Scheme(complement_ads(ruzsa_ads(7))), 26460),
+        "comp13": (Scheme(complement_ads(ruzsa_ads(13))), 1606176),
         "plane13": (Scheme(projective_plane(13)), 2745),
     }
     for name, (s, count) in counts.items():
@@ -262,7 +289,7 @@ def test_choose_T_bounds_the_message_count(monkeypatch):
     not, for either kind, and the message bound is checked last: a table
     past its bits keeps that message.  The real bound still takes the
     complement of ruzsa 13 at scale 1, 1 606 176 messages."""
-    ads, fano = Scheme(develop(ruzsa_ads(5))), fano_scheme()  # 680, 28
+    ads, fano = Scheme(ruzsa_ads(5)), fano_scheme()  # 680, 28
     monkeypatch.setattr(scheme, "MAX_MESSAGES", 680)
     assert choose_T(ads) == 4
     monkeypatch.setattr(scheme, "MAX_MESSAGES", 679)
@@ -280,7 +307,7 @@ def test_choose_T_bounds_the_message_count(monkeypatch):
         choose_T(fano)
     monkeypatch.undo()
     assert scheme.MAX_MESSAGES >= 1606176
-    assert choose_T(Scheme(develop(complement_ads(ruzsa_ads(13))))) == 17556
+    assert choose_T(Scheme(complement_ads(ruzsa_ads(13)))) == 17556
 
 
 def test_picker_gives_a_tuple_at_every_size():
@@ -341,7 +368,7 @@ def test_generate_ivs_deterministic():
 
 def test_generate_ivs_long_width():
     """Widths past one hash digest still come out deterministic."""
-    s = Scheme(develop(classify_ads([0, 1], 6)))
+    s = Scheme(classify_ads([0, 1], 6))
     a = generate_ivs(s, 7, 600)
     assert a == generate_ivs(s, 7, 600)
     assert any(value >= 1 << 512 for value in a.values.values())
@@ -364,7 +391,7 @@ def reference_value(seed, q, n, T):
 def test_generate_ivs_matches_the_digest_stream(seed, T):
     """Every value equals its digest-by-digest reference, across one, two
     and four digests and at each digest boundary."""
-    s = Scheme(develop(classify_ads([0, 1], 6)))
+    s = Scheme(classify_ads([0, 1], 6))
     assert generate_ivs(s, seed, T).values == {
         (q, n): reference_value(seed, q, n, T)
         for q in range(s.Q) for n in range(s.N)}
@@ -393,7 +420,7 @@ def test_node_view_fano():
 
 
 def test_node_view_ads():
-    s = Scheme(develop(classify_ads([0, 1, 3], 6)))
+    s = Scheme(classify_ads([0, 1, 3], 6))
     view = node_view(s, 0)
     assert view.needed == {(q, n) for q in (0, 1, 3) for n in (2, 4, 5)}
     with pytest.raises(SchemeParameterError):
@@ -406,8 +433,8 @@ LACKING_SCHEMES = {
     "paley11": lambda: Scheme(require_symmetric_design(
         11, [tuple(sorted((d + r) % 11 for d in (1, 3, 4, 5, 9)))
              for r in range(11)])),
-    "ads-634": lambda: Scheme(develop(classify_ads([0, 1, 3], 6))),
-    "ruzsa5": lambda: Scheme(develop(ruzsa_ads(5))),
+    "ads-634": lambda: Scheme(classify_ads([0, 1, 3], 6)),
+    "ruzsa5": lambda: Scheme(ruzsa_ads(5)),
 }
 
 
@@ -457,7 +484,7 @@ def test_reduce_outputs_missing_value():
 
 
 @pytest.mark.parametrize("make_scheme", [
-    fano_scheme, lambda: Scheme(develop(classify_ads([0, 1, 3], 6))),
+    fano_scheme, lambda: Scheme(classify_ads([0, 1, 3], 6)),
 ], ids=["fano", "ads-634"])
 def test_reduce_outputs_names_the_first_missing_value(make_scheme):
     """With several values missing, the witness is the first of them: the
@@ -484,6 +511,6 @@ def test_scheme_json():
     assert doc["kind"] == "sd"
     assert doc["params"] == {"v": 7, "t": 3, "lam": 1}
     assert doc["placement"][0] == [0, 1, 3]
-    a = Scheme(develop(classify_ads([0, 1], 6)))
+    a = Scheme(classify_ads([0, 1], 6))
     doc = json.loads(scheme_to_json(a))
     assert doc["params"] == {"n": 6, "k": 2, "lam": 0, "mu": 3, "D": [0, 1]}

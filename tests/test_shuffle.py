@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdcsim.analysis import ads_load, ours_sd_load
-from cdcsim.designs import (classify_ads, complement_ads, develop,
-                            projective_plane, require_symmetric_design,
-                            ruzsa_ads)
+from cdcsim.designs import (classify_ads, complement_ads, projective_plane,
+                            require_symmetric_design, ruzsa_ads)
 from cdcsim.gf import BinaryField, FieldError, power_sum_plan
 from cdcsim import shuffle
 from cdcsim.scheme import (IncompleteRecoveryError, IVTable, Scheme,
@@ -31,7 +30,7 @@ def fano_scheme():
 
 
 def ads_scheme(D, n):
-    return Scheme(develop(classify_ads(D, n)))
+    return Scheme(classify_ads(D, n))
 
 
 def transcript_for(s, seed):
@@ -73,6 +72,7 @@ def run_end_to_end(s, seed=0, scale=1):
             assert value == oracle[q]
     assert nodes == list(range(s.K))
     assert result.decode_ok
+    assert result.load == s.formula
     return result.load, result.transcript, ivs
 
 
@@ -175,22 +175,22 @@ def sha256_jsonl(transcript):
     (lambda: ads_scheme([0, 1], 6), 1,
      "2a242a5695a98410884c9421b621214e1a62ac70525fb6b8ffcef37feafbf033",
      None),
-    (lambda: Scheme(develop(ruzsa_ads(7))), 1,
+    (lambda: Scheme(ruzsa_ads(7)), 1,
      "0ea47df4a3f2b30f30181bc48fd63baab266a239e919c3f9c66e8c80e041c741",
      None),
-    (lambda: Scheme(develop(complement_ads(ruzsa_ads(5)))), 1,
+    (lambda: Scheme(complement_ads(ruzsa_ads(5))), 1,
      "ec2130f77fd8c80557576dabd0fb07fb62e584c3e41b91ebe9809357ab6d55c3",
      None),
-    (lambda: Scheme(develop(ruzsa_ads(5))), 1,
+    (lambda: Scheme(ruzsa_ads(5)), 1,
      "3c6e229cb93f478abfc6925a058ae2a05fca039fde799b34b29773f0e739d95a",
      None),
-    (lambda: Scheme(develop(complement_ads(ruzsa_ads(3)))), 1,
+    (lambda: Scheme(complement_ads(ruzsa_ads(3))), 1,
      "ea1dc215a0d1060cef1b4643943ed547a27e1971725d0c977cad2b1021217d07",
      None),
-    (lambda: Scheme(develop(ruzsa_ads(11))), 1,
+    (lambda: Scheme(ruzsa_ads(11)), 1,
      "a6ce4258e92bec5348d6633e1d7e187d981f20600749a0e21d61af69ac43efb0",
      None),
-    (lambda: Scheme(develop(complement_ads(ruzsa_ads(7)))), 1,
+    (lambda: Scheme(complement_ads(ruzsa_ads(7))), 1,
      "0518ff4f7ff60f66cbe0a2aed66b894da9ea00abc5e0a56b832bc8d46ccace01",
      None),
 ], ids=["plane2", "plane3", "plane3-scale4", "plane7", "fano-complement",
@@ -288,7 +288,7 @@ def test_run_verdict_on_a_wrong_decode(monkeypatch, make_scheme, fault):
 
 
 @pytest.mark.parametrize("make_scheme,encode,bound", [
-    (lambda: Scheme(develop(ruzsa_ads(7))), shuffle_ads, 1.5),
+    (lambda: Scheme(ruzsa_ads(7)), shuffle_ads, 1.5),
     (lambda: Scheme(projective_plane(5)), shuffle_sd, 4),
 ], ids=["ruzsa7", "plane5"])
 def test_run_holds_one_node_decode_at_a_time(make_scheme, encode, bound):
@@ -583,9 +583,8 @@ def test_decode_sd_payload_range_checked(name):
 SHARED_ADS_SCHEMES = {
     "ads-634": lambda: ads_scheme([0, 1, 3], 6),
     "golomb-620": lambda: ads_scheme([0, 1], 6),
-    "ruzsa5": lambda: Scheme(develop(ruzsa_ads(5))),
-    "ruzsa3-complement": lambda: Scheme(
-        develop(complement_ads(ruzsa_ads(3)))),
+    "ruzsa5": lambda: Scheme(ruzsa_ads(5)),
+    "ruzsa3-complement": lambda: Scheme(complement_ads(ruzsa_ads(3))),
 }
 
 
@@ -806,7 +805,7 @@ def memo_entries(s, transcript):
 
 
 def test_ads_634_end_to_end():
-    s = Scheme(develop(classify_ads([0, 1, 3], 6)))
+    s = Scheme(classify_ads([0, 1, 3], 6))
     load, transcript, _ = run_end_to_end(s)
     assert load == ads_load(6, 3, 1) == Fraction(5, 12)
     mine = [(m.meta, m.bits) for m in transcript.messages if m.sender == 0]
@@ -864,7 +863,7 @@ def test_ads_census_names_a_broken_development():
 
 
 def test_golomb_623_end_to_end():
-    s = Scheme(develop(classify_ads([0, 1], 6)))
+    s = Scheme(classify_ads([0, 1], 6))
     load, transcript, _ = run_end_to_end(s)
     assert load == ads_load(6, 2, 0) == Fraction(2, 3)
     mine = [m for m in transcript.messages if m.sender == 0]
@@ -879,7 +878,7 @@ def test_golomb_623_end_to_end():
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_ruzsa_end_to_end(p):
     a = ruzsa_ads(p)
-    s = Scheme(develop(a))
+    s = Scheme(a)
     load, _, _ = run_end_to_end(s, seed=p)
     assert load == ads_load(a.n, a.k, 0)
 
@@ -889,7 +888,7 @@ def test_ruzsa_complement_end_to_end(p):
     """Complements have lam >= 1 and hit the (n-1)/2n load exactly."""
     a = complement_ads(ruzsa_ads(p))
     assert a.lam >= 1
-    s = Scheme(develop(a))
+    s = Scheme(a)
     load, _, _ = run_end_to_end(s)
     assert load == ads_load(a.n, a.k, a.lam) == Fraction(a.n - 1, 2 * a.n)
 
@@ -966,7 +965,7 @@ def jsonl_lines(transcript):
     (fano_scheme, 1, {"SD-diagonal", "SD-offdiagonal"}, {0, 1}, {4, 6}),
     (lambda: ads_scheme([0, 1], 6), 1, {"ADS-pairsum", "ADS-segment"}, {3},
      {1, 2}),
-    (lambda: Scheme(develop(complement_ads(ruzsa_ads(5)))), 3,
+    (lambda: Scheme(complement_ads(ruzsa_ads(5))), 3,
      {"ADS-pairsum"}, {3}, {36, 39}),
     (lambda: Scheme(projective_plane(3)), 4,
      {"SD-diagonal", "SD-offdiagonal"}, {0, 1}, {24, 64}),

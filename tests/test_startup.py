@@ -27,10 +27,15 @@ print(" ".join(sorted(set(sys.modules) - before)))
 """
 
 
-def fresh_python(*args, cwd=None):
+def fresh_python(*args, cwd=None, digits=None):
+    """Run a fresh interpreter on args; its PYTHONINTMAXSTRDIGITS is
+    digits, or unset when digits is None."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    if digits is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = digits
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=env, cwd=cwd, timeout=120)
 
@@ -114,6 +119,30 @@ def test_entry_runs_main_without_the_cyclic_collector(monkeypatch):
         if enabled:
             gc.enable()
     assert (seen, exit_.value.code) == ([False], EX_OK)
+
+
+@pytest.mark.parametrize("digits", ["640", "0"])
+def test_entry_prints_whatever_the_int_digit_limit(tmp_path, digits):
+    """entry() fixes the int-to-str limit at CPython's default 4300
+    digits, against which analysis.MAX_PRINTED is measured: under any
+    PYTHONINTMAXSTRDIGITS the largest outputs print the same bytes, and
+    the first plane past its cap and a document with a 5000-digit v are
+    refused the same way."""
+    (tmp_path / "v5000.json").write_text(
+        '{"v":' + "1" * 5000 + ',"blocks":[]}')
+    for argv, code in (
+            (("compare", "--family", "plane", "--min", "661", "--max", "661"),
+             EX_OK),
+            (("check-appendix", "--min-p", "1106", "--max-p", "1106"), EX_OK),
+            (("compare", "--family", "plane", "--min", "673", "--max", "673"),
+             EX_UNSUPPORTED),
+            (("design", "--verify", "v5000.json"), EX_VERIFY)):
+        default = fresh_python("-m", "cdcsim", *argv, cwd=tmp_path)
+        done = fresh_python("-m", "cdcsim", *argv, cwd=tmp_path,
+                            digits=digits)
+        assert default.returncode == code, (argv, default.stderr)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            code, default.stdout, default.stderr), argv
 
 
 # raises the error named on its command line from inside a command, for
